@@ -8,9 +8,10 @@ Key fidelity points for DynaCut:
 * fetching unmapped/non-executable memory raises ``SIGSEGV``; decoding
   wiped (garbage) bytes raises ``SIGILL`` — both are what code-reuse
   attacks hit after DynaCut removes code;
-* a decode cache keyed on the address space's ``code_epoch`` keeps
-  interpretation fast while guaranteeing that patched bytes (int3
-  insertion / feature restore) take effect immediately;
+* a per-address-space decode cache keeps interpretation fast; the
+  address space evicts the entries a change to executable bytes or to
+  the execute permission can affect (see :mod:`.memory`), so patched
+  bytes (int3 insertion / feature restore) take effect immediately;
 * the CPU reports basic-block entries to an attached tracer with
   ``<block address, block size>`` granularity — the drcov trace format.
 
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING
 from ..isa.encoding import DecodeError, decode
 from ..isa.instructions import BLOCK_TERMINATORS
 from ..telemetry import trace
-from .memory import MemoryFault, PAGE_SIZE
+from .memory import MAX_INSTRUCTION, MemoryFault, PAGE_SIZE
 from .process import Process, SP
 from .signals import (
     FRAME_LT,
@@ -45,8 +46,6 @@ if TYPE_CHECKING:
 
 _MASK64 = (1 << 64) - 1
 _SIGN_BIT = 1 << 63
-#: longest encoded instruction (movi: opcode + reg + imm64)
-_MAX_INSTRUCTION = 10
 
 
 def _signed(value: int) -> int:
@@ -124,14 +123,11 @@ class CPU:
         memory = proc.memory
         cache = memory.decode_cache
         entry = cache.get(rip)
-        if entry is not None and entry[0] == memory.code_epoch:
-            __, handler, operands, length, terminates = entry
+        if entry is not None:
+            handler, operands, length, terminates = entry
         else:
-            if entry is not None:
-                # epoch moved: all cached decodes are suspect
-                cache.clear()
             try:
-                raw = memory.fetch(rip, _MAX_INSTRUCTION)
+                raw = memory.fetch(rip, MAX_INSTRUCTION)
             except MemoryFault as fault:
                 self._fault(proc, Signal.SIGSEGV, fault.address)
                 return
@@ -143,7 +139,7 @@ class CPU:
             # the fetch above over-reads; verify the actual length is
             # executable (a short tail at a VMA boundary decodes fine)
             length = instruction.length
-            if length < _MAX_INSTRUCTION:
+            if length < MAX_INSTRUCTION:
                 try:
                     memory.fetch(rip, length)
                 except MemoryFault as fault:
@@ -153,9 +149,7 @@ class CPU:
             handler = self._handlers[mnemonic]
             operands = instruction.operands
             terminates = mnemonic in BLOCK_TERMINATORS
-            cache[rip] = (
-                memory.code_epoch, handler, operands, length, terminates,
-            )
+            cache[rip] = (handler, operands, length, terminates)
 
         if proc.block_start is None:
             proc.block_start = rip
@@ -187,8 +181,7 @@ class CPU:
         kernel = self.kernel
         cost = kernel.config.instruction_cost_ns
         regs = proc.regs
-        memory = proc.memory
-        cache = memory.decode_cache
+        cache = proc.memory.decode_cache
         gpr_state = ProcessState.RUNNABLE
         while executed < budget and proc.state is gpr_state:
             if proc.pending_signals:
@@ -197,11 +190,11 @@ class CPU:
                 continue
             rip = regs.rip
             entry = cache.get(rip)
-            if entry is None or entry[0] != memory.code_epoch:
+            if entry is None:
                 self.step(proc)      # slow path: decode (and cache) first
                 executed += 1
                 continue
-            __, handler, operands, length, terminates = entry
+            handler, operands, length, terminates = entry
             if proc.block_start is None:
                 proc.block_start = rip
             kernel.clock_ns += cost

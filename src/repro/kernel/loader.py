@@ -86,7 +86,6 @@ class Loader:
 
         self._setup_stack(proc, argv)
         proc.regs.rip = image.entry
-        memory.decode_cache.clear()
 
     # ------------------------------------------------------------------
 

@@ -8,17 +8,37 @@ The memory model mirrors what CRIU sees through ``/proc/pid/maps`` and
   file-backing metadata;
 * permission checks distinguish read/write/execute, so executing an
   unmapped or non-executable address faults exactly like on Linux;
-* writes that touch executable pages bump ``code_epoch`` so the CPU's
-  decode cache is invalidated — this is what makes an ``int3`` patched
-  into a restored image take effect immediately.
+* a page index maps each page number to its page bytearray, one map per
+  permission (readable, writable, executable).  Only ``mmap``,
+  ``munmap``, ``mprotect`` and construction (hence ``clone``) change
+  VMAs, and each rebuilds the index over exactly the pages it changed.
+  A guest load, store or fetch inside one page is then one dict probe
+  plus a slice; anything else (cross-page, zero-length, unmapped, wrong
+  permission) takes the checked page-by-page path, which faults at the
+  same address and with the same reason as a VMA-by-VMA walk;
+* the CPU's decode cache lives here and is evicted by range: a store or
+  ``write_raw`` to an executable page, an ``munmap`` of executable
+  memory and an ``mprotect`` that flips some page's execute bit drop the
+  cached decodes that start in ``[start - (MAX_INSTRUCTION - 1), end)``,
+  the only ones whose fetched bytes can overlap the change.  This is
+  what makes an ``int3`` patched into a running image take effect on
+  its next execution.  ``code_epoch`` counts those changes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
+_OFFSET_MASK = PAGE_SIZE - 1
+#: longest encoded instruction (movi: opcode + reg + imm64); the CPU
+#: fetches this many bytes per decode
+MAX_INSTRUCTION = 10
+#: the key the VMA list is sorted on
+_vma_start = attrgetter("start")
 
 
 class MemoryFault(Exception):
@@ -96,19 +116,35 @@ class AddressSpace:
 
     pages: dict[int, bytearray] = field(default_factory=dict)
     vmas: list[VMA] = field(default_factory=list)
-    #: bumped whenever executable memory changes; CPUs key decode caches on it
+    #: counts changes to executable bytes or to the execute permission
     code_epoch: int = 0
-    #: CPU decode cache: address -> (code_epoch, DecodedInstruction); never
-    #: serialized or forked — each address space starts with a cold cache
+    #: CPU decode cache: address -> (handler, operands, length, terminates);
+    #: never serialized or forked — each address space starts with a cold cache
     decode_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: the page index: page number -> page, for pages with that permission
+    readable_pages: dict[int, bytearray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    writable_pages: dict[int, bytearray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    executable_pages: dict[int, bytearray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for vma in self.vmas:
+            self._index(vma.start, vma.end, vma.perms)
 
     # ------------------------------------------------------------------
     # VMA management
 
     def find_vma(self, address: int) -> VMA | None:
-        for vma in self.vmas:
-            if vma.contains(address):
-                return vma
+        """The VMA containing ``address``: a binary search of the list."""
+        vmas = self.vmas
+        position = bisect_right(vmas, address, key=_vma_start)
+        if position and address < vmas[position - 1].end:
+            return vmas[position - 1]
         return None
 
     def mmap(
@@ -127,11 +163,12 @@ class AddressSpace:
             if vma.overlaps(start, end):
                 raise MemoryFault(start, "map", f"overlaps {vma.describe()}")
         vma = VMA(start, end, perms, backing, tag)
-        self.vmas.append(vma)
-        self.vmas.sort(key=lambda v: v.start)
+        self.vmas.insert(bisect_right(self.vmas, start, key=_vma_start), vma)
         for index in range(start >> PAGE_SHIFT, end >> PAGE_SHIFT):
-            self.pages.setdefault(index, bytearray(PAGE_SIZE))
+            self.pages[index] = bytearray(PAGE_SIZE)
+        self._index(start, end, perms)
         if "x" in perms:
+            # nothing cached can depend on bytes that were unmapped
             self.code_epoch += 1
         return vma
 
@@ -141,36 +178,43 @@ class AddressSpace:
         if start % PAGE_SIZE:
             raise ValueError(f"munmap start {start:#x} not page aligned")
         touched_exec = False
-        new_vmas: list[VMA] = []
+        kept: list[VMA] = []
+        removed: list[tuple[int, int]] = []
         for vma in self.vmas:
             if not vma.overlaps(start, end):
-                new_vmas.append(vma)
+                kept.append(vma)
                 continue
             touched_exec = touched_exec or vma.executable
+            removed.append((max(vma.start, start), min(vma.end, end)))
             if vma.start < start:
-                new_vmas.append(replace(vma, end=start))
+                kept.append(replace(vma, end=start))
             if vma.end > end:
                 tail_backing = vma.backing
                 if tail_backing is not None:
                     tail_backing = replace(
                         tail_backing, offset=tail_backing.offset + (end - vma.start)
                     )
-                new_vmas.append(replace(vma, start=end, backing=tail_backing))
-        self.vmas = sorted(new_vmas, key=lambda v: v.start)
-        for index in range(start >> PAGE_SHIFT, end >> PAGE_SHIFT):
-            if not self._page_mapped(index):
-                self.pages.pop(index, None)
+                kept.append(replace(vma, start=end, backing=tail_backing))
+        self.vmas = kept
+        for lo, hi in removed:
+            self._index(lo, hi, "")
+            for index in range(lo >> PAGE_SHIFT, hi >> PAGE_SHIFT):
+                del self.pages[index]
         if touched_exec:
-            self.code_epoch += 1
+            self._code_changed(start, end)
 
     def mprotect(self, start: int, size: int, perms: str) -> None:
         """Change permissions on ``[start, start+size)``."""
         end = start + _page_round_up(size)
+        exec_after = "x" in perms
+        flips_exec = False
         updated: list[VMA] = []
+        changed: list[VMA] = []
         for vma in self.vmas:
             if not vma.overlaps(start, end):
                 updated.append(vma)
                 continue
+            flips_exec = flips_exec or vma.executable != exec_after
             if vma.start < start:
                 updated.append(replace(vma, end=start))
             mid_start = max(vma.start, start)
@@ -180,9 +224,9 @@ class AddressSpace:
                 mid_backing = replace(
                     mid_backing, offset=mid_backing.offset + (mid_start - vma.start)
                 )
-            updated.append(
-                VMA(mid_start, mid_end, perms, mid_backing, vma.tag)
-            )
+            middle = VMA(mid_start, mid_end, perms, mid_backing, vma.tag)
+            changed.append(middle)
+            updated.append(middle)
             if vma.end > end:
                 tail_backing = vma.backing
                 if tail_backing is not None:
@@ -190,47 +234,71 @@ class AddressSpace:
                         tail_backing, offset=tail_backing.offset + (end - vma.start)
                     )
                 updated.append(replace(vma, start=end, backing=tail_backing))
-        self.vmas = sorted(updated, key=lambda v: v.start)
-        self.code_epoch += 1
-
-    def _page_mapped(self, index: int) -> bool:
-        address = index << PAGE_SHIFT
-        return any(vma.contains(address) for vma in self.vmas)
+        self.vmas = updated
+        for vma in changed:
+            self._index(vma.start, vma.end, perms)
+        if flips_exec:
+            self._code_changed(start, end)
 
     def find_free_range(self, size: int, hint: int = 0x7F00_0000_0000) -> int:
         """Find an unmapped, page-aligned range of ``size`` bytes."""
         size = _page_round_up(size)
         candidate = hint
-        for vma in sorted(self.vmas, key=lambda v: v.start):
+        for vma in self.vmas:
             if candidate + size <= vma.start:
                 return candidate
             if vma.end > candidate:
                 candidate = vma.end
         return candidate
 
+    def _index(self, start: int, end: int, perms: str) -> None:
+        """Point the page index for ``[start, end)`` at ``perms``."""
+        pages = self.pages
+        indices = range(start >> PAGE_SHIFT, end >> PAGE_SHIFT)
+        for flag, allowed in zip(
+            "rwx", (self.readable_pages, self.writable_pages, self.executable_pages)
+        ):
+            if flag in perms:
+                for index in indices:
+                    allowed[index] = pages[index]
+            else:
+                for index in indices:
+                    allowed.pop(index, None)
+
     # ------------------------------------------------------------------
     # checked access (guest loads/stores)
 
     def read(self, address: int, size: int) -> bytes:
+        page = self.readable_pages.get(address >> PAGE_SHIFT)
+        offset = address & _OFFSET_MASK
+        end = offset + size
+        if page is not None and offset < end <= PAGE_SIZE:
+            return bytes(page[offset:end])
         self._check(address, size, "read")
         return self._read_raw(address, size)
 
     def write(self, address: int, data: bytes) -> None:
+        index = address >> PAGE_SHIFT
+        page = self.writable_pages.get(index)
+        offset = address & _OFFSET_MASK
+        end = offset + len(data)
+        if page is not None and offset < end <= PAGE_SIZE:
+            page[offset:end] = data
+            if index in self.executable_pages:
+                self._code_changed(address, address + len(data))
+            return
         self._check(address, len(data), "write")
         self._write_raw(address, data)
-        if self._range_executable(address, len(data)):
-            self.code_epoch += 1
+        self._stored(address, len(data))
 
     def fetch(self, address: int, size: int) -> bytes:
         """Instruction fetch: requires execute permission."""
-        vma = self.find_vma(address)
-        if vma is None:
-            raise MemoryFault(address, "exec", "unmapped")
-        if not vma.executable:
-            raise MemoryFault(address, "exec", f"not executable ({vma.perms})")
-        # a fetch may straddle into the next VMA; validate the tail too
-        if address + size > vma.end:
-            self._check_exec(vma.end, address + size - vma.end)
+        page = self.executable_pages.get(address >> PAGE_SHIFT)
+        offset = address & _OFFSET_MASK
+        end = offset + size
+        if page is not None and offset < end <= PAGE_SIZE:
+            return bytes(page[offset:end])
+        self._check(address, size, "exec")
         return self._read_raw(address, size)
 
     def read_cstring(self, address: int, limit: int = 65536) -> bytes:
@@ -238,43 +306,54 @@ class AddressSpace:
         out = bytearray()
         cursor = address
         while len(out) < limit:
-            chunk = self.read(cursor, min(256, limit - len(out)))
+            size = min(256, PAGE_SIZE - (cursor & _OFFSET_MASK), limit - len(out))
+            chunk = self.read(cursor, size)
             nul = chunk.find(b"\x00")
             if nul >= 0:
                 out += chunk[:nul]
                 return bytes(out)
             out += chunk
-            cursor += len(chunk)
+            cursor += size
         raise MemoryFault(address, "read", "unterminated string")
 
     def _check(self, address: int, size: int, access: str) -> None:
-        cursor = address
-        end = address + size
-        while cursor < end:
-            vma = self.find_vma(cursor)
-            if vma is None:
-                raise MemoryFault(cursor, access, "unmapped")
-            needed = "r" if access == "read" else "w"
-            if needed not in vma.perms:
-                raise MemoryFault(cursor, access, f"permission ({vma.perms})")
-            cursor = vma.end
+        """Fault at the first byte of ``[address, address+size)`` that
+        ``access`` may not touch; a fetch always checks ``address``."""
+        if access == "read":
+            allowed, refusal = self.readable_pages, "permission"
+        elif access == "write":
+            allowed, refusal = self.writable_pages, "permission"
+        else:
+            allowed, refusal = self.executable_pages, "not executable"
+            size = max(size, 1)
+        for index in _pages(address, size):
+            if index not in allowed:
+                cursor = max(address, index << PAGE_SHIFT)
+                vma = self.find_vma(cursor)
+                if vma is None:
+                    raise MemoryFault(cursor, access, "unmapped")
+                raise MemoryFault(cursor, access, f"{refusal} ({vma.perms})")
 
-    def _check_exec(self, address: int, size: int) -> None:
-        cursor = address
-        end = address + size
-        while cursor < end:
-            vma = self.find_vma(cursor)
-            if vma is None:
-                raise MemoryFault(cursor, "exec", "unmapped")
-            if not vma.executable:
-                raise MemoryFault(cursor, "exec", f"not executable ({vma.perms})")
-            cursor = vma.end
+    def _stored(self, address: int, size: int) -> None:
+        """Note a store of ``size`` bytes: executable bytes may have changed."""
+        executable = self.executable_pages
+        for index in _pages(address, size):
+            if index in executable:
+                self._code_changed(address, address + size)
+                return
 
-    def _range_executable(self, address: int, size: int) -> bool:
-        for vma in self.vmas:
-            if vma.executable and vma.overlaps(address, address + size):
-                return True
-        return False
+    def _code_changed(self, start: int, end: int) -> None:
+        """Executable bytes or permissions in ``[start, end)`` changed:
+        drop the cached decodes that may have read them."""
+        self.code_epoch += 1
+        cache = self.decode_cache
+        low = start - (MAX_INSTRUCTION - 1)
+        if end - low <= len(cache):
+            for address in range(low, end):
+                cache.pop(address, None)
+        else:
+            for address in [address for address in cache if low <= address < end]:
+                del cache[address]
 
     # ------------------------------------------------------------------
     # raw access (kernel/loader/checkpoint: no permission checks)
@@ -312,8 +391,7 @@ class AddressSpace:
     def write_raw(self, address: int, data: bytes) -> None:
         """Kernel-privileged write (loader, restore, ptrace-style pokes)."""
         self._write_raw(address, data)
-        if self._range_executable(address, len(data)):
-            self.code_epoch += 1
+        self._stored(address, len(data))
 
     def read_raw(self, address: int, size: int) -> bytes:
         """Kernel-privileged read."""
@@ -336,6 +414,13 @@ class AddressSpace:
     def describe_maps(self) -> str:
         """A ``/proc/pid/maps``-style listing."""
         return "\n".join(vma.describe() for vma in self.vmas)
+
+
+def _pages(address: int, size: int) -> range:
+    """The page numbers that ``[address, address+size)`` touches."""
+    if size <= 0:
+        return range(0)
+    return range(address >> PAGE_SHIFT, ((address + size - 1) >> PAGE_SHIFT) + 1)
 
 
 def _page_round_up(value: int) -> int:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
-from repro.kernel import AddressSpace, FileBacking, MemoryFault, PAGE_SIZE
+from repro.kernel import VMA, AddressSpace, FileBacking, MemoryFault, PAGE_SIZE
+from repro.kernel.memory import MAX_INSTRUCTION
 
 BASE = 0x400000
 
@@ -113,6 +117,27 @@ class TestAccess:
         space.write(BASE, b"hello\x00world")
         assert space.read_cstring(BASE) == b"hello"
 
+    def test_read_cstring_ending_at_mapping_end(self):
+        memory = AddressSpace()
+        memory.mmap(BASE, PAGE_SIZE, "rw-")
+        memory.write(BASE + PAGE_SIZE - 6, b"hello\x00")
+        assert memory.read_cstring(BASE + PAGE_SIZE - 6) == b"hello"
+
+    def test_read_cstring_across_pages(self):
+        memory = AddressSpace()
+        memory.mmap(BASE, 2 * PAGE_SIZE, "rw-")
+        memory.write(BASE + PAGE_SIZE - 3, b"abcdef\x00")
+        assert memory.read_cstring(BASE + PAGE_SIZE - 3) == b"abcdef"
+
+    def test_read_cstring_running_off_the_mapping_faults_there(self):
+        memory = AddressSpace()
+        memory.mmap(BASE, PAGE_SIZE, "rw-")
+        memory.write_raw(BASE + PAGE_SIZE - 4, b"abcd")
+        with pytest.raises(MemoryFault) as excinfo:
+            memory.read_cstring(BASE + PAGE_SIZE - 4)
+        assert excinfo.value.address == BASE + PAGE_SIZE
+        assert excinfo.value.reason == "unmapped"
+
     def test_read_cstring_unterminated(self):
         memory = AddressSpace()
         memory.mmap(BASE, PAGE_SIZE, "rw-")
@@ -145,6 +170,33 @@ class TestCodeEpoch:
         space.mprotect(BASE, PAGE_SIZE, "r-x")
         assert space.code_epoch > before
 
+    def test_zero_length_write_inside_exec_keeps_epoch(self):
+        memory = AddressSpace()
+        memory.mmap(BASE, PAGE_SIZE, "rwx")
+        before = memory.code_epoch
+        memory.write(BASE + 5, b"")
+        memory.write_raw(BASE + 5, b"")
+        assert memory.code_epoch == before
+
+    def test_mprotect_without_exec_change_keeps_epoch(self, space):
+        before = space.code_epoch
+        space.mprotect(BASE, PAGE_SIZE, "r--")
+        assert space.code_epoch == before
+
+    def test_mprotect_keeping_exec_keeps_epoch(self):
+        memory = AddressSpace()
+        memory.mmap(BASE, 2 * PAGE_SIZE, "r-x")
+        before = memory.code_epoch
+        memory.mprotect(BASE, PAGE_SIZE, "rwx")
+        assert memory.code_epoch == before
+
+    def test_mprotect_dropping_exec_bumps_epoch(self):
+        memory = AddressSpace()
+        memory.mmap(BASE, PAGE_SIZE, "r-x")
+        before = memory.code_epoch
+        memory.mprotect(BASE, PAGE_SIZE, "r--")
+        assert memory.code_epoch > before
+
     def test_mprotect_changes_perms_mid_region(self, space):
         space.mprotect(BASE + PAGE_SIZE, PAGE_SIZE, "r--")
         assert space.find_vma(BASE).perms == "rw-"
@@ -169,3 +221,227 @@ class TestClone:
         listing = space.describe_maps()
         assert f"{BASE:#014x}" in listing
         assert "rw-" in listing
+
+
+# ----------------------------------------------------------------------
+# differential test: the page index against a linear VMA scan
+
+
+class LinearSpace:
+    """Reference model: every access is checked by walking the VMA list."""
+
+    def __init__(self, pages=None, vmas=None):
+        self.pages = {} if pages is None else pages
+        self.vmas = [] if vmas is None else vmas
+
+    def clone(self):
+        return LinearSpace(
+            {index: bytearray(page) for index, page in self.pages.items()},
+            [replace(vma) for vma in self.vmas],
+        )
+
+    def find_vma(self, address):
+        return next((vma for vma in self.vmas if vma.contains(address)), None)
+
+    def mmap(self, start, size, perms):
+        end = start + size
+        for vma in self.vmas:
+            if vma.overlaps(start, end):
+                raise MemoryFault(start, "map", f"overlaps {vma.describe()}")
+        vma = VMA(start, end, perms)
+        self.vmas = sorted([*self.vmas, vma], key=lambda v: v.start)
+        for index in range(start // PAGE_SIZE, end // PAGE_SIZE):
+            self.pages[index] = bytearray(PAGE_SIZE)
+        return vma
+
+    def munmap(self, start, size):
+        self._carve(start, start + size, None)
+        for index in list(self.pages):
+            if self.find_vma(index * PAGE_SIZE) is None:
+                del self.pages[index]
+
+    def mprotect(self, start, size, perms):
+        self._carve(start, start + size, perms)
+
+    def _carve(self, start, end, perms):
+        """Cut ``[start, end)`` out of the VMAs; give it ``perms`` unless None."""
+        kept = []
+        for vma in self.vmas:
+            if not vma.overlaps(start, end):
+                kept.append(vma)
+                continue
+            if vma.start < start:
+                kept.append(VMA(vma.start, start, vma.perms))
+            if perms is not None:
+                kept.append(VMA(max(vma.start, start), min(vma.end, end), perms))
+            if vma.end > end:
+                kept.append(VMA(end, vma.end, vma.perms))
+        self.vmas = kept
+
+    def _check(self, address, size, access, flag, refusal):
+        cursor = address
+        while cursor < address + size:
+            vma = self.find_vma(cursor)
+            if vma is None:
+                raise MemoryFault(cursor, access, "unmapped")
+            if flag not in vma.perms:
+                raise MemoryFault(cursor, access, f"{refusal} ({vma.perms})")
+            cursor = vma.end
+
+    def read(self, address, size):
+        self._check(address, size, "read", "r", "permission")
+        return self.read_raw(address, size)
+
+    def write(self, address, data):
+        self._check(address, len(data), "write", "w", "permission")
+        self.write_raw(address, data)
+
+    def fetch(self, address, size):
+        self._check(address, max(size, 1), "exec", "x", "not executable")
+        return self.read_raw(address, size)
+
+    def read_raw(self, address, size):
+        out = bytearray()
+        for cursor in range(address, address + size):
+            page = self.pages.get(cursor // PAGE_SIZE)
+            if page is None:
+                raise MemoryFault(cursor, "read", "page not present")
+            out.append(page[cursor % PAGE_SIZE])
+        return bytes(out)
+
+    def write_raw(self, address, data):
+        for cursor, byte in enumerate(data, start=address):
+            page = self.pages.get(cursor // PAGE_SIZE)
+            if page is None:
+                raise MemoryFault(cursor, "write", "page not present")
+            page[cursor % PAGE_SIZE] = byte
+
+
+SPAN = 4  # pages in play, from BASE
+page_numbers = st.integers(0, SPAN - 1)
+page_counts = st.integers(1, 3)
+permissions = st.sampled_from(["---", "r--", "-w-", "--x", "rw-", "r-x", "-wx", "rwx"])
+#: addresses cluster at page boundaries so accesses often straddle them
+addresses = st.builds(
+    lambda page, offset: BASE + page * PAGE_SIZE + offset,
+    st.integers(-1, SPAN),
+    st.one_of(
+        st.integers(0, PAGE_SIZE - 1),
+        st.integers(PAGE_SIZE - MAX_INSTRUCTION, PAGE_SIZE - 1),
+        st.integers(0, MAX_INSTRUCTION),
+    ),
+)
+sizes = st.one_of(st.integers(0, 2 * MAX_INSTRUCTION), st.integers(0, 2 * PAGE_SIZE + 16))
+payloads = st.builds(
+    lambda size, seed: bytes((seed + i) & 0xFF for i in range(size)),
+    sizes,
+    st.integers(0, 255),
+)
+
+
+class AddressSpaceMachine(RuleBasedStateMachine):
+    """Random mmap/munmap/mprotect/clone/read/write/write_raw/fetch
+    sequences; the address space must agree with :class:`LinearSpace`."""
+
+    decoded = Bundle("decoded")
+
+    def __init__(self):
+        super().__init__()
+        self.space = AddressSpace()
+        self.model = LinearSpace()
+
+    def _both(self, operation, *args):
+        outcomes = []
+        for target in (self.space, self.model):
+            try:
+                outcomes.append(("ok", getattr(target, operation)(*args)))
+            except MemoryFault as fault:
+                outcomes.append(("fault", fault.address, fault.access, fault.reason))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    @rule(page=page_numbers, count=page_counts, perms=permissions)
+    def mmap(self, page, count, perms):
+        self._both("mmap", BASE + page * PAGE_SIZE, count * PAGE_SIZE, perms)
+
+    @rule(page=page_numbers, count=page_counts)
+    def munmap(self, page, count):
+        self._both("munmap", BASE + page * PAGE_SIZE, count * PAGE_SIZE)
+
+    @rule(page=page_numbers, count=page_counts, perms=permissions)
+    def mprotect(self, page, count, perms):
+        self._both("mprotect", BASE + page * PAGE_SIZE, count * PAGE_SIZE, perms)
+
+    @rule()
+    def clone(self):
+        self.space = self.space.clone()
+        self.model = self.model.clone()
+
+    @rule(address=addresses, size=sizes)
+    def read(self, address, size):
+        self._both("read", address, size)
+
+    @rule(address=addresses, data=payloads)
+    def write(self, address, data):
+        self._both("write", address, data)
+
+    @rule(address=addresses, data=payloads)
+    def write_raw(self, address, data):
+        self._both("write_raw", address, data)
+
+    @rule(address=addresses, size=sizes)
+    def fetch(self, address, size):
+        self._both("fetch", address, size)
+
+    @rule(target=decoded, address=addresses)
+    def decode(self, address):
+        """Fetch like the CPU does and cache the bytes the decode read."""
+        outcome = self._both("fetch", address, MAX_INSTRUCTION)
+        if outcome[0] == "ok":
+            self.space.decode_cache[address] = outcome[1]
+        return address
+
+    @rule(
+        address=decoded,
+        delta=st.integers(-MAX_INSTRUCTION, 2 * MAX_INSTRUCTION),
+        data=payloads,
+        raw=st.booleans(),
+    )
+    def patch_near_decode(self, address, delta, data, raw):
+        self._both("write_raw" if raw else "write", address + delta, data)
+
+    @invariant()
+    def same_memory(self):
+        assert self.space.pages == self.model.pages
+        assert [(v.start, v.end, v.perms) for v in self.space.vmas] == [
+            (v.start, v.end, v.perms) for v in self.model.vmas
+        ]
+
+    @invariant()
+    def index_matches_a_rebuild(self):
+        space = self.space
+        index = {
+            "r": space.readable_pages,
+            "w": space.writable_pages,
+            "x": space.executable_pages,
+        }
+        for flag, pages in index.items():
+            rebuilt = {
+                number: space.pages[number]
+                for vma in space.vmas
+                if flag in vma.perms
+                for number in range(vma.start // PAGE_SIZE, vma.end // PAGE_SIZE)
+            }
+            assert pages.keys() == rebuilt.keys()
+            assert all(pages[number] is rebuilt[number] for number in rebuilt)
+
+    @invariant()
+    def cached_decodes_are_current(self):
+        for address, raw in self.space.decode_cache.items():
+            assert self.model.fetch(address, MAX_INSTRUCTION) == raw
+
+
+AddressSpaceMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+TestAddressSpaceAgainstLinearScan = AddressSpaceMachine.TestCase
