@@ -122,7 +122,8 @@ def test_fleet_rollout_under_traffic(benchmark, results_dir):
             for name, row in results.items()
         ],
     )
-    (results_dir / "fleet_rollout.json").write_text(
+    # fleet_cli owns results/fleet_rollout.json
+    (results_dir / "fleet_rollout_bench.json").write_text(
         json.dumps(results, indent=2) + "\n"
     )
 

@@ -19,12 +19,17 @@ has, which is why symbol seeds matter.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Generic, TypeVar
+from weakref import WeakKeyDictionary
 
 from .. import telemetry
 from ..binfmt.self_format import SelfImage
 from ..isa.disassembler import DecodedInstruction, disassemble_one
 from ..isa.encoding import DecodeError
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, order=True)
@@ -192,8 +197,8 @@ def image_digest(image: SelfImage) -> str:
     Covers every segment's bytes, the entry point, symbols, PLT stubs,
     and dynamic relocations — two images with equal digests produce
     identical CFGs *and* identical dataflow results, which is what
-    makes :func:`cached_cfg` (and the DynaFlow report cache) safe
-    across rewrites: a patched segment changes the digest.
+    makes :class:`DigestCache` safe across rewrites: a patched segment
+    changes the digest.
     """
     h = hashlib.sha256()
     h.update(image.entry.to_bytes(8, "little"))
@@ -218,9 +223,61 @@ def image_digest(image: SelfImage) -> str:
     return h.hexdigest()
 
 
-#: digest → recovered CFG, shared by every linter/analyzer instance
-_CFG_CACHE: dict[str, ControlFlowGraph] = {}
-_CFG_CACHE_LIMIT = 64
+class DigestCache(Generic[T]):
+    """A bounded :func:`image_digest` → analysis-result store.
+
+    The store is process-wide, so an analysis runs at most once per
+    image content while its result stays cached.  What a lookup
+    *reports* depends only on the current recording: under a
+    :class:`~repro.telemetry.TelemetryHub` the first lookup of a digest
+    counts as a miss and every later one as a hit, whatever the store
+    held before the recording began, so a recorded run exports the same
+    telemetry from a cold or a warm process.  With no recording the
+    counters report the store's real hits and misses.
+    """
+
+    def __init__(self, hits: str, misses: str, limit: int):
+        self.hits = hits
+        self.misses = misses
+        self.limit = limit
+        self._store: dict[str, T] = {}
+        self._seen: WeakKeyDictionary[telemetry.TelemetryHub, set[str]] = (
+            WeakKeyDictionary()
+        )
+
+    def lookup(self, image: SelfImage, compute: Callable[[], T]) -> tuple[T, bool]:
+        """``(result, missed)``; ``compute`` runs only on a store miss.
+
+        ``missed`` is what the lookup counted, so callers emit their
+        per-result telemetry exactly when it is true.
+        """
+        digest = image_digest(image)
+        result = self._store.get(digest)
+        stored = result is not None
+        if result is None:
+            result = compute()
+            if len(self._store) >= self.limit:
+                self._store.pop(next(iter(self._store)))
+            self._store[digest] = result
+        recording = telemetry.hub()
+        if recording is None:
+            missed = not stored
+        else:
+            seen = self._seen.setdefault(recording, set())
+            missed = digest not in seen
+            seen.add(digest)
+        telemetry.count(self.misses if missed else self.hits, image=image.name)
+        return result, missed
+
+    def clear(self) -> None:
+        """Drop every stored result (the next lookups recompute)."""
+        self._store.clear()
+
+
+#: recovered CFGs, shared by every linter/analyzer instance
+_CFG_CACHE: DigestCache[ControlFlowGraph] = DigestCache(
+    "cfg_cache_hits", "cfg_cache_misses", limit=64
+)
 
 
 def cached_cfg(image: SelfImage) -> ControlFlowGraph:
@@ -231,16 +288,7 @@ def cached_cfg(image: SelfImage) -> ControlFlowGraph:
     cache key is :func:`image_digest`, so a rewritten image never hits
     a stale entry.
     """
-    digest = image_digest(image)
-    cached = _CFG_CACHE.get(digest)
-    if cached is not None:
-        telemetry.count("cfg_cache_hits", image=image.name)
-        return cached
-    telemetry.count("cfg_cache_misses", image=image.name)
-    cfg = CfgBuilder(image).build()
-    if len(_CFG_CACHE) >= _CFG_CACHE_LIMIT:
-        _CFG_CACHE.pop(next(iter(_CFG_CACHE)))
-    _CFG_CACHE[digest] = cfg
+    cfg, __ = _CFG_CACHE.lookup(image, lambda: build_cfg(image))
     return cfg
 
 

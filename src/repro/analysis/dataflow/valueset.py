@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from ... import telemetry
 from ...binfmt.self_format import DynRelocType, ImageKind, SelfImage
 from ...isa.disassembler import DecodedInstruction
-from ..cfg import ControlFlowGraph, build_cfg, image_digest
+from ..cfg import ControlFlowGraph, DigestCache, build_cfg
 from .framework import DataflowProblem, Direction, solve
 from .hazards import StoreHazard, classify_store
 from .lattice import MASK64, ValueSet
@@ -445,22 +445,39 @@ def scan_address_taken(image: SelfImage, cfg: ControlFlowGraph | None = None) ->
     return frozenset(taken)
 
 
-#: digest → flow report; a rewritten text changes the digest, so stale
-#: hits are impossible (same invariant as ``repro.analysis.cfg.cached_cfg``)
-_FLOW_CACHE: dict[str, FlowReport] = {}
-_FLOW_CACHE_LIMIT = 32
+#: flow reports by image digest; a rewritten text changes the digest, so
+#: stale hits are impossible
+_FLOW_CACHE: DigestCache[FlowReport] = DigestCache(
+    "dynaflow_cache_hits", "dynaflow_cache_misses", limit=32
+)
 
 
 def analyze_image_flow(
     image: SelfImage, cfg: ControlFlowGraph | None = None
 ) -> FlowReport:
-    """Run the full value-set analysis over ``image`` (digest-cached)."""
-    digest = image_digest(image)
-    cached = _FLOW_CACHE.get(digest)
-    if cached is not None:
-        telemetry.count("dynaflow_cache_hits", image=image.name)
-        return cached
-    telemetry.count("dynaflow_cache_misses", image=image.name)
+    """Run the full value-set analysis over ``image`` (digest-cached).
+
+    The per-analysis ``dynaflow_*`` counters come from the report and
+    ride along with the cache miss, so a recording counts them once per
+    image whether or not the report was already stored.
+    """
+    report, missed = _FLOW_CACHE.lookup(image, lambda: _analyze(image, cfg))
+    if missed:
+        telemetry.count("dynaflow_blocks_analyzed", report.blocks_analyzed,
+                        image=image.name)
+        telemetry.count("dynaflow_solver_visits", report.solver_visits,
+                        image=image.name)
+        resolved = sum(1 for s in report.sites if s.resolved)
+        telemetry.count("dynaflow_indirect_resolved", resolved,
+                        image=image.name)
+        telemetry.count("dynaflow_indirect_unresolved",
+                        len(report.sites) - resolved, image=image.name)
+        telemetry.count("dynaflow_store_hazards", len(report.hazards),
+                        image=image.name)
+    return report
+
+
+def _analyze(image: SelfImage, cfg: ControlFlowGraph | None) -> FlowReport:
     if cfg is None:
         cfg = build_cfg(image)
     ctx = _ImageContext(image)
@@ -468,49 +485,35 @@ def analyze_image_flow(
     block_extents = [(b.start, b.end) for b in cfg.blocks]
     report = FlowReport(image.name)
 
-    with telemetry.span("dynaflow.vsa", image=image.name):
-        for region in regions.regions:
-            states, visits = _solve_region(regions, region, ctx)
-            report.solver_visits += visits
-            report.blocks_analyzed += len(region.blocks)
-            for block in region.blocks:
-                entry_state = states.get(block)
-                if entry_state is None:
-                    continue
-                per_insn = _states_at(regions, block, entry_state, ctx)
-                for decoded in regions.decode_block(block):
-                    state = per_insn[decoded.address]
-                    if decoded.mnemonic in ("jmpr", "callr"):
-                        report.sites.append(
-                            _classify_site(decoded, state, region, ctx)
+    for region in regions.regions:
+        states, visits = _solve_region(regions, region, ctx)
+        report.solver_visits += visits
+        report.blocks_analyzed += len(region.blocks)
+        for block in region.blocks:
+            entry_state = states.get(block)
+            if entry_state is None:
+                continue
+            per_insn = _states_at(regions, block, entry_state, ctx)
+            for decoded in regions.decode_block(block):
+                state = per_insn[decoded.address]
+                if decoded.mnemonic in ("jmpr", "callr"):
+                    report.sites.append(
+                        _classify_site(decoded, state, region, ctx)
+                    )
+                elif decoded.mnemonic in ("st8", "st64"):
+                    ops = decoded.instruction.operands
+                    address = state.reg(ops[0]).shifted(ops[2])
+                    report.hazards.extend(
+                        classify_store(
+                            decoded.address, decoded.mnemonic, address,
+                            ctx.exec_ranges, block_extents,
+                            require_taint=ctx.pic,
                         )
-                    elif decoded.mnemonic in ("st8", "st64"):
-                        ops = decoded.instruction.operands
-                        address = state.reg(ops[0]).shifted(ops[2])
-                        report.hazards.extend(
-                            classify_store(
-                                decoded.address, decoded.mnemonic, address,
-                                ctx.exec_ranges, block_extents,
-                                require_taint=ctx.pic,
-                            )
-                        )
+                    )
 
     report.address_taken = scan_address_taken(image, cfg)
     report.sites.sort(key=lambda s: s.address)
     report.hazards.sort(key=lambda h: (h.address, h.rule))
-    telemetry.count("dynaflow_blocks_analyzed", report.blocks_analyzed,
-                    image=image.name)
-    telemetry.count("dynaflow_solver_visits", report.solver_visits,
-                    image=image.name)
-    resolved = sum(1 for s in report.sites if s.resolved)
-    telemetry.count("dynaflow_indirect_resolved", resolved, image=image.name)
-    telemetry.count("dynaflow_indirect_unresolved",
-                    len(report.sites) - resolved, image=image.name)
-    telemetry.count("dynaflow_store_hazards", len(report.hazards),
-                    image=image.name)
-    if len(_FLOW_CACHE) >= _FLOW_CACHE_LIMIT:
-        _FLOW_CACHE.pop(next(iter(_FLOW_CACHE)))
-    _FLOW_CACHE[digest] = report
     return report
 
 

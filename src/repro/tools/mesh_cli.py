@@ -29,6 +29,9 @@ the dead host.
 ``--check-determinism`` runs the whole campaign twice and requires the
 committed report and the full event sidecar to be byte-identical.
 
+:class:`HostCrash` is the scenario itself; ``trace_cli`` runs the same
+one with per-request tracing, SET traffic and a heal sweep on top.
+
 Usage::
 
     python -m repro.tools.mesh_cli [--seeds 3] [--seed-base 700]
@@ -39,20 +42,23 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
+from collections.abc import Callable, Iterable
+from functools import partial
 from random import Random
 
-from ..analysis.dataflow import analyze_image_flow
 from ..faults import FaultPlan
-from ..fleet import FleetPolicy, get_app
-from ..fleet.apps import profile_feature
-from ..kernel import Kernel
+from ..fleet import FleetPolicy
 from ..mesh import MeshController, MeshRollout, inject_host_chaos
-from ..telemetry import TelemetryHub, to_jsonl
-from ..workloads import SECOND_NS, TimelineEvent, run_request_timeline
-from .campaign import run_recorded, write_results
+from ..telemetry import RequestTracer, TelemetryHub
+from ..workloads import (
+    SECOND_NS,
+    TimelineEvent,
+    TimelineResult,
+    run_request_timeline,
+)
+from .campaign import Results, finish, run_seeded, seed_range
 
 #: bounded post-workload settling: mesh ticks until every shard is quiet
 SETTLE_TICKS = 8
@@ -74,66 +80,137 @@ def safe_targets(shards: int) -> list[int]:
     return [k for k in range(shards) if k % 3 != 1]
 
 
+class HostCrash:
+    """One seed of the host-crash scenario: a canary SET-removal mesh.
+
+    Construction spawns the mesh, seeds the keyspace while SET still
+    exists, plans the shard-by-shard rollout and arms the crash of one
+    seeded safe target; :meth:`run` drives the traffic.  trace_cli
+    runs it under the ``verify`` trap policy.
+    """
+
+    def __init__(
+        self,
+        args: argparse.Namespace,
+        seed: int,
+        hub: TelemetryHub,
+        trap_policy: str = "redirect",
+    ):
+        self.target = Random(seed).choice(safe_targets(args.shards))
+        self.crashed = f"host-{self.target}"
+        self.policy = FleetPolicy(
+            features=("SET",),
+            strategy="canary",
+            probe_requests=2,
+            heartbeat_interval_ns=3 * SECOND_NS,
+            shards=args.shards,
+            ring_replicas=32,
+            host_failover_budget=2,
+            trap_policy=trap_policy,
+        )
+        self.mesh = MeshController(
+            "redis", self.policy, size_per_shard=args.size
+        )
+        hub.bind_clock(lambda: self.mesh.clock.clock_ns)
+        self.mesh.spawn_mesh()
+        frontend = self.mesh.frontend
+        assert frontend is not None
+        self.frontend = frontend
+        self.keys = [f"key-{index}" for index in range(KEYSPACE)]
+        for key in self.keys:
+            self.mesh.store(key, f"value-of-{key}")
+        self.rollout = MeshRollout(self.mesh)
+        self.plan = FaultPlan(seed=seed).arm(
+            "mesh.host_crash", "permanent", on_call=self.target + 1, times=1
+        )
+
+    def events(self, duration_s: float) -> list[TimelineEvent]:
+        """Rollout steps, forced heartbeats and the host crash."""
+        return [
+            TimelineEvent(
+                at_ns=int((2 * step + 0.25) * SECOND_NS),
+                label=f"rollout-step-{step}",
+                action=self.rollout.step,
+            )
+            for step in range(self.policy.shards)
+        ] + [
+            TimelineEvent(
+                at_ns=int((2 * step + 1.25) * SECOND_NS),
+                label=f"rollout-step-{step}b",
+                action=self.rollout.step,
+            )
+            for step in range(self.policy.shards)
+        ] + [
+            # heartbeats are driven *forced* on the 3 s marks: the gated
+            # interval check drifts (every effective heartbeat overshoots
+            # its nominal second by its own probe cost), which would make
+            # "which tick recovers the crashed host" depend on millisecond
+            # request timing instead of the safe_targets arithmetic
+            TimelineEvent(
+                at_ns=second * SECOND_NS, label=f"tick-{second}",
+                action=lambda: self.mesh.tick(force=True),
+            )
+            for second in range(3, int(duration_s), 3)
+        ] + [
+            TimelineEvent(
+                at_ns=int((2 * self.target + 0.5) * SECOND_NS),
+                label="host-chaos",
+                action=lambda: inject_host_chaos(self.mesh),
+            )
+        ]
+
+    def run(
+        self,
+        request_once: Callable[[], bool],
+        duration_s: float,
+        extra_events: Iterable[TimelineEvent] = (),
+        tracer: RequestTracer | None = None,
+    ) -> TimelineResult:
+        """Drive ``request_once`` through the rollout and the crash.
+
+        Afterwards the rollout is stepped to completion and the mesh
+        gets up to :data:`SETTLE_TICKS` heartbeats to settle.
+        """
+        mesh = self.mesh
+        # baseline heartbeat at workload start: every instance probed once
+        # before traffic, and the serving epoch starts clock-aligned
+        mesh.tick(force=True)
+        with self.plan:
+            timeline = run_request_timeline(
+                mesh.clock,
+                request_once,
+                duration_ns=int(duration_s * SECOND_NS),
+                events=self.events(duration_s) + list(extra_events),
+                failover_meter=lambda: self.frontend.pool.total_failovers,
+                tracer=tracer,
+            )
+            while not self.rollout.done:
+                self.rollout.step()
+            for __ in range(SETTLE_TICKS):
+                if mesh.settled:
+                    break
+                mesh.clock.clock_ns = (
+                    mesh.clock.clock_ns + self.policy.heartbeat_interval_ns
+                )
+                mesh.tick()
+        return timeline
+
+
+def workload_record(timeline: TimelineResult) -> dict:
+    """The committed digest of one campaign's request timeline."""
+    return {
+        "total_requests": timeline.total_requests,
+        "served": sum(point.completed for point in timeline.points),
+        "failed_requests": timeline.failed_requests,
+        "failed_over_requests": timeline.failed_over_requests,
+        "errors": len(timeline.errors),
+    }
+
+
 def run_campaign(args, seed: int, hub: TelemetryHub) -> dict:
-    rng = Random(seed)
-    target = rng.choice(safe_targets(args.shards))
-    policy = FleetPolicy(
-        features=("SET",),
-        strategy="canary",
-        probe_requests=2,
-        heartbeat_interval_ns=3 * SECOND_NS,
-        shards=args.shards,
-        ring_replicas=32,
-        host_failover_budget=2,
-    )
-    mesh = MeshController("redis", policy, size_per_shard=args.size)
-    hub.bind_clock(lambda: mesh.clock.clock_ns)
-    mesh.spawn_mesh()
-    frontend = mesh.frontend
-    assert frontend is not None
-
-    keys = [f"key-{index}" for index in range(KEYSPACE)]
-    for key in keys:
-        mesh.store(key, f"value-of-{key}")
+    scenario = HostCrash(args, seed, hub)
+    mesh, frontend, keys = scenario.mesh, scenario.frontend, scenario.keys
     seeded = frontend.issued
-
-    rollout = MeshRollout(mesh)
-    duration = 2 * args.shards + 4
-    plan = FaultPlan(seed=seed).arm(
-        "mesh.host_crash", "permanent", on_call=target + 1, times=1
-    )
-    events = [
-        TimelineEvent(
-            at_ns=int((2 * step + 0.25) * SECOND_NS),
-            label=f"rollout-step-{step}",
-            action=rollout.step,
-        )
-        for step in range(args.shards)
-    ] + [
-        TimelineEvent(
-            at_ns=int((2 * step + 1.25) * SECOND_NS),
-            label=f"rollout-step-{step}b",
-            action=rollout.step,
-        )
-        for step in range(args.shards)
-    ] + [
-        # heartbeats are driven *forced* on the 3 s marks: the gated
-        # interval check drifts (every effective heartbeat overshoots
-        # its nominal second by its own probe cost), which would make
-        # "which tick recovers the crashed host" depend on millisecond
-        # request timing instead of the safe_targets arithmetic
-        TimelineEvent(
-            at_ns=second * SECOND_NS, label=f"tick-{second}",
-            action=lambda: mesh.tick(force=True),
-        )
-        for second in range(3, duration, 3)
-    ] + [
-        TimelineEvent(
-            at_ns=int((2 * target + 0.5) * SECOND_NS), label="host-chaos",
-            action=lambda: inject_host_chaos(mesh),
-        )
-    ]
-
     request_index = 0
 
     def request_once() -> bool:
@@ -141,29 +218,11 @@ def run_campaign(args, seed: int, hub: TelemetryHub) -> dict:
         request_index += 1
         return mesh.wanted_request(key=keys[request_index % len(keys)])
 
-    # baseline heartbeat at workload start: every instance probed once
-    # before traffic, and the serving epoch starts clock-aligned
-    mesh.tick(force=True)
-
-    with plan:
-        timeline = run_request_timeline(
-            mesh.clock,
-            request_once,
-            duration_ns=duration * SECOND_NS,
-            events=events,
-            failover_meter=lambda: frontend.pool.total_failovers,
-        )
-        while not rollout.done:
-            rollout.step()
-        for __ in range(SETTLE_TICKS):
-            if mesh.settled:
-                break
-            mesh.clock.clock_ns = mesh.clock.clock_ns + policy.heartbeat_interval_ns
-            mesh.tick()
-
+    timeline = scenario.run(request_once, 2 * args.shards + 4)
+    plan = scenario.plan
     stats = frontend.stats()
-    report = rollout.report()
-    crashed = f"host-{target}"
+    report = scenario.rollout.report()
+    crashed = scenario.crashed
     expected_completed = sorted(
         host.name for host in mesh.hosts if host.name != crashed
     )
@@ -196,13 +255,7 @@ def run_campaign(args, seed: int, hub: TelemetryHub) -> dict:
             "completed_shards": report["completed_shards"],
             "aborted_shards": report["aborted_shards"],
         },
-        "workload": {
-            "total_requests": timeline.total_requests,
-            "served": sum(point.completed for point in timeline.points),
-            "failed_requests": timeline.failed_requests,
-            "failed_over_requests": timeline.failed_over_requests,
-            "errors": len(timeline.errors),
-        },
+        "workload": workload_record(timeline),
         "clocks": {
             "mesh_ns": mesh.clock.clock_ns,
             "hosts_ns": {
@@ -212,48 +265,45 @@ def run_campaign(args, seed: int, hub: TelemetryHub) -> dict:
     }
 
 
-def run_all(args) -> tuple[dict, list[TelemetryHub]]:
-    campaigns = []
-    hubs = []
-    for index in range(args.seeds):
-        seed = args.seed_base + index
-        campaign, hub = run_recorded(
-            f"mesh-{seed}", lambda hub: run_campaign(args, seed, hub)
-        )
-        campaigns.append(campaign)
-        hubs.append(hub)
-        workload = campaign["workload"]
-        print(
-            f"seed {seed} [crash {campaign['crashed_shard']}] "
-            f"{'ok' if campaign['ok'] else 'VIOLATED'}: "
-            f"rollout {campaign['rollout']['state']}, "
-            f"{workload['total_requests']} reqs "
-            f"({workload['failed_over_requests']} failed over, "
-            f"{workload['errors']} errors), "
-            f"frontend shed {campaign['frontend']['shed']}"
-        )
-    clean = all(campaign["ok"] for campaign in campaigns)
-    payload = {
-        "shards": args.shards,
-        "size_per_shard": args.size,
-        "routing": "hash",
-        "clean": clean,
-        "campaigns_total": len(campaigns),
-        "campaigns_ok": sum(1 for campaign in campaigns if campaign["ok"]),
-        "campaigns": campaigns,
-    }
-    return payload, hubs
+def describe(campaign: dict) -> str:
+    workload = campaign["workload"]
+    return (
+        f"seed {campaign['seed']} [crash {campaign['crashed_shard']}] "
+        f"{'ok' if campaign['ok'] else 'VIOLATED'}: "
+        f"rollout {campaign['rollout']['state']}, "
+        f"{workload['total_requests']} reqs "
+        f"({workload['failed_over_requests']} failed over, "
+        f"{workload['errors']} errors), "
+        f"frontend shed {campaign['frontend']['shed']}"
+    )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mesh")
-    parser.add_argument("--seeds", type=int, default=3)
-    parser.add_argument("--seed-base", type=int, default=700)
+def run_all(args) -> Results:
+    return run_seeded(
+        {"shards": args.shards, "size_per_shard": args.size, "routing": "hash"},
+        (
+            (f"mesh-{seed}", partial(run_campaign, args, seed))
+            for seed in seed_range(args)
+        ),
+        describe,
+    )
+
+
+def build_parser(
+    prog: str = "mesh",
+    seeds: int = 3,
+    seed_base: int = 700,
+    output: str = "results/mesh_rollout.json",
+) -> argparse.ArgumentParser:
+    """The host-crash campaign's arguments (trace_cli's defaults differ)."""
+    parser = argparse.ArgumentParser(prog=prog)
+    parser.add_argument("--seeds", type=int, default=seeds)
+    parser.add_argument("--seed-base", type=int, default=seed_base)
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--size", type=int, default=2,
                         help="instances per shard")
     parser.add_argument("--output", type=pathlib.Path,
-                        default=pathlib.Path("results/mesh_rollout.json"))
+                        default=pathlib.Path(output))
     parser.add_argument("--check", action="store_true",
                         help="one quick 2-shard seed (CI)")
     parser.add_argument("--check-determinism", action="store_true",
@@ -261,48 +311,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def parse_args(
+    parser: argparse.ArgumentParser, argv: list[str] | None
+) -> argparse.Namespace | None:
+    """Parsed arguments, or None (after saying why) when unusable."""
+    args = parser.parse_args(argv)
     if args.check:
         args.shards, args.size, args.seeds = 2, 2, 1
     if args.shards < 2:
-        print("mesh: --shards must be >= 2 (a crash needs a survivor)")
-        return 2
+        print(f"{parser.prog}: --shards must be >= 2 "
+              "(a crash needs a survivor)")
+        return None
     if args.size < 2:
         # one instance = one canary batch: the shard's rollout finishes
         # in a single step and the crash can never land mid-rollout
-        print("mesh: --size must be >= 2 (the crash lands between the "
-              "canary batch and the rolling batch)")
-        return 2
-    # profiling and the dataflow flow-cache are memoized process-wide;
-    # warm both *outside* the recorded campaigns so the first and second
-    # runs emit identical telemetry (a cold VSA cache would give run one
-    # extra ``dynaflow.vsa`` spans)
-    app = get_app("redis")
-    for feature in app.features:
-        profile_feature(app, feature)
-    scratch = Kernel()
-    app.stage(scratch, app.default_port)
-    for binary in scratch.binaries.values():
-        analyze_image_flow(binary)
+        print(f"{parser.prog}: --size must be >= 2 (the crash lands "
+              "between the canary batch and the rolling batch)")
+        return None
+    return args
 
-    payload, hubs = run_all(args)
-    if args.check_determinism:
-        replay_payload, replay_hubs = run_all(args)
-        summary = json.dumps(payload, sort_keys=True)
-        replay = json.dumps(replay_payload, sort_keys=True)
-        events = "".join(to_jsonl(hub) for hub in hubs)
-        replay_events = "".join(to_jsonl(hub) for hub in replay_hubs)
-        if summary != replay or events != replay_events:
-            print("DETERMINISM VIOLATED: re-run diverged "
-                  f"(report match={summary == replay}, "
-                  f"events match={events == replay_events})")
-            return 1
-        print(f"determinism: byte-identical re-export "
-              f"({len(events.splitlines())} events)")
-    return write_results(
-        args.output, payload, hubs, payload["clean"],
-        banner=f"({payload['campaigns_ok']}/{payload['campaigns_total']})",
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(build_parser(), argv)
+    if args is None:
+        return 2
+    return finish(
+        args.output, lambda: run_all(args), replay=args.check_determinism
     )
 
 

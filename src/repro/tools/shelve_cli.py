@@ -46,29 +46,21 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
+from functools import partial
 from random import Random
 
-from ..analysis.dataflow import analyze_image_flow
-from ..fleet import (
-    DriftDetector,
-    FleetController,
-    FleetPolicy,
-    RolloutExecutor,
-    get_app,
-)
-from ..fleet.apps import profile_feature
+from ..fleet import DriftDetector, FleetController, FleetPolicy, RolloutExecutor
 from ..kernel import Kernel
-from ..telemetry import TelemetryHub, to_jsonl
+from ..telemetry import TelemetryHub
 from ..workloads import (
     HttpClient,
     SECOND_NS,
     TimelineEvent,
     run_request_timeline,
 )
-from .campaign import run_recorded, write_results
+from .campaign import Results, finish, run_seeded, seed_range
 
 #: the removed feature the drifted mix exercises
 DRIFT_FEATURE = "dav-write"
@@ -236,43 +228,40 @@ def run_scenario(args, seed: int, action: str, hub: TelemetryHub) -> dict:
     }
 
 
-def run_all(args) -> tuple[dict, list[TelemetryHub]]:
-    campaigns = []
-    hubs = []
-    for index in range(args.seeds):
-        seed = args.seed_base + index
-        for action in SCENARIOS:
-            campaign, hub = run_recorded(
+def describe(campaign: dict) -> str:
+    drift = campaign["drift"]
+    return (
+        f"seed {campaign['seed']} [{campaign['action']:>11}] "
+        f"{'ok' if campaign['ok'] else 'VIOLATED'}: "
+        f"retained {campaign['retained_drift_pct']}% during drift, "
+        f"{campaign['retained_final_pct']}% final; "
+        f"shelved {drift['shelved_blocks']} / "
+        f"decayed {drift['decayed_blocks']} blocks, "
+        f"{len(drift['recustomize_rounds'])} narrowing rounds, "
+        f"{campaign['workload']['puts_issued']} drifted PUTs, "
+        f"{campaign['workload']['failed_requests']} failed"
+    )
+
+
+def run_all(args) -> Results:
+    return run_seeded(
+        {
+            "size": args.size,
+            "put_mix": args.put_mix,
+            "retention_floor_pct": args.retention_floor,
+            "drift_feature": DRIFT_FEATURE,
+            "scenarios": list(SCENARIOS),
+        },
+        (
+            (
                 f"shelve-{seed}-{action}",
-                lambda hub: run_scenario(args, seed, action, hub),
+                partial(run_scenario, args, seed, action),
             )
-            campaigns.append(campaign)
-            hubs.append(hub)
-            drift = campaign["drift"]
-            print(
-                f"seed {seed} [{action:>11}] "
-                f"{'ok' if campaign['ok'] else 'VIOLATED'}: "
-                f"retained {campaign['retained_drift_pct']}% during drift, "
-                f"{campaign['retained_final_pct']}% final; "
-                f"shelved {drift['shelved_blocks']} / "
-                f"decayed {drift['decayed_blocks']} blocks, "
-                f"{len(drift['recustomize_rounds'])} narrowing rounds, "
-                f"{campaign['workload']['puts_issued']} drifted PUTs, "
-                f"{campaign['workload']['failed_requests']} failed"
-            )
-    clean = all(campaign["ok"] for campaign in campaigns)
-    payload = {
-        "size": args.size,
-        "put_mix": args.put_mix,
-        "retention_floor_pct": args.retention_floor,
-        "drift_feature": DRIFT_FEATURE,
-        "scenarios": list(SCENARIOS),
-        "clean": clean,
-        "campaigns_total": len(campaigns),
-        "campaigns_ok": sum(1 for campaign in campaigns if campaign["ok"]),
-        "campaigns": campaigns,
-    }
-    return payload, hubs
+            for seed in seed_range(args)
+            for action in SCENARIOS
+        ),
+        describe,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,41 +295,8 @@ def main(argv: list[str] | None = None) -> int:
     if not 0.0 < args.put_mix <= 1.0:
         print("shelve: --put-mix must be in (0, 1]")
         return 2
-    # profiling, the dataflow flow-cache and the CFG cache are memoized
-    # process-wide; warm all three *outside* the recorded campaigns so
-    # the first and second runs emit identical telemetry (the
-    # recustomize scenario's classifier would otherwise give run one
-    # extra analysis spans)
-    app = get_app("lighttpd")
-    for feature in app.features:
-        profile_feature(app, feature)
-    scratch = Kernel()
-    app.stage(scratch, app.default_port)
-    for binary in scratch.binaries.values():
-        analyze_image_flow(binary)
-    warm = FleetController(
-        Kernel(), "lighttpd", scenario_policy("recustomize"), size=1
-    )
-    warm.spawn_fleet()
-    warm.instances[0].engine.refine_feature(warm.features[DRIFT_FEATURE])
-
-    payload, hubs = run_all(args)
-    if args.check_determinism:
-        replay_payload, replay_hubs = run_all(args)
-        summary = json.dumps(payload, sort_keys=True)
-        replay = json.dumps(replay_payload, sort_keys=True)
-        events = "".join(to_jsonl(hub) for hub in hubs)
-        replay_events = "".join(to_jsonl(hub) for hub in replay_hubs)
-        if summary != replay or events != replay_events:
-            print("DETERMINISM VIOLATED: re-run diverged "
-                  f"(report match={summary == replay}, "
-                  f"events match={events == replay_events})")
-            return 1
-        print(f"determinism: byte-identical re-export "
-              f"({len(events.splitlines())} events)")
-    return write_results(
-        args.output, payload, hubs, payload["clean"],
-        banner=f"({payload['campaigns_ok']}/{payload['campaigns_total']})",
+    return finish(
+        args.output, lambda: run_all(args), replay=args.check_determinism
     )
 
 

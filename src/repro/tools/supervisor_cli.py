@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+from functools import partial
 from random import Random
 
 from ..faults import FaultPlan
@@ -49,7 +50,7 @@ from ..fleet import (
 from ..kernel import Kernel
 from ..telemetry import TelemetryHub
 from ..workloads import SECOND_NS, TimelineEvent, run_request_timeline
-from .campaign import run_recorded, write_results
+from .campaign import Results, finish, run_seeded, seed_range
 
 SCENARIOS = ("crash", "wedge", "corrupt", "quarantine")
 #: bounded post-workload settling: heartbeats until the fleet is quiet
@@ -176,6 +177,19 @@ def run_campaign(args, seed: int, hub: TelemetryHub) -> dict:
     }
 
 
+def describe(campaign: dict) -> str:
+    workload = campaign["workload"]
+    return (
+        f"seed {campaign['seed']} [{campaign['scenario']:<10}] "
+        f"{'ok' if campaign['ok'] else 'VIOLATED'}: "
+        f"{len(campaign['recoveries'])} recoveries, "
+        f"{len(campaign['quarantined'])} quarantined, "
+        f"{workload['total_requests']} reqs "
+        f"({workload['failed_over_requests']} failed over, "
+        f"{workload['failed_requests']} failed)"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="supervisor")
     parser.add_argument("--seeds", type=int, default=20)
@@ -190,41 +204,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_all(args) -> Results:
+    return run_seeded(
+        {"app": args.app, "size": args.size, "duration_s": args.duration},
+        (
+            (f"supervisor-{seed}", partial(run_campaign, args, seed))
+            for seed in seed_range(args)
+        ),
+        describe,
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    campaigns = []
-    hubs = []
-    for index in range(args.seeds):
-        seed = args.seed_base + index
-        campaign, hub = run_recorded(
-            f"supervisor-{seed}", lambda hub: run_campaign(args, seed, hub)
-        )
-        campaigns.append(campaign)
-        hubs.append(hub)
-        workload = campaign["workload"]
-        print(
-            f"seed {seed} [{campaign['scenario']:<10}] "
-            f"{'ok' if campaign['ok'] else 'VIOLATED'}: "
-            f"{len(campaign['recoveries'])} recoveries, "
-            f"{len(campaign['quarantined'])} quarantined, "
-            f"{workload['total_requests']} reqs "
-            f"({workload['failed_over_requests']} failed over, "
-            f"{workload['failed_requests']} failed)"
-        )
-    clean = all(c["ok"] for c in campaigns)
-    payload = {
-        "app": args.app,
-        "size": args.size,
-        "duration_s": args.duration,
-        "clean": clean,
-        "campaigns_total": len(campaigns),
-        "campaigns_ok": sum(1 for c in campaigns if c["ok"]),
-        "campaigns": campaigns,
-    }
-    return write_results(
-        args.output, payload, hubs, clean,
-        banner=f"({payload['campaigns_ok']}/{payload['campaigns_total']})",
-    )
+    return finish(args.output, lambda: run_all(args))
 
 
 if __name__ == "__main__":

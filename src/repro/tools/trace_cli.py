@@ -35,18 +35,11 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
+import dataclasses
 import pathlib
 import sys
-from random import Random
+from functools import partial
 
-from ..analysis.dataflow import analyze_image_flow
-from ..faults import FaultPlan
-from ..fleet import FleetPolicy, get_app
-from ..fleet.apps import profile_feature
-from ..kernel import Kernel
-from ..mesh import MeshController, MeshRollout, inject_host_chaos
 from ..telemetry import (
     PHASES,
     RequestTracer,
@@ -55,28 +48,25 @@ from ..telemetry import (
     percentile,
     to_trace_jsonl,
 )
-from ..workloads import SECOND_NS, TimelineEvent, run_request_timeline
-from .campaign import run_recorded, write_results
-from .mesh_cli import safe_targets
+from ..workloads import SECOND_NS, TimelineEvent
+from .campaign import Results, finish, run_seeded, seed_range
+from .mesh_cli import HostCrash, build_parser, parse_args, workload_record
 from .svgplot import LineChart, StackedBarChart
 
-#: keys seeded before the rollout removes the write path
-KEYSPACE = 32
 #: every Nth workload request is a SET (the post-rollout trap driver)
 SET_EVERY = 8
-#: bounded post-workload settling: mesh ticks until every shard is quiet
-SETTLE_TICKS = 8
 
 
 def campaign_schedule(shards: int, target: int) -> dict[str, float]:
     """The virtual-time plan (seconds) for one traced campaign.
 
-    Mirrors the mesh chaos scenario — rollout steps at ``2k+0.25`` /
-    ``2k+1.25``, supervision ticks forced on the 3 s marks, the crash
-    at ``2·target+0.5`` — and appends a **heal sweep** strictly after
-    both the last rollout step and the first tick that can recover the
-    crashed host, so every trap (including re-heal traps against the
-    recovered host's committed images) lands before the sweep.
+    :class:`~repro.tools.mesh_cli.HostCrash` fixes the rollout steps at
+    ``2k+0.25`` / ``2k+1.25``, supervision ticks forced on the 3 s marks
+    and the crash at ``2·target+0.5``; this plan appends a **heal
+    sweep** strictly after both the last rollout step and the first
+    tick that can recover the crashed host, so every trap (including
+    re-heal traps against the recovered host's committed images) lands
+    before the sweep.
     """
     last_step = 2 * (shards - 1) + 1.25
     crash = 2 * target + 0.5
@@ -159,68 +149,16 @@ def window_checks(records: list[dict], spans_by_trace: dict[int, list]) -> dict:
 
 
 def run_campaign(args, seed: int, hub: TelemetryHub) -> dict:
-    rng = Random(seed)
-    target = rng.choice(safe_targets(args.shards))
-    schedule = campaign_schedule(args.shards, target)
-    policy = FleetPolicy(
-        features=("SET",),
-        trap_policy="verify",
-        strategy="canary",
-        probe_requests=2,
-        heartbeat_interval_ns=3 * SECOND_NS,
-        shards=args.shards,
-        ring_replicas=32,
-        host_failover_budget=2,
+    scenario = HostCrash(args, seed, hub, trap_policy="verify")
+    schedule = campaign_schedule(args.shards, scenario.target)
+    mesh, frontend, keys = scenario.mesh, scenario.frontend, scenario.keys
+    # one SET into every live replica, bypassing the frontend: every
+    # still-shelved block heals here, so traps cannot outlive this
+    # event (and issued-count accounting is untouched)
+    heal_sweep = TimelineEvent(
+        at_ns=int(schedule["heal_s"] * SECOND_NS), label="heal-sweep",
+        action=lambda: mesh.probe_replicas("SET __heal__ 1"),
     )
-    mesh = MeshController("redis", policy, size_per_shard=args.size)
-    hub.bind_clock(lambda: mesh.clock.clock_ns)
-    mesh.spawn_mesh()
-    frontend = mesh.frontend
-    assert frontend is not None
-
-    keys = [f"key-{index}" for index in range(KEYSPACE)]
-    for key in keys:
-        mesh.store(key, f"value-of-{key}")
-
-    rollout = MeshRollout(mesh)
-    duration = schedule["duration_s"]
-    plan = FaultPlan(seed=seed).arm(
-        "mesh.host_crash", "permanent", on_call=target + 1, times=1
-    )
-    events = [
-        TimelineEvent(
-            at_ns=int((2 * step + 0.25) * SECOND_NS),
-            label=f"rollout-step-{step}",
-            action=rollout.step,
-        )
-        for step in range(args.shards)
-    ] + [
-        TimelineEvent(
-            at_ns=int((2 * step + 1.25) * SECOND_NS),
-            label=f"rollout-step-{step}b",
-            action=rollout.step,
-        )
-        for step in range(args.shards)
-    ] + [
-        # forced ticks on the 3 s marks, as in the mesh chaos campaign
-        TimelineEvent(
-            at_ns=second * SECOND_NS, label=f"tick-{second}",
-            action=lambda: mesh.tick(force=True),
-        )
-        for second in range(3, int(duration), 3)
-    ] + [
-        TimelineEvent(
-            at_ns=int(schedule["crash_s"] * SECOND_NS), label="host-chaos",
-            action=lambda: inject_host_chaos(mesh),
-        ),
-        # one SET into every live replica, bypassing the frontend: every
-        # still-shelved block heals here, so traps cannot outlive this
-        # event (and issued-count accounting is untouched)
-        TimelineEvent(
-            at_ns=int(schedule["heal_s"] * SECOND_NS), label="heal-sweep",
-            action=lambda: mesh.probe_replicas("SET __heal__ 1"),
-        ),
-    ]
 
     request_index = 0
 
@@ -234,10 +172,8 @@ def run_campaign(args, seed: int, hub: TelemetryHub) -> dict:
             return mesh.store(key, f"update-{request_index}")
         return mesh.wanted_request(key=key)
 
-    # baseline heartbeat before traffic, then snapshot the accounting
-    # counters: the workload's traced requests are exactly the issued
-    # delta from here
-    mesh.tick(force=True)
+    # snapshot the accounting counters: the workload's traced requests
+    # are exactly the issued delta from here
     issued_before = frontend.issued
     counters_before = {
         "served": frontend.served,
@@ -246,24 +182,10 @@ def run_campaign(args, seed: int, hub: TelemetryHub) -> dict:
     }
 
     tracer = RequestTracer()
-    with plan:
-        timeline = run_request_timeline(
-            mesh.clock,
-            request_once,
-            duration_ns=int(duration * SECOND_NS),
-            events=events,
-            failover_meter=lambda: frontend.pool.total_failovers,
-            tracer=tracer,
-        )
-        while not rollout.done:
-            rollout.step()
-        for __ in range(SETTLE_TICKS):
-            if mesh.settled:
-                break
-            mesh.clock.clock_ns = (
-                mesh.clock.clock_ns + policy.heartbeat_interval_ns
-            )
-            mesh.tick()
+    timeline = scenario.run(
+        request_once, schedule["duration_s"], [heal_sweep], tracer
+    )
+    plan = scenario.plan
 
     stats = frontend.stats()
     attribution = attribute_traces(tracer)
@@ -307,7 +229,7 @@ def run_campaign(args, seed: int, hub: TelemetryHub) -> dict:
     )
     return {
         "seed": seed,
-        "crashed_shard": f"host-{target}",
+        "crashed_shard": scenario.crashed,
         "schedule_s": schedule,
         "ok": ok,
         "accounted": stats["accounted"],
@@ -328,14 +250,9 @@ def run_campaign(args, seed: int, hub: TelemetryHub) -> dict:
         "p99_timeline": p99_timeline(records, walls),
         "phase_totals_ns": summary["phase_totals_ns"],
         "frontend": stats,
-        "workload": {
-            "total_requests": timeline.total_requests,
-            "served": sum(point.completed for point in timeline.points),
-            "failed_requests": timeline.failed_requests,
-            "failed_over_requests": timeline.failed_over_requests,
-            "errors": len(timeline.errors),
-        },
-        "_tracer": tracer,
+        "workload": workload_record(timeline),
+        "_records": records,
+        "_spans": to_trace_jsonl(tracer),
     }
 
 
@@ -396,115 +313,58 @@ def render_figures(output: pathlib.Path, campaign: dict) -> list[pathlib.Path]:
     return [waterfall_path, timeline_path]
 
 
-def run_all(args) -> tuple[dict, list[TelemetryHub], str]:
-    campaigns = []
-    hubs = []
-    trace_streams: list[str] = []
-    for index in range(args.seeds):
-        seed = args.seed_base + index
-        campaign, hub = run_recorded(
-            f"trace-{seed}", lambda hub: run_campaign(args, seed, hub)
-        )
-        tracer = campaign.pop("_tracer")
-        campaign["_records"] = attribute_traces(tracer)["requests"]
-        trace_streams.append(to_trace_jsonl(tracer))
-        campaigns.append(campaign)
-        hubs.append(hub)
-        latency = campaign["latency_ns"]
-        print(
-            f"seed {seed} [crash {campaign['crashed_shard']}] "
-            f"{'ok' if campaign['ok'] else 'VIOLATED'}: "
-            f"{campaign['traced']['requests']} traced "
-            f"({campaign['traced']['traps']} traps, "
-            f"{campaign['traced']['hops']} hops), "
-            f"{campaign['identity_violations']} identity violations, "
-            f"p99 {latency['p99'] / 1e6:.2f} ms"
-        )
-    clean = all(campaign["ok"] for campaign in campaigns)
-    payload = {
-        "shards": args.shards,
-        "size_per_shard": args.size,
-        "routing": "hash",
-        "trap_policy": "verify",
-        "clean": clean,
-        "campaigns_total": len(campaigns),
-        "campaigns_ok": sum(1 for campaign in campaigns if campaign["ok"]),
-        "campaigns": campaigns,
-    }
-    return payload, hubs, "".join(trace_streams)
+def describe(campaign: dict) -> str:
+    return (
+        f"seed {campaign['seed']} [crash {campaign['crashed_shard']}] "
+        f"{'ok' if campaign['ok'] else 'VIOLATED'}: "
+        f"{campaign['traced']['requests']} traced "
+        f"({campaign['traced']['traps']} traps, "
+        f"{campaign['traced']['hops']} hops), "
+        f"{campaign['identity_violations']} identity violations, "
+        f"p99 {campaign['latency_ns']['p99'] / 1e6:.2f} ms"
+    )
 
 
-def strip_private(payload: dict) -> dict:
-    """Drop the in-memory record lists before committing the report."""
-    committed = dict(payload)
-    committed["campaigns"] = [
-        {k: v for k, v in campaign.items() if not k.startswith("_")}
-        for campaign in payload["campaigns"]
-    ]
-    return committed
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="trace")
-    parser.add_argument("--seeds", type=int, default=2)
-    parser.add_argument("--seed-base", type=int, default=900)
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--size", type=int, default=2,
-                        help="instances per shard")
-    parser.add_argument("--output", type=pathlib.Path,
-                        default=pathlib.Path("results/trace_attribution.json"))
-    parser.add_argument("--check", action="store_true",
-                        help="one quick 2-shard seed (CI)")
-    parser.add_argument("--check-determinism", action="store_true",
-                        help="run twice; require byte-identical exports")
-    return parser
+def run_all(args) -> Results:
+    results = run_seeded(
+        {
+            "shards": args.shards,
+            "size_per_shard": args.size,
+            "routing": "hash",
+            "trap_policy": "verify",
+        },
+        (
+            (f"trace-{seed}", partial(run_campaign, args, seed))
+            for seed in seed_range(args)
+        ),
+        describe,
+    )
+    spans = "".join(
+        campaign.pop("_spans") for campaign in results.payload["campaigns"]
+    )
+    return dataclasses.replace(results, stream=spans, unit="spans")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.check:
-        args.shards, args.size, args.seeds = 2, 2, 1
-    if args.shards < 2:
-        print("trace: --shards must be >= 2 (a crash needs a survivor)")
+    parser = build_parser(
+        "trace", seeds=2, seed_base=900,
+        output="results/trace_attribution.json",
+    )
+    args = parse_args(parser, argv)
+    if args is None:
         return 2
-    if args.size < 2:
-        print("trace: --size must be >= 2 (the crash lands between the "
-              "canary batch and the rolling batch)")
-        return 2
-    # warm the process-wide profiling and flow caches outside the
-    # recorded campaigns (see mesh_cli: a cold cache would make run one
-    # emit extra spans and break the determinism comparison)
-    app = get_app("redis")
-    for feature in app.features:
-        profile_feature(app, feature)
-    scratch = Kernel()
-    app.stage(scratch, app.default_port)
-    for binary in scratch.binaries.values():
-        analyze_image_flow(binary)
 
-    payload, hubs, trace_stream = run_all(args)
-    if args.check_determinism:
-        replay_payload, __, replay_stream = run_all(args)
-        summary = json.dumps(strip_private(payload), sort_keys=True)
-        replay = json.dumps(strip_private(replay_payload), sort_keys=True)
-        if summary != replay or trace_stream != replay_stream:
-            print("DETERMINISM VIOLATED: re-run diverged "
-                  f"(report match={summary == replay}, "
-                  f"spans match={trace_stream == replay_stream})")
-            return 1
-        print(f"determinism: byte-identical re-export "
-              f"({len(trace_stream.splitlines())} spans)")
+    def artifacts(results: Results) -> None:
+        args.output.parent.mkdir(parents=True, exist_ok=True)
+        figures = render_figures(args.output, results.payload["campaigns"][0])
+        spans_path = args.output.with_suffix(".spans.jsonl")
+        spans_path.write_text(results.stream)
+        print(f"figures -> {', '.join(str(path) for path in figures)} "
+              f"(spans -> {spans_path})")
 
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    figures = render_figures(args.output, payload["campaigns"][0])
-    committed = strip_private(payload)
-    spans_path = args.output.with_suffix(".spans.jsonl")
-    spans_path.write_text(trace_stream)
-    print(f"figures -> {', '.join(str(path) for path in figures)} "
-          f"(spans -> {spans_path})")
-    return write_results(
-        args.output, committed, hubs, committed["clean"],
-        banner=f"({committed['campaigns_ok']}/{committed['campaigns_total']})",
+    return finish(
+        args.output, lambda: run_all(args),
+        replay=args.check_determinism, artifacts=artifacts,
     )
 
 

@@ -1,16 +1,30 @@
-"""Tests for static CFG recovery and PLT analysis."""
+"""Tests for static CFG recovery, PLT analysis and the analysis caches."""
 
 from __future__ import annotations
 
+from collections import Counter
+
+from repro import telemetry
 from repro.analysis import (
     build_cfg,
+    cached_cfg,
     executed_plt_entries,
     plt_entries_in_blocks,
     plt_entry_at,
     total_basic_blocks,
 )
+from repro.analysis.cfg import _CFG_CACHE
+from repro.analysis.dataflow import analyze_image_flow
+from repro.analysis.dataflow.valueset import _FLOW_CACHE
+from repro.apps import stage_lighttpd
 from repro.binfmt import PLT_STUB_SIZE
 from repro.kernel import Kernel
+from repro.telemetry import (
+    TelemetryHub,
+    prometheus_snapshot,
+    recording,
+    to_jsonl,
+)
 from repro.tracing import BlockRecord, BlockTracer
 
 from .helpers import build_minic
@@ -117,3 +131,62 @@ class TestPltAnalysis:
         # PING replies through send -> the send PLT entry must be hot
         assert "send" in executed
         assert "recv" in executed
+
+
+def _staged_binaries():
+    kernel = Kernel()
+    stage_lighttpd(kernel)
+    return list(kernel.binaries.values())
+
+
+def _lookups(binaries):
+    for binary in binaries:
+        cached_cfg(binary)
+        analyze_image_flow(binary)
+        analyze_image_flow(binary, cached_cfg(binary))
+
+
+class TestDigestCacheTelemetry:
+    """What the analysis caches report depends on the recording alone."""
+
+    def _record(self, binaries):
+        hub = TelemetryHub(lambda: 0)
+        with recording(hub):
+            _lookups(binaries)
+        return to_jsonl(hub), prometheus_snapshot(hub.registry)
+
+    def test_cold_and_warm_recordings_export_the_same(self):
+        binaries = _staged_binaries()
+        _CFG_CACHE.clear()
+        _FLOW_CACHE.clear()
+        cold_events, cold_snapshot = self._record(binaries)
+        warm_events, warm_snapshot = self._record(binaries)
+        assert cold_events == warm_events
+        assert cold_snapshot == warm_snapshot
+        # a recording's first lookup of each image is its miss
+        for cache in ("cfg", "dynaflow"):
+            for outcome in ("hits", "misses"):
+                sample = f'dynacut_{cache}_cache_{outcome}{{image="minilight"}} 1'
+                assert sample in warm_snapshot
+        assert 'dynacut_dynaflow_blocks_analyzed{image="minilight"}' in (
+            warm_snapshot
+        )
+
+    def test_unrecorded_lookups_report_the_store(self, monkeypatch):
+        binaries = _staged_binaries()
+        _lookups(binaries)
+        tally: Counter[str] = Counter()
+        count = telemetry.count
+
+        def tallying(name, n=1, **labels):
+            tally[name] += n
+            return count(name, n, **labels)
+
+        monkeypatch.setattr(telemetry, "count", tallying)
+        for binary in binaries:
+            cached_cfg(binary)
+            analyze_image_flow(binary)
+        assert tally == {
+            "cfg_cache_hits": len(binaries),
+            "dynaflow_cache_hits": len(binaries),
+        }

@@ -278,3 +278,22 @@ class TestShelveCli:
         parser = shelve_cli.build_parser()
         args = parser.parse_args(["--check"])
         assert args.check and args.seeds == 3  # collapsed inside main()
+
+
+class TestTraceCli:
+    def test_check_replays_identically_from_cleared_caches(
+        self, tmp_path, capsys
+    ):
+        from repro.analysis.cfg import _CFG_CACHE
+        from repro.analysis.dataflow.valueset import _FLOW_CACHE
+        from repro.tools import trace_cli
+
+        _CFG_CACHE.clear()
+        _FLOW_CACHE.clear()
+        output = tmp_path / "trace.json"
+        assert trace_cli.main([
+            "--check", "--check-determinism", "--output", str(output),
+        ]) == 0
+        printed = capsys.readouterr().out
+        assert "determinism: byte-identical re-export" in printed
+        assert json.loads(output.read_text())["clean"] is True
