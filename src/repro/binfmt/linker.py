@@ -23,7 +23,6 @@ PLT stub shape (15 bytes)::
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from ..isa.encoding import encode_fields
 from ..isa.instructions import SPEC_BY_MNEMONIC
@@ -55,15 +54,6 @@ _SECTION_PERMS = {
 
 class LinkError(ValueError):
     """Raised on unresolved or conflicting symbols, or layout errors."""
-
-
-@dataclass(frozen=True)
-class _Placement:
-    """Where a module's chunk of a section landed in the merged section."""
-
-    module: str
-    section: str
-    offset: int
 
 
 class Linker:
@@ -145,19 +135,6 @@ class Linker:
                 merged += (b"\x90" if section in EXEC_SECTIONS else b"\x00") * pad
                 self._placement[(module.name, section)] = len(merged)
                 merged += data
-
-    def _defined_global(self, name: str) -> tuple[ObjectModule, int] | None:
-        """Find the module defining global ``name``; None if absent."""
-        found = None
-        for module in self.modules:
-            sym = module.symbols.get(name)
-            if sym is not None and sym.is_global:
-                if found is not None:
-                    raise LinkError(f"duplicate global symbol {name!r}")
-                found = module
-        if found is None:
-            return None
-        return found, 0
 
     def _collect_imports(self) -> None:
         """Determine which symbols come from libraries, and which need PLT."""

@@ -43,7 +43,7 @@ from ..criu.costmodel import CriuCostModel, DEFAULT_COST_MODEL
 from ..criu.images import CheckpointImage
 from ..criu.restore import restore_tree
 from .rewriter import ImageRewriter, RewriteError, RewriteStats
-from .sighandler import POLICY_REDIRECT, POLICY_TERMINATE, POLICY_VERIFY
+from .sighandler import POLICY_REDIRECT, POLICY_VERIFY
 from .tracediff import FeatureBlocks
 from .transaction import (
     PHASE_BEGIN,
@@ -86,14 +86,6 @@ class TrapPolicy(Enum):
     TERMINATE = "terminate"    # default SIGTRAP disposition kills the process
     REDIRECT = "redirect"      # jump to the app's error handler (403 response)
     VERIFY = "verify"          # restore the byte, log the address, continue
-
-    @property
-    def handler_policy(self) -> int:
-        return {
-            TrapPolicy.TERMINATE: POLICY_TERMINATE,
-            TrapPolicy.REDIRECT: POLICY_REDIRECT,
-            TrapPolicy.VERIFY: POLICY_VERIFY,
-        }[self]
 
 
 class BlockMode(Enum):
@@ -1000,27 +992,6 @@ class DynaCut:
 
     # ------------------------------------------------------------------
     # helpers
-
-    def _check_same_function(
-        self, binary: SelfImage, trap_offset: int, target_offset: int
-    ) -> None:
-        """Enforce §3.2.2: redirect target and trap must share a function.
-
-        The redirect policy rewrites the saved instruction pointer
-        without touching the stack, so it is only sound when the error
-        handler runs in the frame the trap interrupted.
-        """
-        trap_fn = enclosing_function(binary, trap_offset)
-        target_fn = enclosing_function(binary, target_offset)
-        if trap_fn is None or trap_fn != target_fn:
-            raise RewriteError(
-                f"redirect target at {target_offset:#x} (function "
-                f"{target_fn!r}) is not in the same function as the trap "
-                f"site {trap_offset:#x} (function {trap_fn!r}); the saved-IP "
-                "redirect policy requires both in one frame (§3.2.2). "
-                "Profile the wanted features with more inputs so the "
-                "feature's first unique block lands in the dispatcher."
-            )
 
     def _module_binary(self, module: str) -> SelfImage:
         binary = self.kernel.binaries.get(module)

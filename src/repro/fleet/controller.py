@@ -57,7 +57,8 @@ class FleetInstance:
     root_pid: int
     engine: DynaCut
     state: InstanceState = InstanceState.IN_SERVICE
-    #: trap-log entries already attributed by the drift detector
+    #: trap-log entries already consumed by a trap-log scan
+    #: (:meth:`FleetController.scan_traps`)
     traps_seen: int = 0
     #: serving without (all of) its customizations: the supervisor
     #: respawned it pristine, or the trap-storm breaker demoted it
@@ -284,6 +285,56 @@ class FleetController:
             result.features_blocked[feature_name] = not served
         return result
 
+    def scan_traps(
+        self, instance: FleetInstance, event: str
+    ) -> tuple[tuple[int, ...], dict[str, tuple[int, ...]]]:
+        """Consume the instance's new verifier trap-log entries.
+
+        The one read of the trap log behind :meth:`sync_traps`, the
+        drift scan and the trap-storm breaker: advances ``traps_seen``
+        past the log and records a ``traps`` event named ``event``
+        (``sync``, ``scan`` or ``breaker-scan``) with the ``traps_seen``
+        gauge and series.  Returns the fresh trap addresses and, per
+        feature, the module-relative offsets of those that hit the
+        instance's active removal set (in log order, repeats kept).  A
+        dead instance has no log to read.
+        """
+        if not self.alive(instance):
+            return (), {}
+        report = read_verifier_log(self.kernel, self.process(instance))
+        fresh = report.trapped_addresses[instance.traps_seen:]
+        instance.traps_seen = len(report.trapped_addresses)
+        now = self.kernel.clock_ns
+        telemetry.emit(
+            "traps", event,
+            clock_ns=now,
+            labels={"instance": instance.name},
+            total=instance.traps_seen,
+        )
+        telemetry.gauge_set(
+            "traps_seen", instance.traps_seen, instance=instance.name
+        )
+        telemetry.sample(
+            "traps_seen", now, instance.traps_seen, instance=instance.name
+        )
+        hits: dict[str, tuple[int, ...]] = {}
+        if fresh and instance.customized:
+            base = self.module_base(instance)
+            for feature_name in self.policy.features:
+                active = {
+                    block.offset
+                    for block in instance.engine.disabled_blocks(
+                        instance.root_pid, feature_name
+                    )
+                }
+                offsets = tuple(
+                    address - base for address in fresh
+                    if address - base in active
+                )
+                if offsets:
+                    hits[feature_name] = offsets
+        return fresh, hits
+
     def sync_traps(self, instance: FleetInstance) -> int:
         """Snapshot the instance's trap log high-water mark.
 
@@ -291,22 +342,7 @@ class FleetController:
         feature requests, which *deliberately* hit the removal set) are
         excluded from later drift attribution.
         """
-        if self.alive(instance):
-            report = read_verifier_log(self.kernel, self.process(instance))
-            instance.traps_seen = len(report.trapped_addresses)
-            now = self.kernel.clock_ns
-            telemetry.emit(
-                "traps", "sync",
-                clock_ns=now,
-                labels={"instance": instance.name},
-                total=instance.traps_seen,
-            )
-            telemetry.gauge_set(
-                "traps_seen", instance.traps_seen, instance=instance.name
-            )
-            telemetry.sample(
-                "traps_seen", now, instance.traps_seen, instance=instance.name
-            )
+        self.scan_traps(instance, "sync")
         return instance.traps_seen
 
     # ------------------------------------------------------------------
@@ -415,40 +451,9 @@ class FleetController:
             f"{instance.name}: module {self.app.binary!r} not mapped"
         )
 
-    def _pool_accounting(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Dispatch/failover counts per backend port.
-
-        When a telemetry hub is recording, the metrics registry is the
-        single source (the same counters every exporter sees); without
-        one, fall back to the pool's own dicts.
-        """
-        assert self.pool is not None
-        hub = telemetry.hub()
-        if hub is None:
-            return dict(self.pool.dispatched), dict(self.pool.failovers)
-        backends = {str(port) for port in self.pool.backends}
-        dispatched = {
-            int(port): total
-            for port, total in hub.registry.counters_by_label(
-                "dispatch_total", "port"
-            ).items()
-            if port in backends
-        }
-        for port in self.pool.backends:
-            dispatched.setdefault(port, 0)
-        failovers = {
-            int(port): total
-            for port, total in hub.registry.counters_by_label(
-                "failover_total", "port"
-            ).items()
-            if port in backends
-        }
-        return dispatched, failovers
-
     def status(self) -> dict:
         """Fleet-wide operator overview."""
         assert self.pool is not None
-        dispatched, failovers = self._pool_accounting()
         status = {
             "app": self.app.name,
             "frontend_port": self.frontend_port,
@@ -459,8 +464,8 @@ class FleetController:
                 "in_service": self.pool.in_service(),
                 "drained": sorted(self.pool.drained),
                 "down": sorted(self.pool.down),
-                "dispatched": dispatched,
-                "failovers": failovers,
+                "dispatched": dict(self.pool.dispatched),
+                "failovers": dict(self.pool.failovers),
             },
             "instances": [
                 {

@@ -7,10 +7,12 @@ process.  DynaFleet promotes that signal to a fleet-wide control loop:
 1. every customized instance carries the injected trap handler (both
    the ``verify`` and ``redirect`` policies log each trap address into
    the in-library ring buffer before acting);
-2. the :class:`DriftDetector` periodically reads each instance's log
-   (:func:`~repro.core.read_verifier_log`) and attributes new entries
-   to the **active removal set** — the blocks the instance's engine
-   actually patched (:meth:`DynaCut.disabled_blocks`);
+2. the :class:`DriftDetector` periodically scans each instance's log
+   (:meth:`FleetController.scan_traps
+   <repro.fleet.controller.FleetController.scan_traps>`), which
+   attributes new entries to the **active removal set** — the blocks
+   the instance's engine actually patched
+   (:meth:`DynaCut.disabled_blocks`);
 3. attributed traps enter a sliding window of ``drift_window_ns``; when
    the windowed count reaches ``drift_trap_threshold``, the policy's
    ``drift_action`` fires.
@@ -50,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import telemetry
-from ..core import FeatureBlocks, read_verifier_log
+from ..core import FeatureBlocks
 from .controller import FleetController, FleetInstance
 from .health import HealthState
 
@@ -146,17 +148,6 @@ class DriftDetector:
 
     # ------------------------------------------------------------------
 
-    def _active_offsets(self, instance: FleetInstance) -> dict[str, set[int]]:
-        """feature -> module-relative offsets of its patched blocks."""
-        offsets: dict[str, set[int]] = {}
-        for feature_name in self.policy.features:
-            blocks = instance.engine.disabled_blocks(
-                instance.root_pid, feature_name
-            )
-            if blocks:
-                offsets[feature_name] = {block.offset for block in blocks}
-        return offsets
-
     def _health_state(self, instance: FleetInstance) -> HealthState | None:
         supervisor = self.controller.supervisor
         if supervisor is None:
@@ -164,34 +155,21 @@ class DriftDetector:
         record = supervisor.records.get(instance.name)
         return record.state if record is not None else None
 
-    def _fresh_traps(self, instance: FleetInstance) -> list[int]:
-        """Consume the instance's new trap-log entries.
+    def _scan_instance(self, instance: FleetInstance) -> list[DriftEvent]:
+        """New trap-log entries attributed to the active removal set.
 
-        Advances the high-water mark unconditionally, but returns an
-        empty list for instances in ``RESTORING``/``QUARANTINED``: a
-        recovery replaying committed state can re-execute removed code,
-        and counting that as workload drift would re-enable features on
-        the back of the supervisor's own repair traffic.  Segregated
-        traps are tallied in the status instead.
+        The scan consumes the entries unconditionally, but attributes
+        none for instances in ``RESTORING``/``QUARANTINED``: a recovery
+        replaying committed state can re-execute removed code, and
+        counting that as workload drift would re-enable features on the
+        back of the supervisor's own repair traffic.  Segregated traps
+        are tallied in the status instead.
         """
         controller = self.controller
-        proc = controller.process(instance)
-        report = read_verifier_log(controller.kernel, proc)
-        fresh = report.trapped_addresses[instance.traps_seen:]
-        instance.traps_seen = len(report.trapped_addresses)
+        if not controller.alive(instance) or not instance.customized:
+            return []
+        fresh, hits = controller.scan_traps(instance, "scan")
         now = controller.kernel.clock_ns
-        telemetry.emit(
-            "traps", "scan",
-            clock_ns=now,
-            labels={"instance": instance.name},
-            total=instance.traps_seen,
-        )
-        telemetry.gauge_set(
-            "traps_seen", instance.traps_seen, instance=instance.name
-        )
-        telemetry.sample(
-            "traps_seen", now, instance.traps_seen, instance=instance.name
-        )
         if fresh and self._health_state(instance) in _SEGREGATED_STATES:
             self.status.segregated_traps += len(fresh)
             telemetry.count("drift_traps_segregated_total", len(fresh))
@@ -202,34 +180,16 @@ class DriftDetector:
                 hits=len(fresh),
             )
             return []
-        return list(fresh)
-
-    def _scan_instance(self, instance: FleetInstance) -> list[DriftEvent]:
-        """New trap-log entries attributed to the active removal set."""
-        controller = self.controller
-        if not controller.alive(instance) or not instance.customized:
-            return []
-        fresh = self._fresh_traps(instance)
-        if not fresh:
-            return []
-        base = controller.module_base(instance)
-        active = self._active_offsets(instance)
-        events = []
-        for feature_name, offsets in active.items():
-            hit_offsets = tuple(
-                address - base for address in fresh if address - base in offsets
+        return [
+            DriftEvent(
+                clock_ns=now,
+                instance=instance.name,
+                feature=feature_name,
+                hits=len(offsets),
+                offsets=offsets,
             )
-            if hit_offsets:
-                events.append(
-                    DriftEvent(
-                        clock_ns=controller.kernel.clock_ns,
-                        instance=instance.name,
-                        feature=feature_name,
-                        hits=len(hit_offsets),
-                        offsets=hit_offsets,
-                    )
-                )
-        return events
+            for feature_name, offsets in hits.items()
+        ]
 
     # ------------------------------------------------------------------
 

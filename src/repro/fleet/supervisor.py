@@ -20,8 +20,10 @@ that artifact into an availability mechanism:
    consecutive failed recoveries quarantine the instance until an
    operator :meth:`~FleetSupervisor.reinstate`;
 3. a per-instance **trap-storm circuit breaker** watches the verifier
-   trap log the same way the fleet-wide
-   :class:`~repro.fleet.drift.DriftDetector` does, but reacts locally:
+   trap log through the same
+   :meth:`~repro.fleet.controller.FleetController.scan_traps` as the
+   fleet-wide :class:`~repro.fleet.drift.DriftDetector`, but reacts
+   locally:
    a windowed burst of traps on the removal set demotes *that instance
    only* — drain, re-enable the features, rejoin degraded — instead of
    giving the feature back fleet-wide.
@@ -38,7 +40,6 @@ from dataclasses import dataclass, field
 
 from .. import faults, telemetry
 from ..analysis.lint import lint_checkpoint
-from ..core import read_verifier_log
 from ..criu.images import CheckpointImage
 from ..criu.restore import restore_tree
 from ..faults import TransientFault
@@ -342,49 +343,14 @@ class FleetSupervisor:
         """Demote *this* instance when its removal set traps too hot."""
         if not instance.customized:
             return
-        controller = self.controller
-        kernel = controller.kernel
-        report = read_verifier_log(kernel, controller.process(instance))
-        fresh = report.trapped_addresses[instance.traps_seen:]
-        instance.traps_seen = len(report.trapped_addresses)
-        now = kernel.clock_ns
-        telemetry.emit(
-            "traps", "breaker-scan",
-            clock_ns=now,
-            labels={"instance": instance.name},
-            total=instance.traps_seen,
-        )
-        telemetry.gauge_set(
-            "traps_seen", instance.traps_seen, instance=instance.name
-        )
-        telemetry.sample(
-            "traps_seen", now, instance.traps_seen, instance=instance.name
-        )
+        __, hits = self.controller.scan_traps(instance, "breaker-scan")
+        now = self.controller.kernel.clock_ns
         window = self._trap_window.setdefault(instance.name, [])
-        if fresh:
-            base = controller.module_base(instance)
-            hits = 0
+        if hits:
             pending = self._storm_pending.setdefault(instance.name, {})
-            for feature_name in self.policy.features:
-                active = {
-                    block.offset
-                    for block in instance.engine.disabled_blocks(
-                        instance.root_pid, feature_name
-                    )
-                }
-                hit_offsets = {
-                    address - base for address in fresh
-                    if address - base in active
-                }
-                if hit_offsets:
-                    hits += sum(
-                        1 for address in fresh if address - base in active
-                    )
-                    pending.setdefault(feature_name, set()).update(
-                        hit_offsets
-                    )
-            if hits:
-                window.append((now, hits))
+            for feature_name, offsets in hits.items():
+                pending.setdefault(feature_name, set()).update(offsets)
+            window.append((now, sum(map(len, hits.values()))))
         horizon = now - self.policy.trap_storm_window_ns
         window[:] = [(t, h) for t, h in window if t >= horizon]
         if sum(h for __, h in window) < self.policy.trap_storm_threshold:

@@ -390,8 +390,12 @@ class AddressSpace:
 
     def write_raw(self, address: int, data: bytes) -> None:
         """Kernel-privileged write (loader, restore, ptrace-style pokes)."""
-        self._write_raw(address, data)
-        self._stored(address, len(data))
+        try:
+            self._write_raw(address, data)
+        finally:
+            # a write that faults part-way has still stored the bytes
+            # before the faulting page
+            self._stored(address, len(data))
 
     def read_raw(self, address: int, size: int) -> bytes:
         """Kernel-privileged read."""

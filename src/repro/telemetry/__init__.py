@@ -7,9 +7,13 @@ This package is the one substrate those observations flow through:
 * :class:`~repro.telemetry.registry.MetricsRegistry` — labeled
   counters, gauges, histograms, and per-instance time series;
 * :class:`~repro.telemetry.tracer.SpanTracer` — nested virtual-clock
-  spans over the checkpoint → rewrite → restore pipeline;
+  spans over the checkpoint → rewrite → restore pipeline, recorded as
+  :class:`~repro.telemetry.tracer.Span` records with no ``trace_id``;
 * :class:`~repro.telemetry.hub.TelemetryHub` — the per-run recording
   context combining both with a structured event stream;
+* :class:`~repro.telemetry.trace.RequestTracer` — per-request span
+  trees (DynaTrace), the same ``Span`` record under a ``trace_id``,
+  with phase attribution;
 * :mod:`~repro.telemetry.export` — JSONL event log + Prometheus text
   snapshot, and :func:`~repro.telemetry.export.summarize_events` to
   reconstruct every CLI-reported aggregate from the stream alone.
@@ -57,14 +61,8 @@ from .registry import (
     labelset,
     quantile_from_buckets,
 )
-from .trace import (
-    PHASES,
-    RequestTracer,
-    TraceContext,
-    TraceError,
-    TraceSpan,
-)
-from .tracer import Span, SpanTracer
+from .trace import PHASES, RequestTracer, TraceContext
+from .tracer import Span, SpanTracer, TraceError
 
 _active: TelemetryHub | None = None
 
@@ -164,7 +162,6 @@ __all__ = [
     "TimeSeries",
     "TraceContext",
     "TraceError",
-    "TraceSpan",
     "attribute_traces",
     "count",
     "emit",

@@ -25,7 +25,8 @@ from typing import Iterable, Sequence
 
 from .hub import TelemetryEvent, TelemetryHub
 from .registry import SUMMARY_QUANTILES, MetricsRegistry, labels_text
-from .trace import PHASES, RequestTracer, TraceSpan, leg_phase
+from .trace import PHASES, RequestTracer, leg_phase
+from .tracer import Span
 
 
 # ----------------------------------------------------------------------
@@ -53,7 +54,7 @@ def read_jsonl(text: str) -> list[TelemetryEvent]:
 # ----------------------------------------------------------------------
 # request-trace stream
 
-def to_trace_jsonl(source: RequestTracer | Iterable[TraceSpan]) -> str:
+def to_trace_jsonl(source: RequestTracer | Iterable[Span]) -> str:
     """Render finished request traces as one span object per line.
 
     Spans are ordered by ``(trace_id, span_id)`` and serialized with
@@ -67,10 +68,10 @@ def to_trace_jsonl(source: RequestTracer | Iterable[TraceSpan]) -> str:
     )
 
 
-def read_trace_jsonl(text: str) -> list[TraceSpan]:
+def read_trace_jsonl(text: str) -> list[Span]:
     """Parse a trace stream back into spans."""
     return [
-        TraceSpan.from_dict(json.loads(line))
+        Span.from_dict(json.loads(line))
         for line in text.splitlines()
         if line.strip()
     ]
@@ -187,7 +188,7 @@ def percentile(values: Sequence[int | float], q: float) -> float:
 
 
 def _recompute_phases(
-    spans: list[TraceSpan], children: dict[int, list[TraceSpan]]
+    spans: list[Span], children: dict[int, list[Span]]
 ) -> dict[str, int]:
     """Re-derive the phase decomposition structurally from a span tree.
 
@@ -220,7 +221,7 @@ def _recompute_phases(
     return phases
 
 
-def attribute_traces(source: RequestTracer | Iterable[TraceSpan]) -> dict:
+def attribute_traces(source: RequestTracer | Iterable[Span]) -> dict:
     """Decompose every traced request's wall time into named phases.
 
     Returns ``{"requests": [...], "summary": {...}}`` where each request
@@ -231,8 +232,10 @@ def attribute_traces(source: RequestTracer | Iterable[TraceSpan]) -> dict:
     and exact nearest-rank latency percentiles over per-request walls.
     """
     spans = list(source.spans() if isinstance(source, RequestTracer) else source)
-    by_trace: dict[int, list[TraceSpan]] = {}
+    by_trace: dict[int, list[Span]] = {}
     for span in spans:
+        if span.trace_id is None:
+            raise ValueError(f"span {span.name!r} belongs to no request")
         by_trace.setdefault(span.trace_id, []).append(span)
 
     records = []
@@ -246,7 +249,7 @@ def attribute_traces(source: RequestTracer | Iterable[TraceSpan]) -> dict:
         if len(roots) != 1 or roots[0].name != "request":
             raise ValueError(f"trace {trace_id} has no unique request root")
         root = roots[0]
-        children: dict[int, list[TraceSpan]] = {}
+        children: dict[int, list[Span]] = {}
         for span in tree:
             if span.parent_id is not None:
                 children.setdefault(span.parent_id, []).append(span)

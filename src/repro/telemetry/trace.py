@@ -1,15 +1,19 @@
 """DynaTrace: per-request distributed tracing with phase attribution.
 
-DynaScope's :class:`~repro.telemetry.tracer.SpanTracer` answers "how
-long do rewrites take *in aggregate*"; this module answers "**which
-request** paid for that trap / cross-host hop / rewrite stall".  One
-:class:`TraceContext` follows a single request through every tier it
-crosses — the workload driver's closed loop, the mesh frontend's hop
-sequence, the intra-host balancer route, guest trap handling — and
-yields a causally-linked span tree with deterministic IDs.
+A hub's pipeline spans answer "how long do rewrites take *in
+aggregate*"; this module answers "**which request** paid for that
+trap / cross-host hop / rewrite stall".  One :class:`TraceContext`
+follows a single request through every tier it crosses — the workload
+driver's closed loop, the mesh frontend's hop sequence, the intra-host
+balancer route, guest trap handling — and yields a causally-linked
+span tree with deterministic IDs.  Request spans are the same
+:class:`~repro.telemetry.tracer.Span` record the hub keeps, opened on
+one :class:`~repro.telemetry.tracer.SpanTracer` stack per
+:class:`RequestTracer` and stamped with the request's ``trace_id``.
 
-**Determinism.**  Trace and span IDs are monotonic counters allocated
-by the owning :class:`RequestTracer`; timestamps are virtual-clock
+**Determinism.**  Trace IDs are a monotonic counter of the owning
+:class:`RequestTracer`, and span IDs one of its span stack, so they
+stay monotonic across requests; timestamps are virtual-clock
 reads.  No wall clock, no randomness: equal seeds export byte-identical
 trace streams (tested).
 
@@ -50,11 +54,11 @@ request.  The campaign adds the count identity on top: traced requests
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
-from typing import Any, Callable, ContextManager, Iterator
+from contextlib import nullcontext
+from typing import Callable, ContextManager, Iterator
 
 from .. import telemetry
+from .tracer import Span, SpanTracer, TraceError
 
 #: every phase the attribution decomposes request wall time into
 PHASES = (
@@ -68,76 +72,11 @@ PHASES = (
 _HOP_ERRORS = ("error:NoBackendAvailable", "error:InjectedFault")
 
 
-class TraceError(RuntimeError):
-    """Misuse of the tracing API (nested begin, unbalanced spans)."""
-
-
 def leg_phase(name: str, status: str) -> str:
     """The phase a leg span's self-time belongs to."""
     if name == "mesh.hop" and status in _HOP_ERRORS:
         return "hop"
     return "serve"
-
-
-@dataclass
-class TraceSpan:
-    """One node of a request's span tree (structural IDs, virtual clocks)."""
-
-    trace_id: int
-    span_id: int
-    parent_id: int | None
-    name: str
-    start_ns: int
-    end_ns: int | None = None
-    status: str = "ok"
-    attrs: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration_ns(self) -> int:
-        if self.end_ns is None:
-            raise TraceError(f"trace span {self.name!r} is still open")
-        return self.end_ns - self.start_ns
-
-    def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start_ns": self.start_ns,
-            "end_ns": self.end_ns,
-            "duration_ns": self.duration_ns,
-            "status": self.status,
-            "attrs": dict(sorted(self.attrs.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TraceSpan":
-        return cls(
-            trace_id=payload["trace_id"],
-            span_id=payload["span_id"],
-            parent_id=payload["parent_id"],
-            name=payload["name"],
-            start_ns=payload["start_ns"],
-            end_ns=payload["end_ns"],
-            status=payload["status"],
-            attrs=dict(payload.get("attrs", {})),
-        )
-
-
-@dataclass
-class _Frame:
-    """One open container span on the context's stack."""
-
-    span: TraceSpan
-    #: clock reader the span was opened with (closes on the same clock)
-    clock: Callable[[], int]
-    #: summed durations of direct children (subtracted for self-time)
-    inner_ns: int = 0
-    #: direct children that were ``mesh.hop`` legs — a container that
-    #: wrapped cross-host legs is pure plumbing across clock domains
-    #: and contributes no self-time of its own
-    leg_children: int = 0
 
 
 class TraceContext:
@@ -158,7 +97,8 @@ class TraceContext:
         self.tracer = tracer
         self.trace_id = trace_id
         self._clock = clock
-        self.spans: list[TraceSpan] = []
+        self._stack = tracer.stack
+        self.spans: list[Span] = []
         self.phases: dict[str, int] = {phase: 0 for phase in PHASES}
         self.outcome: str | None = None
         self.traps = 0
@@ -167,56 +107,25 @@ class TraceContext:
         #: intra-host balancer failovers observed while routing
         self.intra_failovers = 0
         self.unmatched_traps = 0
-        self._stack: list[_Frame] = []
+        #: summed durations of each open span's direct children
+        #: (subtracted for self-time)
+        self._inner: dict[int, int] = {}
+        #: spans with a direct ``mesh.hop`` child — a container that
+        #: wrapped cross-host legs is pure plumbing across clock
+        #: domains and contributes no self-time of its own
+        self._wrappers: set[int | None] = set()
         #: per-pid stacks of (delivery clock, trap address) awaiting
         #: their rt_sigreturn (nested signal delivery nests the marks)
         self._trap_marks: dict[int, list[tuple[int, int]]] = {}
-        self.root = self._open("request", self._clock, attrs)
-
-    # ------------------------------------------------------------------
-    # span-tree construction
-
-    def _open(
-        self,
-        name: str,
-        clock: Callable[[], int],
-        attrs: dict[str, object],
-    ) -> TraceSpan:
-        span = TraceSpan(
-            trace_id=self.trace_id,
-            span_id=self.tracer.next_span_id(),
-            parent_id=self._stack[-1].span.span_id if self._stack else None,
-            name=name,
-            start_ns=clock(),
-            attrs=dict(attrs),
+        self._stack.on_finish = self._closed
+        self.root = self._stack.open(
+            "request", clock, attrs, trace_id=trace_id
         )
-        self.spans.append(span)
-        self._stack.append(_Frame(span, clock))
-        return span
-
-    def _close(self, span: TraceSpan, status: str) -> _Frame:
-        if not self._stack or self._stack[-1].span is not span:
-            raise TraceError(
-                f"span {span.name!r} closed out of stack order"
-            )
-        frame = self._stack.pop()
-        span.end_ns = frame.clock()
-        span.status = status
-        if self._stack:
-            self._stack[-1].inner_ns += span.duration_ns
-        return frame
-
-    @staticmethod
-    def _self_time(frame: _Frame) -> int:
-        # clamped: a container's children may run on a different (host)
-        # clock than the container itself; see the module docstring
-        return max(0, frame.span.duration_ns - frame.inner_ns)
 
     # ------------------------------------------------------------------
-    # container context managers (one per tier)
+    # container spans (one per tier)
 
-    @contextmanager
-    def stall(self, label: str) -> Iterator[TraceSpan]:
+    def stall(self, label: str) -> ContextManager[Span]:
         """Between-request event time (rollout steps, ticks, chaos).
 
         The driver fires due timeline events inside the *next* request's
@@ -225,76 +134,74 @@ class TraceContext:
         split into ``rewrite-stall`` — bounded by the DynaCut transaction
         cost reported while the event ran — and ``control`` for the rest.
         """
-        span = self._open("stall", self._clock, {"label": label})
-        rewrite_before = self.tracer.rewrite_ns
-        status = "ok"
-        try:
-            yield span
-        except BaseException as exc:
-            status = f"error:{type(exc).__name__}"
-            raise
-        finally:
-            frame = self._close(span, status)
-            self_ns = self._self_time(frame)
-            rewrite_ns = min(
-                max(0, self.tracer.rewrite_ns - rewrite_before), self_ns
-            )
-            span.attrs["rewrite_ns"] = rewrite_ns
-            self.phases["rewrite-stall"] += rewrite_ns
-            self.phases["control"] += self_ns - rewrite_ns
+        # ``rewrite_ns`` holds the tracer's cost accumulator while the
+        # span is open and the cost charged to it once closed
+        return self._stack.span(
+            "stall", self._clock, label=label,
+            rewrite_ns=self.tracer.rewrite_ns,
+        )
 
-    @contextmanager
     def leg(
         self,
         name: str,
         clock: Callable[[], int] | None = None,
         **attrs: object,
-    ) -> Iterator[TraceSpan]:
+    ) -> ContextManager[Span]:
         """One delivery attempt (``dispatch`` driver-side, ``mesh.hop``
         per shard tried).  Self-time goes to ``serve``, or to ``hop``
         when a ``mesh.hop`` leg failed with a routing error; a leg that
         merely wrapped ``mesh.hop`` children contributes nothing itself
         (its duration spans incomparable clocks)."""
-        span = self._open(name, clock or self._clock, dict(attrs))
-        status = "ok"
-        try:
-            yield span
-        except BaseException as exc:
-            status = f"error:{type(exc).__name__}"
-            raise
-        finally:
-            frame = self._close(span, status)
-            if name == "mesh.hop":
-                if self._stack:
-                    self._stack[-1].leg_children += 1
-                if status in _HOP_ERRORS:
-                    self.hops += 1
-            if frame.leg_children == 0:
-                self.phases[leg_phase(name, status)] += self._self_time(frame)
+        return self._stack.span(name, clock or self._clock, **attrs)
 
-    @contextmanager
     def aux(
         self,
         name: str,
         phase: str,
         clock: Callable[[], int] | None = None,
         **attrs: object,
-    ) -> Iterator[TraceSpan]:
+    ) -> ContextManager[Span]:
         """A span whose whole self-time belongs to one fixed phase
         (``route`` for balancer resolution, ``shed`` for error nudges)."""
         if phase not in PHASES:
             raise TraceError(f"unknown phase {phase!r}")
-        span = self._open(name, clock or self._clock, dict(attrs))
-        span.attrs["phase"] = phase
-        status = "ok"
-        try:
-            yield span
-        except BaseException as exc:
-            status = f"error:{type(exc).__name__}"
-            raise
-        finally:
-            frame = self._close(span, status)
-            self.phases[phase] += self._self_time(frame)
+        return self._stack.span(
+            name, clock or self._clock, **attrs, phase=phase
+        )
+
+    def _closed(self, span: Span) -> None:
+        """Charge a span's time to its phase as it closes."""
+        self.spans.append(span)
+        duration = span.duration_ns
+        # clamped: a container's children may run on a different (host)
+        # clock than the container itself; see the module docstring
+        self_ns = max(0, duration - self._inner.pop(span.span_id, 0))
+        if span.parent_id is not None:
+            self._inner[span.parent_id] = (
+                self._inner.get(span.parent_id, 0) + duration
+            )
+        if span.name == "request":
+            return  # the root's own time is its children's
+        if span.name == "trap":
+            self.traps += 1
+            self.phases["trap"] += duration
+        elif span.name == "stall":
+            rewrite_ns = min(
+                max(0, self.tracer.rewrite_ns - int(span.attrs["rewrite_ns"])),
+                self_ns,
+            )
+            span.attrs["rewrite_ns"] = rewrite_ns
+            self.phases["rewrite-stall"] += rewrite_ns
+            self.phases["control"] += self_ns - rewrite_ns
+        elif "phase" in span.attrs:
+            self.phases[str(span.attrs["phase"])] += self_ns
+        else:
+            if span.name == "mesh.hop":
+                self._wrappers.add(span.parent_id)
+                if span.status in _HOP_ERRORS:
+                    self.hops += 1
+            if span.span_id not in self._wrappers:
+                self.phases[leg_phase(span.name, span.status)] += self_ns
 
     # ------------------------------------------------------------------
     # trap pairing (driven by the kernel hooks)
@@ -307,21 +214,9 @@ class TraceContext:
         if not marks:
             return  # sigreturn for a trap delivered outside this trace
         start_ns, address = marks.pop()
-        parent = self._stack[-1].span if self._stack else self.root
-        span = TraceSpan(
-            trace_id=self.trace_id,
-            span_id=self.tracer.next_span_id(),
-            parent_id=parent.span_id,
-            name="trap",
-            start_ns=start_ns,
-            end_ns=clock_ns,
-            attrs={"pid": pid, "address": address},
+        self._stack.record(
+            "trap", start_ns, clock_ns, pid=pid, address=address
         )
-        self.spans.append(span)
-        self.traps += 1
-        self.phases["trap"] += span.duration_ns
-        if self._stack:
-            self._stack[-1].inner_ns += span.duration_ns
 
     # ------------------------------------------------------------------
     # finish
@@ -330,8 +225,8 @@ class TraceContext:
     def wall_ns(self) -> int:
         return sum(self.phases.values())
 
-    def finish(self, ok: bool) -> TraceSpan:
-        if len(self._stack) != 1 or self._stack[-1].span is not self.root:
+    def finish(self, ok: bool) -> Span:
+        if self._stack.current is not self.root:
             raise TraceError(
                 f"trace {self.trace_id} finished with unbalanced spans"
             )
@@ -343,7 +238,7 @@ class TraceContext:
         self._trap_marks.clear()
         outcome = self.outcome or ("ok" if ok else "error")
         self.outcome = outcome
-        self._close(self.root, "ok" if ok else "error")
+        self._stack.close(self.root, "ok" if ok else "error")
         self.root.attrs.update(
             ok=ok,
             outcome=outcome,
@@ -366,13 +261,10 @@ class RequestTracer:
         #: monotonic accumulator of DynaCut transaction cost, fed by
         #: :func:`note_rewrite`; stall spans read before/after deltas
         self.rewrite_ns = 0
+        #: one span stack for every request, so span IDs stay
+        #: monotonic across traces
+        self.stack = SpanTracer()
         self._next_trace_id = 1
-        self._next_span_id = 1
-
-    def next_span_id(self) -> int:
-        span_id = self._next_span_id
-        self._next_span_id += 1
-        return span_id
 
     def begin(
         self, clock: Callable[[], int], **attrs: object
@@ -405,7 +297,7 @@ class RequestTracer:
         telemetry.count("traced_requests_total", outcome=context.outcome)
         return context
 
-    def spans(self) -> Iterator[TraceSpan]:
+    def spans(self) -> Iterator[Span]:
         """Every finished span, ordered by (trace id, span id)."""
         for context in self.traces:
             yield from sorted(context.spans, key=lambda span: span.span_id)
@@ -426,9 +318,15 @@ def current() -> TraceContext | None:
     return _current
 
 
+def stall_span(label: str) -> ContextManager[Span | None]:
+    if _current is None:
+        return nullcontext(None)
+    return _current.stall(label)
+
+
 def leg_span(
     name: str, clock: Callable[[], int] | None = None, **attrs: object
-) -> ContextManager[TraceSpan | None]:
+) -> ContextManager[Span | None]:
     if _current is None:
         return nullcontext(None)
     return _current.leg(name, clock=clock, **attrs)
@@ -439,7 +337,7 @@ def aux_span(
     phase: str,
     clock: Callable[[], int] | None = None,
     **attrs: object,
-) -> ContextManager[TraceSpan | None]:
+) -> ContextManager[Span | None]:
     if _current is None:
         return nullcontext(None)
     return _current.aux(name, phase, clock=clock, **attrs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from .. import telemetry
-from ..telemetry import RequestTracer
+from ..telemetry import RequestTracer, trace
 
 SECOND_NS = 1_000_000_000
 
@@ -151,20 +151,14 @@ def run_request_timeline(
         try:
             while pending and kernel.clock_ns - start >= pending[0].at_ns:
                 event = pending.pop(0)
-                if context is not None:
-                    with context.stall(event.label):
-                        event.action()
-                else:
+                with trace.stall_span(event.label):
                     event.action()
                 result.events_fired.append(
                     (kernel.clock_ns - start, event.label)
                 )
             meter_before = failover_meter() if failover_meter is not None else 0
             try:
-                if context is not None:
-                    with context.leg("dispatch"):
-                        ok = request_once()
-                else:
+                with trace.leg_span("dispatch"):
                     ok = request_once()
             except Exception as exc:  # noqa: BLE001 — failed request, not a bug
                 if not tolerate_errors:
@@ -173,10 +167,7 @@ def run_request_timeline(
                 result.errors.append((kernel.clock_ns - start, repr(exc)))
                 # a synchronous refusal burns no guest work; charge one
                 # kernel entry so an all-backends-down window still ends
-                if context is not None:
-                    with context.aux("error-nudge", "shed"):
-                        kernel.clock_ns += kernel.config.syscall_cost_ns
-                else:
+                with trace.aux_span("error-nudge", "shed"):
                     kernel.clock_ns += kernel.config.syscall_cost_ns
         finally:
             if context is not None:

@@ -160,6 +160,15 @@ class TestCodeEpoch:
         memory.write_raw(BASE, b"\xcc")
         assert memory.code_epoch > before
 
+    def test_raw_write_faulting_midway_evicts_what_it_stored(self):
+        memory = AddressSpace()
+        memory.mmap(BASE, PAGE_SIZE, "r-x")
+        memory.decode_cache[BASE] = memory.fetch(BASE, MAX_INSTRUCTION)
+        with pytest.raises(MemoryFault):
+            memory.write_raw(BASE, b"\xcc" * (PAGE_SIZE + 1))
+        assert memory.read_raw(BASE, 1) == b"\xcc"
+        assert BASE not in memory.decode_cache
+
     def test_write_to_data_keeps_epoch(self, space):
         before = space.code_epoch
         space.write(BASE, b"x")

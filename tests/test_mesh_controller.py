@@ -89,6 +89,22 @@ class TestShardLabelledTelemetry:
         assert supervisor
         assert all(e.label("shard") == "host-0" for e in supervisor)
 
+    def test_host_status_reports_its_own_pool(self, tmp_path):
+        # every host listens on the same ports, so one hub's registry
+        # sums all shards' dispatches per port; status must not
+        hub = TelemetryHub()
+        with telemetry.recording(hub):
+            mesh = make_mesh(tmp_path, shards=2, size=2)
+            for index in range(20):
+                mesh.wanted_request(key=f"key-{index}")
+            status = mesh.status()
+        for host in mesh.hosts:
+            pool = host.controller.pool
+            assert pool is not None
+            shard = status["hosts"][host.name]["pool"]
+            assert shard["dispatched"] == pool.dispatched
+            assert shard["failovers"] == pool.failovers
+
 
 class TestMeshClock:
     def test_reads_max_and_broadcast_never_rewinds(self, tmp_path):

@@ -181,6 +181,50 @@ class TestHub:
         hist = hub.registry.histogram("span_ns", span="customize")
         assert hist.count == 1
 
+    def test_pipeline_span_events_are_pinned(self):
+        """Byte-level pin of the ``span`` events a hub emits."""
+        clock = {"t": 10}
+        hub = TelemetryHub(lambda: clock["t"])
+        with hub.span("customize", attempt=1):
+            clock["t"] = 25
+            with hub.span("customize.rewrite", attempt=1) as span:
+                span.set("blocks", 3)
+                clock["t"] = 40
+            with pytest.raises(RuntimeError):
+                with hub.span("customize.restore", attempt=1):
+                    clock["t"] = 55
+                    raise RuntimeError("restore failed")
+            clock["t"] = 60
+        assert [event.to_dict() for event in hub.events] == [
+            {
+                "clock_ns": 40, "kind": "span", "name": "customize.rewrite",
+                "labels": {},
+                "fields": {
+                    "attempt": 1, "blocks": 3, "depth": 1, "duration_ns": 15,
+                    "parent": "customize", "parent_id": 1, "span_id": 2,
+                    "start_ns": 25, "status": "ok",
+                },
+            },
+            {
+                "clock_ns": 55, "kind": "span", "name": "customize.restore",
+                "labels": {},
+                "fields": {
+                    "attempt": 1, "depth": 1, "duration_ns": 15,
+                    "parent": "customize", "parent_id": 1, "span_id": 3,
+                    "start_ns": 40, "status": "error:RuntimeError",
+                },
+            },
+            {
+                "clock_ns": 60, "kind": "span", "name": "customize",
+                "labels": {},
+                "fields": {
+                    "attempt": 1, "depth": 0, "duration_ns": 50,
+                    "parent": None, "parent_id": None, "span_id": 1,
+                    "start_ns": 10, "status": "ok",
+                },
+            },
+        ]
+
     def test_event_json_round_trip(self):
         hub = TelemetryHub(lambda: 7)
         original = hub.emit(

@@ -134,6 +134,14 @@ class TestFleetReconstruction:
         assert status["pool"]["dispatched"] == dict(
             self.controller.pool.dispatched
         )
+        # on one kernel the registry counts the same connects the pool does
+        assert self.hub.registry.counters_by_label(
+            "dispatch_total", "port"
+        ) == {
+            str(port): count
+            for port, count in self.controller.pool.dispatched.items()
+            if count
+        }
 
     def test_status_includes_supervision_when_attached(self):
         status = self.controller.status()

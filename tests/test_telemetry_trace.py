@@ -165,11 +165,10 @@ class TestTraceContext:
         clock = FakeClock()
         tracer = RequestTracer()
         ctx = tracer.begin(clock)
-        ctx._open("dispatch", clock, {})
-        with pytest.raises(TraceError):
-            ctx.finish(ok=True)
+        with ctx.leg("dispatch"):
+            with pytest.raises(TraceError):
+                ctx.finish(ok=True)
         # clean up the ambient slot for the leak check
-        ctx._close(ctx._stack[-1].span, "ok")
         tracer.finish(ctx, ok=True)
 
     def test_outcome_tag_wins_over_ok_flag(self):
@@ -385,11 +384,64 @@ class TestTraceExport:
         assert to_trace_jsonl(spans) == text
         assert attribute_traces(spans)["summary"]["identity_violations"] == 0
 
+    def test_span_stream_is_pinned(self):
+        """Byte-level pin of the request-span export format."""
+        clock = FakeClock(1_000)
+        tracer = RequestTracer()
+        ctx = tracer.begin(clock, index=0)
+        with ctx.stall("rollout-step-0"):
+            clock.advance(100)
+            trace.note_rewrite(40)
+        with ctx.leg("dispatch"):
+            with ctx.leg("mesh.hop", shard="host-0", hop=0):
+                with ctx.aux("route", "route", frontend=6378) as span:
+                    clock.advance(5)
+                    span.attrs["backend"] = 6379
+                ctx.note_trap_delivered(7, clock.t, 0x400100)
+                clock.advance(8)
+                ctx.note_trap_returned(7, clock.t)
+                clock.advance(30)
+        tracer.finish(ctx, ok=True)
+        assert to_trace_jsonl(tracer) == "".join(line + "\n" for line in (
+            '{"attrs": {"hops": 0, "index": 0, "intra_failovers": 0, '
+            '"observed_ns": 143, "ok": true, "outcome": "ok", "phases": '
+            '{"control": 60, "rewrite-stall": 40, "route": 5, "serve": 30, '
+            '"trap": 8}, "traps": 1, "unmatched_traps": 0, "wall_ns": 143}, '
+            '"duration_ns": 143, "end_ns": 1143, "name": "request", '
+            '"parent_id": null, "span_id": 1, "start_ns": 1000, '
+            '"status": "ok", "trace_id": 1}',
+            '{"attrs": {"label": "rollout-step-0", "rewrite_ns": 40}, '
+            '"duration_ns": 100, "end_ns": 1100, "name": "stall", '
+            '"parent_id": 1, "span_id": 2, "start_ns": 1000, '
+            '"status": "ok", "trace_id": 1}',
+            '{"attrs": {}, "duration_ns": 43, "end_ns": 1143, '
+            '"name": "dispatch", "parent_id": 1, "span_id": 3, '
+            '"start_ns": 1100, "status": "ok", "trace_id": 1}',
+            '{"attrs": {"hop": 0, "shard": "host-0"}, "duration_ns": 43, '
+            '"end_ns": 1143, "name": "mesh.hop", "parent_id": 3, '
+            '"span_id": 4, "start_ns": 1100, "status": "ok", "trace_id": 1}',
+            '{"attrs": {"backend": 6379, "frontend": 6378, "phase": "route"}, '
+            '"duration_ns": 5, "end_ns": 1105, "name": "route", '
+            '"parent_id": 4, "span_id": 5, "start_ns": 1100, '
+            '"status": "ok", "trace_id": 1}',
+            '{"attrs": {"address": 4194560, "pid": 7}, "duration_ns": 8, '
+            '"end_ns": 1113, "name": "trap", "parent_id": 4, "span_id": 6, '
+            '"start_ns": 1105, "status": "ok", "trace_id": 1}',
+        ))
+
     def test_attribute_traces_rejects_rootless_stream(self):
         tracer = self._synthetic()
         orphans = [s for s in tracer.spans() if s.parent_id is not None]
         with pytest.raises(ValueError):
             attribute_traces(orphans)
+
+    def test_attribute_traces_rejects_pipeline_spans(self):
+        pipeline = SpanTracer(FakeClock())
+        with pipeline.span("request"):
+            pass
+        assert pipeline.finished[0].trace_id is None
+        with pytest.raises(ValueError, match="belongs to no request"):
+            attribute_traces(pipeline.finished)
 
 
 def _traced_redis_run() -> tuple[RequestTracer, object]:
