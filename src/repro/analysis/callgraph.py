@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from ..binfmt.linker import PLT_STUB_SIZE
 from ..binfmt.self_format import SelfImage
-from .cfg import ControlFlowGraph, build_cfg
+from .cfg import ControlFlowGraph, image_cfg
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def build_callgraph(
     indirect sites.
     """
     if cfg is None:
-        cfg = build_cfg(image)
+        cfg = image_cfg(image)
     resolved_indirect = resolved_indirect or {}
     graph = CallGraph(image.name)
 

@@ -21,13 +21,17 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Generic, TypeVar
+from typing import TYPE_CHECKING, Generic, TypeVar
 from weakref import WeakKeyDictionary
 
 from .. import telemetry
 from ..binfmt.self_format import SelfImage
 from ..isa.disassembler import DecodedInstruction, disassemble_one
 from ..isa.encoding import DecodeError
+
+if TYPE_CHECKING:
+    from .dataflow.liveness import RegSet
+    from .lint import InstructionMap
 
 T = TypeVar("T")
 
@@ -227,13 +231,18 @@ class DigestCache(Generic[T]):
     """A bounded :func:`image_digest` → analysis-result store.
 
     The store is process-wide, so an analysis runs at most once per
-    image content while its result stays cached.  What a lookup
-    *reports* depends only on the current recording: under a
-    :class:`~repro.telemetry.TelemetryHub` the first lookup of a digest
-    counts as a miss and every later one as a hit, whatever the store
-    held before the recording began, so a recorded run exports the same
-    telemetry from a cold or a warm process.  With no recording the
-    counters report the store's real hits and misses.
+    image content while its result stays cached.  :meth:`lookup` is
+    the counted access; :meth:`get` reaches the same store and counts
+    nothing, for reuse inside the analysis layer.
+
+    What a counted lookup *reports* is what the counted lookups alone
+    would have seen.  Under a :class:`~repro.telemetry.TelemetryHub`
+    the first lookup of a digest counts as a miss and every later one
+    as a hit, whatever the store held before the recording began, so a
+    recorded run exports the same telemetry from a cold or a warm
+    process.  With no recording, a lookup counts a miss unless a
+    counted lookup has already reported the stored result, so an entry
+    :meth:`get` made is still a miss the first time it is looked up.
     """
 
     def __init__(self, hits: str, misses: str, limit: int):
@@ -241,6 +250,8 @@ class DigestCache(Generic[T]):
         self.misses = misses
         self.limit = limit
         self._store: dict[str, T] = {}
+        #: stored digests a counted lookup has reported
+        self._reported: set[str] = set()
         self._seen: WeakKeyDictionary[telemetry.TelemetryHub, set[str]] = (
             WeakKeyDictionary()
         )
@@ -252,46 +263,97 @@ class DigestCache(Generic[T]):
         per-result telemetry exactly when it is true.
         """
         digest = image_digest(image)
+        result = self._fetch(digest, compute)
+        recording = telemetry.hub()
+        seen = (
+            self._reported if recording is None
+            else self._seen.setdefault(recording, set())
+        )
+        missed = digest not in seen
+        seen.add(digest)
+        telemetry.count(self.misses if missed else self.hits, image=image.name)
+        return result, missed
+
+    def get(self, image: SelfImage, compute: Callable[[], T]) -> T:
+        """The stored result for ``image`` (``compute`` runs on a store
+        miss); counts nothing."""
+        return self._fetch(image_digest(image), compute)
+
+    def _fetch(self, digest: str, compute: Callable[[], T]) -> T:
         result = self._store.get(digest)
-        stored = result is not None
         if result is None:
             result = compute()
             if len(self._store) >= self.limit:
-                self._store.pop(next(iter(self._store)))
+                evicted = next(iter(self._store))
+                del self._store[evicted]
+                self._reported.discard(evicted)
             self._store[digest] = result
-        recording = telemetry.hub()
-        if recording is None:
-            missed = not stored
-        else:
-            seen = self._seen.setdefault(recording, set())
-            missed = digest not in seen
-            seen.add(digest)
-        telemetry.count(self.misses if missed else self.hits, image=image.name)
-        return result, missed
+        return result
 
     def clear(self) -> None:
         """Drop every stored result (the next lookups recompute)."""
         self._store.clear()
+        self._reported.clear()
 
 
-#: recovered CFGs, shared by every linter/analyzer instance
-_CFG_CACHE: DigestCache[ControlFlowGraph] = DigestCache(
+class ImageAnalyses:
+    """Every analysis of one image content, kept in the CFG store.
+
+    The CFG is recovered when the entry is made.  The other two slots
+    start empty and are filled from it by their one user on first use,
+    so they live and die with the CFG's store entry:
+    ``instruction_maps`` by the checkpoint linter
+    (:mod:`repro.analysis.lint`), ``live_in`` by
+    :func:`~repro.analysis.dataflow.liveness.live_in_registers`.
+    """
+
+    __slots__ = ("cfg", "instruction_maps", "live_in")
+
+    def __init__(self, cfg: ControlFlowGraph):
+        self.cfg = cfg
+        #: code-segment vaddr -> instruction boundaries of that segment
+        self.instruction_maps: dict[int, InstructionMap] | None = None
+        #: block start -> registers live on entry to the block
+        self.live_in: dict[int, RegSet] | None = None
+
+
+#: per-image analyses by image digest, shared by every linter/analyzer
+_CFG_CACHE: DigestCache[ImageAnalyses] = DigestCache(
     "cfg_cache_hits", "cfg_cache_misses", limit=64
 )
 
 
+def _recover(image: SelfImage) -> Callable[[], ImageAnalyses]:
+    return lambda: ImageAnalyses(build_cfg(image))
+
+
 def cached_cfg(image: SelfImage) -> ControlFlowGraph:
-    """``build_cfg`` with a content-digest cache.
+    """``build_cfg`` with a content-digest cache: the counted lookup.
 
     CFG recovery is the dominant cost of linting a checkpoint; the same
     pristine binary is decoded once per lint invocation otherwise.  The
     cache key is :func:`image_digest`, so a rewritten image never hits
-    a stale entry.
+    a stale entry.  Each call counts one ``cfg_cache_*`` hit or miss.
     """
-    cfg, __ = _CFG_CACHE.lookup(image, lambda: build_cfg(image))
-    return cfg
+    analyses, __ = _CFG_CACHE.lookup(image, _recover(image))
+    return analyses.cfg
+
+
+def image_analyses(image: SelfImage) -> ImageAnalyses:
+    """The stored analyses of ``image``, counting nothing.
+
+    The accessor for reuse inside the analysis layer, which must not
+    add ``cfg_cache_*`` lookups to what a recording exports.
+    """
+    return _CFG_CACHE.get(image, _recover(image))
+
+
+def image_cfg(image: SelfImage) -> ControlFlowGraph:
+    """The CFG of ``image`` from the same store, counting nothing: for
+    analyses that need a CFG they were not handed."""
+    return image_analyses(image).cfg
 
 
 def total_basic_blocks(image: SelfImage) -> int:
     """Figure 9's "total BB" metric for one binary."""
-    return build_cfg(image).block_count
+    return image_cfg(image).block_count

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...binfmt.self_format import SelfImage
-from ..cfg import ControlFlowGraph, build_cfg
+from ..cfg import ControlFlowGraph, image_analyses, image_cfg
 from .framework import DataflowProblem, Direction, solve
 from .regions import RegionMap
 from .valueset import CALLER_SAVED, FP, SP
@@ -101,7 +101,7 @@ def block_liveness(
 ) -> LivenessResult:
     """Solve register liveness per function region of ``image``."""
     if cfg is None:
-        cfg = build_cfg(image)
+        cfg = image_cfg(image)
     regions = RegionMap(image, cfg)
     live_in: dict[int, RegSet] = {}
     live_out: dict[int, RegSet] = {}
@@ -134,8 +134,20 @@ def block_liveness(
     return LivenessResult(image.name, live_in, live_out)
 
 
-def live_in_registers(
-    image: SelfImage, address: int, cfg: ControlFlowGraph | None = None
-) -> RegSet:
-    """Live registers on entry to the block starting at ``address``."""
-    return block_liveness(image, cfg).live_in_of(address)
+def live_in_registers(image: SelfImage, address: int) -> RegSet:
+    """Live registers on entry to the block starting at ``address``.
+
+    The whole-image live-in map is solved once per image content and
+    kept in the per-image store (:func:`~repro.analysis.cfg.image_analyses`),
+    so asking about another block of the same image is a dict probe.
+    """
+    analyses = image_analyses(image)
+    if analyses.live_in is None:
+        analyses.live_in = _interned(block_liveness(image, analyses.cfg).live_in)
+    return analyses.live_in.get(address, ALL_REGS)
+
+
+def _interned(sets: dict[int, RegSet]) -> dict[int, RegSet]:
+    """``sets`` with equal register sets shared (a compact stored form)."""
+    pool: dict[RegSet, RegSet] = {}
+    return {block: pool.setdefault(regs, regs) for block, regs in sets.items()}

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from ... import telemetry
 from ...binfmt.self_format import DynRelocType, ImageKind, SelfImage
 from ...isa.disassembler import DecodedInstruction
-from ..cfg import ControlFlowGraph, DigestCache, build_cfg
+from ..cfg import ControlFlowGraph, DigestCache, image_cfg
 from .framework import DataflowProblem, Direction, solve
 from .hazards import StoreHazard, classify_store
 from .lattice import MASK64, ValueSet
@@ -415,7 +415,7 @@ def scan_address_taken(image: SelfImage, cfg: ControlFlowGraph | None = None) ->
     liveness proofs while an extra one merely costs precision.
     """
     if cfg is None:
-        cfg = build_cfg(image)
+        cfg = image_cfg(image)
     ctx = _ImageContext(image)
     regions = RegionMap(image, cfg)
     taken: set[int] = set()
@@ -479,7 +479,7 @@ def analyze_image_flow(
 
 def _analyze(image: SelfImage, cfg: ControlFlowGraph | None) -> FlowReport:
     if cfg is None:
-        cfg = build_cfg(image)
+        cfg = image_cfg(image)
     ctx = _ImageContext(image)
     regions = RegionMap(image, cfg)
     block_extents = [(b.start, b.end) for b in cfg.blocks]

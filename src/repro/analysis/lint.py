@@ -41,15 +41,18 @@ static proof the customization pipeline makes about its text.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from ..binfmt.self_format import DynRelocType, SelfImage
 from ..isa.disassembler import disassemble_range
 from ..isa.instructions import INT3_OPCODE
 from ..kernel.kernel import Kernel
+from ..kernel.memory import MAX_INSTRUCTION
 from ..kernel.signals import Signal
-from ..criu.images import CheckpointImage, ImageError, ProcessImage, VmaEntry
-from .cfg import ControlFlowGraph, cached_cfg
+from ..criu.images import CheckpointImage, ProcessImage, VmaEntry
+from .cfg import ControlFlowGraph, cached_cfg, image_analyses
 
 INJECT_TAG_PREFIX = "dynacut:"
 
@@ -129,6 +132,57 @@ class LintReport:
         }
 
 
+@dataclass(frozen=True)
+class InstructionMap:
+    """The decoded instructions of one code segment's recovered blocks.
+
+    ``starts[i]`` and ``ends[i]`` bound one instruction (link-relative),
+    sorted by start; an instruction two blocks both decode appears
+    twice.  Kept per pristine image in the analysis store, as two
+    machine-word arrays rather than a tuple per instruction.
+    """
+
+    starts: array
+    ends: array
+
+    def starts_at(self, offset: int) -> bool:
+        """Whether an instruction starts at ``offset``."""
+        index = bisect_left(self.starts, offset)
+        return index < len(self.starts) and self.starts[index] == offset
+
+    def spanning(self, offset: int) -> list[int]:
+        """Indices of the instructions that start before ``offset`` and
+        end after it."""
+        low = bisect_left(self.starts, offset - (MAX_INSTRUCTION - 1))
+        high = bisect_left(self.starts, offset)
+        return [i for i in range(low, high) if self.ends[i] > offset]
+
+
+def _instruction_maps(
+    binary: SelfImage, cfg: ControlFlowGraph
+) -> dict[int, InstructionMap]:
+    """Instruction map of every code segment, by segment vaddr."""
+    maps: dict[int, InstructionMap] = {}
+    for seg in binary.segments:
+        if seg.name not in ("text", "plt") or not seg.data:
+            continue
+        seg_end = seg.vaddr + len(seg.data)
+        extents: list[tuple[int, int]] = []
+        for block in cfg.blocks:
+            if not (seg.vaddr <= block.start < seg_end):
+                continue
+            decoded, __ = disassemble_range(
+                seg.data, block.start, min(block.end, seg_end), base=seg.vaddr
+            )
+            extents.extend((insn.address, insn.end) for insn in decoded)
+        extents.sort(key=lambda extent: extent[0])
+        maps[seg.vaddr] = InstructionMap(
+            array("q", (start for start, __ in extents)),
+            array("q", (end for __, end in extents)),
+        )
+    return maps
+
+
 class ImageLinter:
     """Lints one checkpoint against the kernel's registered binaries."""
 
@@ -136,11 +190,17 @@ class ImageLinter:
         self.kernel = kernel
         self.checkpoint = checkpoint
         self.report = LintReport()
-        self._cfgs: dict[str, ControlFlowGraph] = {}
 
     # ------------------------------------------------------------------
 
     def run(self) -> LintReport:
+        # a lint reports one CFG lookup per module the checkpoint maps;
+        # the checks below read the per-image store without counting
+        modules: set[str] = set()
+        for image in self.checkpoint.processes:
+            modules.update(self._module_bases(image))
+        for module in sorted(modules):
+            cached_cfg(self.kernel.binaries[module])
         for image in self.checkpoint.processes:
             self._lint_code_patches(image)
             self._lint_injected_vmas(image)
@@ -159,11 +219,6 @@ class ImageLinter:
         self.report.diagnostics.append(
             LintDiagnostic(code, pid, address, message, severity)
         )
-
-    def _cfg(self, module: str, binary: SelfImage) -> ControlFlowGraph:
-        if module not in self._cfgs:
-            self._cfgs[module] = cached_cfg(binary)
-        return self._cfgs[module]
 
     # ------------------------------------------------------------------
     # DL1xx: code-patch checks
@@ -191,31 +246,35 @@ class ImageLinter:
         self, image: ProcessImage, module: str, binary: SelfImage,
         base: int, seg,
     ) -> None:
-        pristine = seg.data
-        current = self._read_dumped(image, base + seg.vaddr, len(pristine))
-        # link-base-relative offsets of modified bytes, split by kind
-        patched: set[int] = set()
-        foreign: set[int] = set()
-        # bytes that are int3 both before and after the rewrite: a wipe
-        # over a pristine 0xCC (e.g. inside a movi immediate) leaves no
-        # diff there, and must not split the patch run in two
-        cc_same: set[int] = set()
-        for index, byte in enumerate(current):
-            if byte is None:
-                continue
-            offset = seg.vaddr + index
-            if byte == pristine[index]:
-                if byte == INT3_OPCODE:
-                    cc_same.add(offset)
-                continue
-            if byte == INT3_OPCODE:
-                patched.add(offset)
-            else:
-                foreign.add(offset)
+        """DL101–DL103 over one code segment, walking changed pages only.
 
-        reloc_bytes = self._reloc_bytes(binary, seg)
-        for offset in sorted(foreign - reloc_bytes):
-            if offset - 1 in foreign - reloc_bytes:
+        Each dumped page is compared with its pristine page by one
+        ``bytes`` equality; only pages that differ are walked byte by
+        byte, and DL101/DL102 look only around the patched bytes, so the
+        cost scales with what the rewrite changed.
+        """
+        pristine = seg.data
+        start = base + seg.vaddr
+        # link-base-relative offsets of modified bytes, split by kind
+        patched: list[int] = []
+        foreign: set[int] = set()
+        for address, dumped in image.dumped_chunks(start, len(pristine)):
+            low = address - start
+            before = pristine[low:low + len(dumped)]
+            if dumped == before:
+                continue
+            for index, (byte, was) in enumerate(zip(dumped, before)):
+                if byte == was:
+                    continue
+                if byte == INT3_OPCODE:
+                    patched.append(seg.vaddr + low + index)
+                else:
+                    foreign.add(seg.vaddr + low + index)
+
+        if foreign:
+            foreign -= self._reloc_bytes(binary, seg)
+        for offset in sorted(foreign):
+            if offset - 1 in foreign:
                 continue        # one diagnostic per run
             self._emit(
                 "DL103", image.pid, base + offset,
@@ -225,44 +284,48 @@ class ImageLinter:
         if not patched:
             return
 
-        cfg = self._cfg(module, binary)
-        starts, extents = self._instruction_map(cfg, binary, seg)
-        run_member = patched | cc_same
-        for offset in sorted(patched):
-            if offset - 1 in run_member:
-                continue        # check the start of each patch run
-            if offset not in starts:
+        analyses = image_analyses(binary)
+        if analyses.instruction_maps is None:
+            analyses.instruction_maps = _instruction_maps(binary, analyses.cfg)
+        instructions = analyses.instruction_maps[seg.vaddr]
+        patched_set = set(patched)
+
+        def in_run(offset: int) -> bool:
+            # an int3 that was patched or that was already int3 before
+            # the rewrite: a wipe over a pristine 0xCC (e.g. inside a
+            # movi immediate) leaves no diff there, and must not split
+            # the patch run in two
+            if offset in patched_set:
+                return True
+            address = base + offset
+            return (
+                offset >= seg.vaddr
+                and image.has_dumped(address)
+                and image.read_memory(address, 1)[0] == INT3_OPCODE
+            )
+
+        torn: set[int] = set()
+        for offset in patched:
+            if not in_run(offset - 1) and not instructions.starts_at(offset):
                 self._emit(
                     "DL101", image.pid, base + offset,
                     f"{module}: int3 patch does not start on an "
                     "instruction boundary",
                 )
-        for start, end in extents:
-            if start in patched:
+            torn.update(instructions.spanning(offset))
+        for index in sorted(torn):
+            first = instructions.starts[index]
+            if first in patched_set:
                 continue        # entry byte trapped: the block is guarded
-            tail = [o for o in range(start + 1, end) if o in patched]
-            if tail:
-                self._emit(
-                    "DL102", image.pid, base + start,
-                    f"{module}: kept instruction at {base + start:#x} "
-                    f"decodes into wiped bytes at {base + tail[0]:#x}",
-                )
-
-    def _read_dumped(
-        self, image: ProcessImage, address: int, size: int
-    ) -> list[int | None]:
-        """Bytes of ``[address, address+size)``; None where not dumped."""
-        try:
-            return list(image.read_memory(address, size))
-        except ImageError:
-            out: list[int | None] = []
-            for index in range(size):
-                addr = address + index
-                if image.has_dumped(addr):
-                    out.append(image.read_memory(addr, 1)[0])
-                else:
-                    out.append(None)
-            return out
+            tail = next(
+                o for o in range(first + 1, instructions.ends[index])
+                if o in patched_set
+            )
+            self._emit(
+                "DL102", image.pid, base + first,
+                f"{module}: kept instruction at {base + first:#x} "
+                f"decodes into wiped bytes at {base + tail:#x}",
+            )
 
     def _reloc_bytes(self, binary: SelfImage, seg) -> set[int]:
         """Offsets load-time relocation may legitimately rewrite."""
@@ -272,24 +335,6 @@ class ImageLinter:
             if seg.vaddr <= reloc.vaddr < seg_end:
                 out.update(range(reloc.vaddr, reloc.vaddr + 8))
         return out
-
-    def _instruction_map(
-        self, cfg: ControlFlowGraph, binary: SelfImage, seg
-    ) -> tuple[set[int], list[tuple[int, int]]]:
-        """Instruction starts and [start, end) extents in one segment."""
-        starts: set[int] = set()
-        extents: list[tuple[int, int]] = []
-        seg_end = seg.vaddr + len(seg.data)
-        for block in cfg.blocks:
-            if not (seg.vaddr <= block.start < seg_end):
-                continue
-            decoded, __ = disassemble_range(
-                seg.data, block.start, min(block.end, seg_end), base=seg.vaddr
-            )
-            for insn in decoded:
-                starts.add(insn.address)
-                extents.append((insn.address, insn.end))
-        return starts, extents
 
     # ------------------------------------------------------------------
     # DL2xx: injected-library VMA checks
@@ -417,8 +462,7 @@ class ImageLinter:
         from .dataflow.valueset import analyze_image_flow
 
         for module, base in sorted(self._module_bases(image).items()):
-            binary = self.kernel.binaries[module]
-            flow = analyze_image_flow(binary, self._cfg(module, binary))
+            flow = analyze_image_flow(self.kernel.binaries[module])
             for hazard in flow.hazards:
                 self._emit(
                     hazard.code, image.pid, base + hazard.address,

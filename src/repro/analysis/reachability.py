@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 from .. import telemetry
 from ..binfmt.self_format import ImageKind, SelfImage
 from ..tracing.drcov import BlockRecord
-from .cfg import BasicBlock, ControlFlowGraph, build_cfg
+from .cfg import BasicBlock, ControlFlowGraph, image_cfg
 from .dominators import collectively_dominated
 
 if TYPE_CHECKING:
@@ -227,7 +227,7 @@ def refine_removal_set(
     whether the proof ran, fell back, or was never requested.
     """
     if cfg is None:
-        cfg = build_cfg(binary)
+        cfg = image_cfg(binary)
     entries = entries or []
 
     removed_starts: set[int] = set()

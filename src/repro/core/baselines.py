@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..analysis.cfg import ControlFlowGraph, build_cfg
+from ..analysis.cfg import ControlFlowGraph, image_cfg
 from ..binfmt.self_format import SelfImage
 from ..isa.instructions import INT3_OPCODE
 from ..tracing.drcov import CoverageTrace
@@ -67,7 +67,7 @@ def chisel_debloat(
     image: SelfImage, traces: list[CoverageTrace]
 ) -> DebloatResult:
     """CHISEL-like: keep exactly the traced blocks."""
-    cfg = build_cfg(image)
+    cfg = image_cfg(image)
     traced = _traced_starts(traces, image.name)
     all_starts = cfg.block_starts()
     kept = all_starts & traced
@@ -86,7 +86,7 @@ def razor_debloat(
     expansion: int = 1,
 ) -> DebloatResult:
     """RAZOR-like: traced blocks plus ``expansion`` hops of CFG context."""
-    cfg = build_cfg(image)
+    cfg = image_cfg(image)
     traced = _traced_starts(traces, image.name)
     all_starts = cfg.block_starts()
     kept = set(all_starts & traced)
@@ -120,7 +120,7 @@ def apply_debloat(
     traps, and there is no dynamic path back.
     """
     if cfg is None:
-        cfg = build_cfg(image)
+        cfg = image_cfg(image)
     blocks_by_start = {block.start: block for block in cfg.blocks}
     new_segments = []
     for seg in image.segments:

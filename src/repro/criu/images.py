@@ -17,6 +17,7 @@ that CRIT (:mod:`repro.criu.crit`) can decode to JSON and re-encode.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .. import faults
@@ -312,6 +313,21 @@ class ProcessImage:
 
     def has_dumped(self, address: int) -> bool:
         return self._locate(address) is not None
+
+    def dumped_chunks(
+        self, address: int, size: int
+    ) -> Iterator[tuple[int, bytes]]:
+        """The dumped bytes of ``[address, address+size)``, one
+        page-bounded ``(chunk address, bytes)`` at a time; pages that
+        were not dumped are skipped."""
+        end = address + size
+        data = self.pages.data
+        while address < end:
+            chunk_end = min((address | (PAGE_SIZE - 1)) + 1, end)
+            offset = self._locate(address)
+            if offset is not None:
+                yield address, data[offset:offset + chunk_end - address]
+            address = chunk_end
 
     def read_memory(self, address: int, size: int) -> bytes:
         """Read ``size`` bytes of dumped memory (must be fully dumped)."""

@@ -17,6 +17,13 @@ Mirrors CRIU's restore pipeline:
 Restored processes keep their original pids, parent links, and blocked
 syscalls simply re-execute (every syscall in this kernel is
 restartable), so a process frozen inside ``accept`` resumes waiting.
+
+A restored address space also adopts the CPU decode cache of the dead
+process it replaces, minus every decode that may read an executable
+page whose bytes or execute bit the restore changed
+(:meth:`~repro.kernel.memory.AddressSpace.adopt_decodes`): after a
+rewrite only the rewritten pages decode again.  The cache is host-side
+state only, so no virtual-time result depends on it.
 """
 
 from __future__ import annotations
@@ -128,6 +135,9 @@ def _restore_process(
     kernel: Kernel, image: ProcessImage, undo: _UndoLog
 ) -> Process:
     memory = _restore_memory(kernel, image)
+    replaced = kernel.processes.get(image.core.pid)
+    if replaced is not None:
+        memory.adopt_decodes(replaced.memory)
     proc = Process(image.core.pid, image.core.ppid, image.core.binary, memory)
 
     regs = image.core.regs

@@ -22,7 +22,7 @@ PLT scratch register.  The calling convention passes arguments in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -64,11 +64,13 @@ class InstructionSpec:
     mnemonic: str
     opcode: int
     operands: tuple[Operand, ...]
+    #: total encoded length in bytes, including the opcode byte
+    length: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def length(self) -> int:
-        """Total encoded length in bytes, including the opcode byte."""
-        return 1 + sum(op.size for op in self.operands)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "length", 1 + sum(op.size for op in self.operands)
+        )
 
 
 def _spec(mnemonic: str, opcode: int, *operands: Operand) -> InstructionSpec:

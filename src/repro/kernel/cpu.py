@@ -5,13 +5,19 @@ Key fidelity points for DynaCut:
 * ``int3`` raises ``SIGTRAP`` with the saved ``rip`` pointing *after*
   the one-byte instruction (handlers recover the trap site as
   ``rip - 1``, or read it directly from ``r3``);
-* fetching unmapped/non-executable memory raises ``SIGSEGV``; decoding
-  wiped (garbage) bytes raises ``SIGILL`` — both are what code-reuse
-  attacks hit after DynaCut removes code;
-* a per-address-space decode cache keeps interpretation fast; the
-  address space evicts the entries a change to executable bytes or to
-  the execute permission can affect (see :mod:`.memory`), so patched
-  bytes (int3 insertion / feature restore) take effect immediately;
+* a decode fetches exactly its instruction's bytes: the opcode byte,
+  then the length that opcode names.  Fetching an unmapped or
+  non-executable byte of the instruction raises ``SIGSEGV`` at that
+  byte's page; an unknown opcode or a bad register field (wiped,
+  garbage bytes) raises ``SIGILL`` at ``rip`` — what code-reuse
+  attacks hit after DynaCut removes code.  A valid instruction that
+  ends exactly at the end of an executable mapping runs;
+* a per-address-space decode cache keeps interpretation fast.  An
+  entry depends only on the bytes it decoded and their execute bit;
+  the address space evicts the entries a change to those can affect
+  (see :mod:`.memory`), so patched bytes (int3 insertion / feature
+  restore) take effect immediately, and a restore keeps the entries of
+  the pages it did not change (see :mod:`repro.criu.restore`);
 * the CPU reports basic-block entries to an attached tracer with
   ``<block address, block size>`` granularity — the drcov trace format.
 
@@ -24,10 +30,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..isa.encoding import DecodeError, decode
+from ..isa.encoding import DecodeError, decode, instruction_length_at
 from ..isa.instructions import BLOCK_TERMINATORS
 from ..telemetry import trace
-from .memory import MAX_INSTRUCTION, MemoryFault, PAGE_SIZE
+from .memory import MemoryFault, PAGE_SIZE
 from .process import Process, SP
 from .signals import (
     FRAME_LT,
@@ -126,26 +132,21 @@ class CPU:
         if entry is not None:
             handler, operands, length, terminates = entry
         else:
+            # fetch exactly the instruction: the opcode byte names its
+            # length, and no byte past its end is read
             try:
-                raw = memory.fetch(rip, MAX_INSTRUCTION)
+                instruction = decode(memory.fetch(
+                    rip, instruction_length_at(memory.fetch(rip, 1))
+                ))
             except MemoryFault as fault:
                 self._fault(proc, Signal.SIGSEGV, fault.address)
                 return
-            try:
-                instruction = decode(raw)
             except DecodeError:
                 self._fault(proc, Signal.SIGILL, rip)
                 return
-            # the fetch above over-reads; verify the actual length is
-            # executable (a short tail at a VMA boundary decodes fine)
-            length = instruction.length
-            if length < MAX_INSTRUCTION:
-                try:
-                    memory.fetch(rip, length)
-                except MemoryFault as fault:
-                    self._fault(proc, Signal.SIGSEGV, fault.address)
-                    return
-            mnemonic = instruction.mnemonic
+            spec = instruction.spec
+            length = spec.length
+            mnemonic = spec.mnemonic
             handler = self._handlers[mnemonic]
             operands = instruction.operands
             terminates = mnemonic in BLOCK_TERMINATORS

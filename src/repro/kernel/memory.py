@@ -22,7 +22,10 @@ The memory model mirrors what CRIU sees through ``/proc/pid/maps`` and
   cached decodes that start in ``[start - (MAX_INSTRUCTION - 1), end)``,
   the only ones whose fetched bytes can overlap the change.  This is
   what makes an ``int3`` patched into a running image take effect on
-  its next execution.  ``code_epoch`` counts those changes.
+  its next execution.  ``code_epoch`` counts those changes.  A restored
+  address space adopts the decode cache of the dead one it replaces
+  (:meth:`AddressSpace.adopt_decodes`), minus the same ranges around
+  every executable page whose bytes or execute bit differ.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from operator import attrgetter
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
 _OFFSET_MASK = PAGE_SIZE - 1
-#: longest encoded instruction (movi: opcode + reg + imm64); the CPU
-#: fetches this many bytes per decode
+#: longest encoded instruction (movi: opcode + reg + imm64); a decode
+#: reads at most this many bytes, all of them its own instruction's
 MAX_INSTRUCTION = 10
 #: the key the VMA list is sorted on
 _vma_start = attrgetter("start")
@@ -119,7 +122,9 @@ class AddressSpace:
     #: counts changes to executable bytes or to the execute permission
     code_epoch: int = 0
     #: CPU decode cache: address -> (handler, operands, length, terminates);
-    #: never serialized or forked — each address space starts with a cold cache
+    #: never serialized or forked.  A new or cloned address space starts
+    #: with a cold cache; a restored one adopts the still-valid decodes of
+    #: the dead address space it replaces (:meth:`adopt_decodes`)
     decode_cache: dict = field(default_factory=dict, repr=False, compare=False)
     #: the page index: page number -> page, for pages with that permission
     readable_pages: dict[int, bytearray] = field(
@@ -346,6 +351,10 @@ class AddressSpace:
         """Executable bytes or permissions in ``[start, end)`` changed:
         drop the cached decodes that may have read them."""
         self.code_epoch += 1
+        self._evict_decodes(start, end)
+
+    def _evict_decodes(self, start: int, end: int) -> None:
+        """Drop the cached decodes that may read a byte of ``[start, end)``."""
         cache = self.decode_cache
         low = start - (MAX_INSTRUCTION - 1)
         if end - low <= len(cache):
@@ -403,6 +412,25 @@ class AddressSpace:
 
     # ------------------------------------------------------------------
     # whole-space operations
+
+    def adopt_decodes(self, old: "AddressSpace") -> None:
+        """Start from a copy of ``old``'s decode cache, minus what may
+        not hold here.
+
+        ``old`` is the address space of the dead process this one
+        replaces.  A cached decode depends only on the bytes it decoded
+        and their execute bit, so dropping, by the store rule above,
+        every decode that may read an executable page whose bytes or
+        execute bit differ between the two spaces leaves entries that
+        decode here exactly as they did there.  ``old`` keeps its cache
+        (a restore that fails later can adopt it again); no executable
+        byte changed here, so ``code_epoch`` does not move.
+        """
+        self.decode_cache = dict(old.decode_cache)
+        ours, theirs = self.executable_pages, old.executable_pages
+        for index in ours.keys() | theirs.keys():
+            if ours.get(index) != theirs.get(index):
+                self._evict_decodes(index << PAGE_SHIFT, (index + 1) << PAGE_SHIFT)
 
     def clone(self) -> "AddressSpace":
         """Deep copy (fork)."""

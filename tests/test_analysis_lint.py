@@ -4,6 +4,12 @@ Each test builds a *legitimately* rewritten checkpoint (entry-int3
 blocking plus a verify-policy trap handler — the quickstart shape),
 asserts it lints clean, seeds one deliberate corruption, and asserts
 the linter reports exactly the expected diagnostic code(s).
+
+The linter compares dumped code pages with pristine ones page by page
+and looks only around patched bytes.  :class:`ReferenceLinter` keeps
+the byte-by-byte walk it replaced; every lint in this module, and the
+lint of real DynaCut rewrites below, must report exactly what the
+reference reports.
 """
 
 from __future__ import annotations
@@ -11,17 +17,115 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import build_cfg
-from repro.analysis.lint import lint_checkpoint
-from repro.apps import redis_image, stage_redis
+from repro.analysis.lint import ImageLinter, lint_checkpoint
+from repro.apps import REDIS_PORT, redis_image, stage_redis
+from repro.apps.kvstore import READY_LINE, REDIS_BINARY
+from repro.core import BlockMode, DynaCut, TrapPolicy, init_only_blocks
 from repro.core.rewriter import ImageRewriter
 from repro.core.sighandler import POLICY_VERIFY, build_handler_library
 from repro.criu.checkpoint import checkpoint_tree
-from repro.criu.images import VmaEntry
+from repro.criu.images import CheckpointImage, ImageError, VmaEntry
+from repro.fleet import get_app
+from repro.fleet.apps import profile_feature
 from repro.isa.disassembler import disassemble_range
+from repro.isa.instructions import INT3_OPCODE
 from repro.kernel import Kernel
 from repro.kernel.memory import PAGE_SIZE
 from repro.kernel.signals import Signal
-from repro.tracing import BlockRecord
+from repro.tracing import BlockRecord, BlockTracer
+from repro.workloads import RedisClient
+
+
+class ReferenceLinter(ImageLinter):
+    """DL101–DL103 by walking every byte of every code segment."""
+
+    def _lint_segment(self, image, module, binary, base, seg) -> None:
+        pristine = seg.data
+        current = self._read_dumped(image, base + seg.vaddr, len(pristine))
+        patched: set[int] = set()
+        foreign: set[int] = set()
+        cc_same: set[int] = set()
+        for index, byte in enumerate(current):
+            if byte is None:
+                continue
+            offset = seg.vaddr + index
+            if byte == pristine[index]:
+                if byte == INT3_OPCODE:
+                    cc_same.add(offset)
+                continue
+            if byte == INT3_OPCODE:
+                patched.add(offset)
+            else:
+                foreign.add(offset)
+
+        reloc_bytes = self._reloc_bytes(binary, seg)
+        for offset in sorted(foreign - reloc_bytes):
+            if offset - 1 in foreign - reloc_bytes:
+                continue
+            self._emit(
+                "DL103", image.pid, base + offset,
+                f"{module}: executable bytes differ from the pristine "
+                "binary and are not int3",
+            )
+        if not patched:
+            return
+
+        starts, extents = self._instruction_map(build_cfg(binary), seg)
+        run_member = patched | cc_same
+        for offset in sorted(patched):
+            if offset - 1 in run_member:
+                continue
+            if offset not in starts:
+                self._emit(
+                    "DL101", image.pid, base + offset,
+                    f"{module}: int3 patch does not start on an "
+                    "instruction boundary",
+                )
+        for start, end in extents:
+            if start in patched:
+                continue
+            tail = [o for o in range(start + 1, end) if o in patched]
+            if tail:
+                self._emit(
+                    "DL102", image.pid, base + start,
+                    f"{module}: kept instruction at {base + start:#x} "
+                    f"decodes into wiped bytes at {base + tail[0]:#x}",
+                )
+
+    @staticmethod
+    def _read_dumped(image, address, size):
+        try:
+            return list(image.read_memory(address, size))
+        except ImageError:
+            return [
+                image.read_memory(address + index, 1)[0]
+                if image.has_dumped(address + index) else None
+                for index in range(size)
+            ]
+
+    @staticmethod
+    def _instruction_map(cfg, seg):
+        starts: set[int] = set()
+        extents: list[tuple[int, int]] = []
+        seg_end = seg.vaddr + len(seg.data)
+        for block in cfg.blocks:
+            if not (seg.vaddr <= block.start < seg_end):
+                continue
+            decoded, __ = disassemble_range(
+                seg.data, block.start, min(block.end, seg_end), base=seg.vaddr
+            )
+            for insn in decoded:
+                starts.add(insn.address)
+                extents.append((insn.address, insn.end))
+        return starts, extents
+
+
+def lint_as_reference(kernel, checkpoint):
+    """Lint ``checkpoint``, asserting the reference walk agrees."""
+    report = lint_checkpoint(kernel, checkpoint)
+    reference = ReferenceLinter(kernel, checkpoint).run()
+    assert report.to_dict() == reference.to_dict()
+    return report
 
 
 class Scenario:
@@ -69,7 +173,7 @@ class Scenario:
     # ------------------------------------------------------------------
 
     def lint(self):
-        return lint_checkpoint(self.kernel, self.checkpoint)
+        return lint_as_reference(self.kernel, self.checkpoint)
 
     def injected_vma(self, segname: str) -> VmaEntry:
         tag = f"dynacut:{segname}"
@@ -102,6 +206,19 @@ class Scenario:
                 )
                 return record, decoded[0].end - decoded[0].address
         raise AssertionError("no multi-instruction block found")
+
+    def block_with_inner_int3(self) -> BlockRecord:
+        """A text block with a 0xCC byte inside one of its instructions."""
+        data, vaddr = self.text.data, self.text.vaddr
+        for block in self.cfg.blocks:
+            if not vaddr <= block.start < vaddr + len(data):
+                continue
+            decoded, __ = disassemble_range(data, block.start, block.end, base=vaddr)
+            for insn in decoded:
+                inner = data[insn.address + 1 - vaddr:insn.end - 1 - vaddr]
+                if INT3_OPCODE in inner:
+                    return BlockRecord(self.binary.name, block.start, block.size)
+        raise AssertionError("no block holds a 0xCC byte inside an instruction")
 
     def reloc_free_offset(self) -> int:
         """Start of a kept instruction not under a dynamic relocation."""
@@ -136,6 +253,13 @@ class TestCleanImages:
 
     def test_full_wipe_is_clean(self, scenario):
         scenario.rewriter.wipe_blocks(scenario.binary.name, scenario.blocked)
+        assert scenario.lint().ok
+
+    def test_wipe_over_pristine_int3_byte_is_clean(self, scenario):
+        # the wipe leaves the pristine 0xCC unchanged: it must not split
+        # the patch run into a second run starting mid-instruction
+        block = scenario.block_with_inner_int3()
+        scenario.rewriter.wipe_blocks(scenario.binary.name, [block])
         assert scenario.lint().ok
 
     def test_rerandomized_libc_is_clean(self, scenario):
@@ -250,3 +374,52 @@ class TestHandlerMutations:
         action.handler = 0x7777_0000_0000
         report = scenario.lint()
         assert report.codes == {"DL401"}
+
+
+class TestPagewiseLintMatchesReference:
+    """Real rewrites: DynaCut's own disables and an init-code wipe."""
+
+    @pytest.fixture(scope="class")
+    def staged(self):
+        feature = profile_feature(get_app("redis"), "SET")
+        kernel = Kernel()
+        proc = stage_redis(kernel)
+        return kernel, proc, feature
+
+    @pytest.mark.parametrize("mode", list(BlockMode))
+    @pytest.mark.parametrize(
+        "refine, prove", [(False, False), (True, False), (True, True)]
+    )
+    def test_feature_disable(self, staged, mode, refine, prove):
+        kernel, proc, feature = staged
+        dynacut = DynaCut(kernel)
+        dynacut.disable_feature(
+            proc.pid, feature, policy=TrapPolicy.VERIFY, mode=mode,
+            refine=refine, prove=prove,
+        )
+        rewritten = CheckpointImage.load(kernel.fs, dynacut.image_dir)
+        report = lint_as_reference(kernel, rewritten)
+        assert report.ok, report.summary()
+        dynacut.enable_feature(proc.pid, feature)
+
+    def test_init_code_wipe(self):
+        kernel = Kernel()
+        proc = stage_redis(kernel, run_to_ready=False)
+        tracer = BlockTracer(kernel, proc).attach()
+        kernel.run_until(lambda: READY_LINE in proc.stdout_text(),
+                         max_instructions=5_000_000)
+        init_trace = tracer.nudge_dump()
+        client = RedisClient(kernel, REDIS_PORT)
+        for command in ("PING", "SET a 1", "GET a", "DEL a", "DBSIZE"):
+            client.command(command)
+        serving = tracer.finish()
+        init = init_only_blocks(init_trace, serving, REDIS_BINARY)
+        dynacut = DynaCut(kernel, lint_mode="always")
+        report = dynacut.remove_init_code(
+            proc.pid, REDIS_BINARY, list(init.init_only), wipe=True
+        )
+        rewritten = CheckpointImage.load(kernel.fs, dynacut.image_dir)
+        assert lint_as_reference(kernel, rewritten).to_dict() == (
+            report.lint.to_dict()
+        )
+        assert client.get("a") is None

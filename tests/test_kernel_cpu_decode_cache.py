@@ -149,3 +149,55 @@ class TestPreciseEviction:
         kernel.run(until=lambda: not proc.alive)
         assert proc.term_signal is None and proc.exit_code == 0
         assert misses[0] == 3      # only the exit sequence was never decoded
+
+
+class TestFetchReadsExactlyTheInstruction:
+    """A decode reads its instruction's bytes and nothing past them."""
+
+    def _spawn_at(self, kernel: Kernel, start: int, code: bytes, after=None):
+        """Map one ``r-x`` page at ``CODE`` and write ``code`` at
+        ``start``; the next page is mapped with ``after`` perms, or not
+        at all.  Bytes of ``code`` past a missing page are dropped."""
+        proc = kernel.spawn("host")
+        proc.memory.mmap(CODE, PAGE_SIZE, "r-x")
+        if after is not None:
+            proc.memory.mmap(CODE + PAGE_SIZE, PAGE_SIZE, after)
+            proc.memory.write_raw(start, code)
+        else:
+            proc.memory.write_raw(start, code[:CODE + PAGE_SIZE - start])
+        proc.regs.rip = start
+        return proc
+
+    def _first_signal(self, kernel: Kernel, proc) -> tuple[Signal, int]:
+        kernel.cpu.step(proc)
+        pending = proc.pending_signals[0]
+        return pending.signal, pending.fault_address
+
+    @pytest.mark.parametrize("after", [None, "rw-"])
+    def test_instruction_ending_at_mapping_end_runs(self, kernel, after):
+        exit7 = _encode(("movi", 0, 1), ("movi", 1, 7), ("syscall",))
+        proc = self._spawn_at(kernel, CODE + PAGE_SIZE - len(exit7), exit7, after)
+        kernel.run(until=lambda: not proc.alive)
+        assert proc.term_signal is None
+        assert proc.exit_code == 7
+
+    @pytest.mark.parametrize("after", [None, "rw-"])
+    def test_tail_on_non_executable_page_faults_at_that_page(self, kernel, after):
+        # movi is 10 bytes: 4 on the executable page, 6 past it
+        site = CODE + PAGE_SIZE - 4
+        proc = self._spawn_at(kernel, site, _encode(("movi", 2, OLD_IMM)), after)
+        assert self._first_signal(kernel, proc) == (Signal.SIGSEGV, CODE + PAGE_SIZE)
+        assert proc.regs.rip == site
+        assert site not in proc.memory.decode_cache
+
+    def test_unknown_opcode_in_last_byte_is_sigill_at_rip(self, kernel):
+        site = CODE + PAGE_SIZE - 1
+        proc = self._spawn_at(kernel, site, b"\xff")
+        assert self._first_signal(kernel, proc) == (Signal.SIGILL, site)
+        kernel.run(until=lambda: not proc.alive)
+        assert proc.term_signal is Signal.SIGILL
+
+    def test_opcode_on_non_executable_page_is_sigsegv_at_rip(self, kernel):
+        site = CODE + PAGE_SIZE + 8
+        proc = self._spawn_at(kernel, site, b"\x90", after="rw-")
+        assert self._first_signal(kernel, proc) == (Signal.SIGSEGV, site)
