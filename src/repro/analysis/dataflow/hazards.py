@@ -3,7 +3,8 @@
 DynaCut patches code pages *from outside* the process (between dump
 and restore); a guest that writes its own text from *inside* breaks
 every static proof this package makes — and is exactly the icache-
-coherence hazard the DynaJIT superblock cache must invalidate on.  The
+coherence hazard the CPU's block cache (DynaJIT, ``repro.kernel.jit``)
+must invalidate on.  The
 value-set client classifies every ``st8``/``st64`` address against the
 image's executable ranges and reports:
 
@@ -20,8 +21,12 @@ image's executable ranges and reports:
 
 ``DL503``
     A ``DL501`` store lands inside a *recovered CFG block*: the target
-    bytes are live decoded instructions, so a cached predecoded form of
-    that block would go stale (the DynaJIT invalidation invariant).
+    bytes are live decoded instructions, so the block's cached decodes
+    and its translation go stale.  At run time such a store leaves the
+    translated block it runs in before storing; it then runs alone
+    through ``AddressSpace.write``, which evicts every decode and
+    translation whose bytes it may change, and execution steps on to
+    the next block entry.
 
 Plain unknown addresses (``TOP`` without the code taint) are **not**
 flagged: every pointer a server receives from its allocator or its
@@ -118,8 +123,8 @@ def classify_store(
                 StoreHazard(
                     insn_address, mnemonic, "coherence", span_lo, span_hi,
                     f"store rewrites decoded instructions of the live "
-                    f"block at {blk_lo:#x}; any cached superblock for it "
-                    "goes stale (icache-coherence hazard)",
+                    f"block at {blk_lo:#x}; its cached decodes and "
+                    "translation go stale (icache-coherence hazard)",
                 )
             )
             break

@@ -30,7 +30,7 @@ Diagnostic codes (stable, used by tests and the CLI):
 ``DL502``  a store derived from a code pointer is unbounded and *may*
            alias executable bytes (warning severity — unprovable)
 ``DL503``  a definite self-modifying store rewrites a live decoded CFG
-           block (icache-coherence hazard for cached superblocks)
+           block (icache-coherence hazard for the CPU's block cache)
 ========  ============================================================
 
 The DL50x rules come from the DynaFlow value-set analysis

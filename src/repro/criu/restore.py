@@ -18,12 +18,12 @@ Restored processes keep their original pids, parent links, and blocked
 syscalls simply re-execute (every syscall in this kernel is
 restartable), so a process frozen inside ``accept`` resumes waiting.
 
-A restored address space also adopts the CPU decode cache of the dead
-process it replaces, minus every decode that may read an executable
-page whose bytes or execute bit the restore changed
+A restored address space also adopts the CPU decode and block caches
+of the dead process it replaces, minus every entry that may read an
+executable page whose bytes or execute bit the restore changed
 (:meth:`~repro.kernel.memory.AddressSpace.adopt_decodes`): after a
-rewrite only the rewritten pages decode again.  The cache is host-side
-state only, so no virtual-time result depends on it.
+rewrite only the rewritten pages decode again.  The caches are
+host-side state only, so no virtual-time result depends on them.
 """
 
 from __future__ import annotations

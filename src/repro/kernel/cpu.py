@@ -12,18 +12,25 @@ Key fidelity points for DynaCut:
   garbage bytes) raises ``SIGILL`` at ``rip`` — what code-reuse
   attacks hit after DynaCut removes code.  A valid instruction that
   ends exactly at the end of an executable mapping runs;
-* a per-address-space decode cache keeps interpretation fast.  An
-  entry depends only on the bytes it decoded and their execute bit;
-  the address space evicts the entries a change to those can affect
-  (see :mod:`.memory`), so patched bytes (int3 insertion / feature
-  restore) take effect immediately, and a restore keeps the entries of
-  the pages it did not change (see :mod:`repro.criu.restore`);
+* memory faults are precise: a faulting load or store leaves ``rip``
+  at the instruction and every register as it was before it (the
+  clock and the retired count still charge it), so a SIGSEGV handler
+  that returns runs the instruction again;
+* a per-address-space decode cache and block cache keep interpretation
+  fast.  An entry depends only on the bytes it decoded and their
+  execute bit; the address space evicts the entries a change to those
+  can affect (see :mod:`.memory`), so patched bytes (int3 insertion /
+  feature restore) take effect immediately, and a restore keeps the
+  entries of the pages it did not change (see :mod:`repro.criu.restore`);
 * the CPU reports basic-block entries to an attached tracer with
   ``<block address, block size>`` granularity — the drcov trace format.
 
-Execution dispatch is a per-mnemonic method table; decode-cache entries
-carry the bound handler so the hot path is one dict probe plus one
-call, with no string comparisons.
+Dispatch (:meth:`CPU.run_quantum`) runs one translated basic block per
+iteration at an entry address (see :mod:`.jit`), and otherwise one
+instruction through the single-instruction handler its decode-cache
+entry names.  Both charge the clock and the retired count themselves;
+both leave early only through :class:`~.jit.BlockExit`, which
+:meth:`CPU._leave` turns into the exact state stepping would reach.
 """
 
 from __future__ import annotations
@@ -31,10 +38,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..isa.encoding import DecodeError, decode, instruction_length_at
-from ..isa.instructions import BLOCK_TERMINATORS
 from ..telemetry import trace
-from .memory import MemoryFault, PAGE_SIZE
-from .process import Process, SP
+from .jit import BlockExit, HANDLERS, MNEMONICS, UNIT_ENDERS, translate
+from .memory import MemoryFault, PAGE_SHIFT, PAGE_SIZE
+from .process import Process, ProcessState, SP
 from .signals import (
     FRAME_LT,
     FRAME_REGS,
@@ -51,11 +58,6 @@ if TYPE_CHECKING:
     from .kernel import Kernel
 
 _MASK64 = (1 << 64) - 1
-_SIGN_BIT = 1 << 63
-
-
-def _signed(value: int) -> int:
-    return value - (1 << 64) if value & _SIGN_BIT else value
 
 
 def _u64(value: int) -> bytes:
@@ -67,71 +69,27 @@ class CPU:
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        self._handlers = {
-            "movi": self._op_movi,
-            "mov": self._op_mov,
-            "ld8": self._op_ld8,
-            "ld64": self._op_ld64,
-            "st8": self._op_st8,
-            "st64": self._op_st64,
-            "lea": self._op_lea,
-            "add": self._op_add,
-            "sub": self._op_sub,
-            "mul": self._op_mul,
-            "div": self._op_div,
-            "mod": self._op_mod,
-            "and": self._op_and,
-            "or": self._op_or,
-            "xor": self._op_xor,
-            "shl": self._op_shl,
-            "shr": self._op_shr,
-            "addi": self._op_addi,
-            "subi": self._op_subi,
-            "muli": self._op_muli,
-            "andi": self._op_andi,
-            "ori": self._op_ori,
-            "xori": self._op_xori,
-            "shli": self._op_shli,
-            "shri": self._op_shri,
-            "neg": self._op_neg,
-            "not": self._op_not,
-            "cmp": self._op_cmp,
-            "cmpi": self._op_cmpi,
-            "jmp": self._op_jmp,
-            "je": self._op_je,
-            "jne": self._op_jne,
-            "jl": self._op_jl,
-            "jle": self._op_jle,
-            "jg": self._op_jg,
-            "jge": self._op_jge,
-            "jmpr": self._op_jmpr,
-            "call": self._op_call,
-            "callr": self._op_callr,
-            "ret": self._op_ret,
-            "push": self._op_push,
-            "pop": self._op_pop,
-            "syscall": self._op_syscall,
-            "nop": self._op_nop,
-            "int3": self._op_int3,
-            "hlt": self._op_hlt,
-        }
+        #: (start address, block bytes) -> translation record; shared by
+        #: every address space this CPU runs, so respawns, forks and
+        #: restores of the same code reuse the compiled block
+        self._translations: dict[tuple[int, bytes], tuple] = {}
 
     # ------------------------------------------------------------------
     # stepping
 
     def step(self, proc: Process) -> None:
-        """Run one instruction (or deliver one pending signal)."""
+        """Run one instruction (or deliver one pending signal).
+
+        Decodes on a decode-cache miss, then runs the instruction through
+        the single-instruction path :meth:`run_quantum` also uses.
+        """
         if proc.pending_signals:
             self._deliver_signal(proc)
             return
-
         rip = proc.regs.rip
         memory = proc.memory
-        cache = memory.decode_cache
-        entry = cache.get(rip)
-        if entry is not None:
-            handler, operands, length, terminates = entry
-        else:
+        decoded = memory.decode_cache.get(rip)
+        if decoded is None:
             # fetch exactly the instruction: the opcode byte names its
             # length, and no byte past its end is read
             try:
@@ -145,73 +103,121 @@ class CPU:
                 self._fault(proc, Signal.SIGILL, rip)
                 return
             spec = instruction.spec
-            length = spec.length
-            mnemonic = spec.mnemonic
-            handler = self._handlers[mnemonic]
-            operands = instruction.operands
-            terminates = mnemonic in BLOCK_TERMINATORS
-            cache[rip] = (handler, operands, length, terminates)
-
-        if proc.block_start is None:
-            proc.block_start = rip
-
-        self.kernel.clock_ns += self.kernel.config.instruction_cost_ns
-        proc.instructions_retired += 1
-
-        end = rip + length
-        proc.regs.rip = end  # default fall-through; branches overwrite
+            decoded = (
+                HANDLERS[spec.mnemonic], instruction.operands, spec.length,
+                spec.mnemonic in UNIT_ENDERS,
+            )
+            memory.decode_cache[rip] = decoded
+        handler, operands, length, __ = decoded
         try:
-            handler(proc, operands, rip, end)
-        except MemoryFault as fault:
-            self._fault(proc, Signal.SIGSEGV, fault.address)
-            return
-
-        if terminates:
-            self._emit_block(proc, end)
+            handler(self, proc, operands, rip, rip + length)
+        except BlockExit as exit:
+            self._leave(proc, 1, exit)
 
     def run_quantum(self, proc: Process, budget: int) -> int:
         """Run up to ``budget`` steps of ``proc``; returns steps taken.
 
-        The scheduler's fast path: identical semantics to calling
-        :meth:`step` in a loop, with the per-instruction lookups
-        (registers, decode cache, clock cost) hoisted out of the loop.
+        The scheduler's one dispatch loop.  At an entry (the address
+        after an instruction that ends a translation unit, after a whole
+        block, or after a signal delivery) it runs the block's
+        translation, translating it first if every instruction of the
+        unit is already decoded.  A block runs only if it fits the rest
+        of the budget, so the quantum ends with single steps exactly
+        where stepping would end it; the next quantum then steps to the
+        end of that unit.  Everywhere else it runs one instruction, and
+        calls :meth:`step` only on a decode-cache miss.
         """
-        from .process import ProcessState
-
         executed = 0
-        kernel = self.kernel
-        cost = kernel.config.instruction_cost_ns
         regs = proc.regs
-        cache = proc.memory.decode_cache
-        gpr_state = ProcessState.RUNNABLE
-        while executed < budget and proc.state is gpr_state:
+        memory = proc.memory
+        cache = memory.decode_cache
+        blocks = memory.block_cache
+        runnable = ProcessState.RUNNABLE
+        # a quantum may resume mid-unit: it translates nothing until
+        # the next entry, but runs a translation that starts here
+        entry = regs.rip in blocks
+        while executed < budget and proc.state is runnable:
             if proc.pending_signals:
                 self._deliver_signal(proc)
                 executed += 1
+                entry = True
                 continue
             rip = regs.rip
-            entry = cache.get(rip)
-            if entry is None:
-                self.step(proc)      # slow path: decode (and cache) first
-                executed += 1
-                continue
-            handler, operands, length, terminates = entry
-            if proc.block_start is None:
-                proc.block_start = rip
-            kernel.clock_ns += cost
-            proc.instructions_retired += 1
-            end = rip + length
-            regs.rip = end
-            try:
-                handler(proc, operands, rip, end)
-            except MemoryFault as fault:
-                self._fault(proc, Signal.SIGSEGV, fault.address)
-                executed += 1
-                continue
-            if terminates:
-                self._emit_block(proc, end)
+            if entry:
+                block = blocks.get(rip) or self._translate(memory, rip)
+                if block is not None and block[1] <= budget - executed:
+                    run, size, __ = block
+                    try:
+                        run(self, proc)
+                        executed += size
+                    except BlockExit as exit:
+                        executed += self._leave(proc, size, exit)
+                        entry = False
+                    continue
+            decoded = cache.get(rip)
+            if decoded is None:
+                self.step(proc)      # decode miss: decode, cache, run
+                decoded = cache.get(rip)
+                entry = decoded is not None and decoded[3]
+            else:
+                handler, operands, length, entry = decoded
+                try:
+                    handler(self, proc, operands, rip, rip + length)
+                except BlockExit as exit:
+                    self._leave(proc, 1, exit)
             executed += 1
         return executed
+
+    def _translate(self, memory, start: int) -> tuple | None:
+        """The translation of the unit at ``start``, from cached decodes
+        only; None while one of its instructions is undecoded."""
+        cache = memory.decode_cache
+        base = start >> PAGE_SHIFT << PAGE_SHIFT
+        limit = base + PAGE_SIZE
+        instructions = []
+        address = start
+        while True:
+            decoded = cache.get(address)
+            if decoded is None:
+                return None
+            handler, operands, length, ends = decoded
+            end = address + length
+            if end > limit:
+                break            # straddles the page: not in this unit
+            instructions.append((MNEMONICS[handler], operands, address, end))
+            address = end
+            if ends or end == limit:
+                break
+        if not instructions:
+            return None
+        page = memory.executable_pages[start >> PAGE_SHIFT]
+        key = (start, bytes(page[start - base:address - base]))
+        block = self._translations.get(key)
+        if block is None:
+            block = (translate(instructions), len(instructions), address)
+            self._translations[key] = block
+        memory.block_cache[start] = block
+        return block
+
+    def _leave(self, proc: Process, charged: int, exit: BlockExit) -> int:
+        """Make the state exact after a handler or block that was charged
+        ``charged`` instructions left at instruction ``exit.index``;
+        returns the instructions retired.
+
+        A fault retires the faulting instruction (its clock and retired
+        count stay charged) with ``rip`` at it and every register as
+        before it, then posts SIGSEGV; an executable-page store retires
+        nothing, so that instruction runs next, alone.
+        """
+        retired = exit.index + (exit.fault is not None)
+        if retired < charged:
+            kernel = self.kernel
+            kernel.clock_ns -= (charged - retired) * kernel.config.instruction_cost_ns
+            proc.instructions_retired -= charged - retired
+        proc.regs.rip = exit.rip
+        if exit.fault is not None:
+            self._fault(proc, Signal.SIGSEGV, exit.fault.address)
+        return retired
 
     # ------------------------------------------------------------------
     # tracing support
@@ -281,222 +287,7 @@ class CPU:
         self.kernel.clock_ns += self.kernel.config.signal_cost_ns
 
     # ------------------------------------------------------------------
-    # data movement
-
-    def _op_movi(self, proc, ops, rip, end):
-        proc.regs.gpr[ops[0]] = ops[1] & _MASK64
-
-    def _op_mov(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] = gpr[ops[1]]
-
-    def _op_ld8(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] = proc.memory.read((gpr[ops[1]] + ops[2]) & _MASK64, 1)[0]
-
-    def _op_ld64(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        data = proc.memory.read((gpr[ops[1]] + ops[2]) & _MASK64, 8)
-        gpr[ops[0]] = int.from_bytes(data, "little")
-
-    def _op_st8(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        proc.memory.write(
-            (gpr[ops[0]] + ops[2]) & _MASK64, bytes([gpr[ops[1]] & 0xFF])
-        )
-
-    def _op_st64(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        proc.memory.write((gpr[ops[0]] + ops[2]) & _MASK64, _u64(gpr[ops[1]]))
-
-    def _op_lea(self, proc, ops, rip, end):
-        proc.regs.gpr[ops[0]] = (end + ops[1]) & _MASK64
-
-    # ------------------------------------------------------------------
-    # arithmetic / logic
-
-    def _op_add(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] = (gpr[ops[0]] + gpr[ops[1]]) & _MASK64
-
-    def _op_sub(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] = (gpr[ops[0]] - gpr[ops[1]]) & _MASK64
-
-    def _op_mul(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] = (gpr[ops[0]] * gpr[ops[1]]) & _MASK64
-
-    def _divmod(self, proc, ops, rip, want_mod: bool):
-        gpr = proc.regs.gpr
-        divisor = _signed(gpr[ops[1]])
-        if divisor == 0:
-            proc.regs.rip = rip  # fault at the div
-            self._fault(proc, Signal.SIGFPE, rip)
-            return
-        dividend = _signed(gpr[ops[0]])
-        quotient = int(dividend / divisor)  # C-style truncation
-        if want_mod:
-            gpr[ops[0]] = (dividend - quotient * divisor) & _MASK64
-        else:
-            gpr[ops[0]] = quotient & _MASK64
-
-    def _op_div(self, proc, ops, rip, end):
-        self._divmod(proc, ops, rip, want_mod=False)
-
-    def _op_mod(self, proc, ops, rip, end):
-        self._divmod(proc, ops, rip, want_mod=True)
-
-    def _op_and(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] &= gpr[ops[1]]
-
-    def _op_or(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] |= gpr[ops[1]]
-
-    def _op_xor(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] ^= gpr[ops[1]]
-
-    def _op_shl(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] = (gpr[ops[0]] << (gpr[ops[1]] & 63)) & _MASK64
-
-    def _op_shr(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] = gpr[ops[0]] >> (gpr[ops[1]] & 63)
-
-    def _op_addi(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] = (gpr[ops[0]] + ops[1]) & _MASK64
-
-    def _op_subi(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] = (gpr[ops[0]] - ops[1]) & _MASK64
-
-    def _op_muli(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] = (gpr[ops[0]] * ops[1]) & _MASK64
-
-    def _op_andi(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] &= ops[1] & _MASK64
-
-    def _op_ori(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] |= ops[1] & _MASK64
-
-    def _op_xori(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] ^= ops[1] & _MASK64
-
-    def _op_shli(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] = (gpr[ops[0]] << (ops[1] & 63)) & _MASK64
-
-    def _op_shri(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] = gpr[ops[0]] >> (ops[1] & 63)
-
-    def _op_neg(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] = (-gpr[ops[0]]) & _MASK64
-
-    def _op_not(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        gpr[ops[0]] = (~gpr[ops[0]]) & _MASK64
-
-    # ------------------------------------------------------------------
-    # compare and branch
-
-    def _op_cmp(self, proc, ops, rip, end):
-        gpr = proc.regs.gpr
-        a, b = _signed(gpr[ops[0]]), _signed(gpr[ops[1]])
-        proc.regs.zf = a == b
-        proc.regs.lt = a < b
-
-    def _op_cmpi(self, proc, ops, rip, end):
-        a = _signed(proc.regs.gpr[ops[0]])
-        proc.regs.zf = a == ops[1]
-        proc.regs.lt = a < ops[1]
-
-    def _op_jmp(self, proc, ops, rip, end):
-        proc.regs.rip = (end + ops[0]) & _MASK64
-
-    def _op_je(self, proc, ops, rip, end):
-        if proc.regs.zf:
-            proc.regs.rip = (end + ops[0]) & _MASK64
-
-    def _op_jne(self, proc, ops, rip, end):
-        if not proc.regs.zf:
-            proc.regs.rip = (end + ops[0]) & _MASK64
-
-    def _op_jl(self, proc, ops, rip, end):
-        if proc.regs.lt:
-            proc.regs.rip = (end + ops[0]) & _MASK64
-
-    def _op_jle(self, proc, ops, rip, end):
-        regs = proc.regs
-        if regs.lt or regs.zf:
-            regs.rip = (end + ops[0]) & _MASK64
-
-    def _op_jg(self, proc, ops, rip, end):
-        regs = proc.regs
-        if not (regs.lt or regs.zf):
-            regs.rip = (end + ops[0]) & _MASK64
-
-    def _op_jge(self, proc, ops, rip, end):
-        if not proc.regs.lt:
-            proc.regs.rip = (end + ops[0]) & _MASK64
-
-    def _op_jmpr(self, proc, ops, rip, end):
-        proc.regs.rip = proc.regs.gpr[ops[0]]
-
-    def _op_call(self, proc, ops, rip, end):
-        self._push(proc, end)
-        proc.regs.rip = (end + ops[0]) & _MASK64
-
-    def _op_callr(self, proc, ops, rip, end):
-        self._push(proc, end)
-        proc.regs.rip = proc.regs.gpr[ops[0]]
-
-    def _op_ret(self, proc, ops, rip, end):
-        proc.regs.rip = self._pop(proc)
-
-    # ------------------------------------------------------------------
-    # stack and system
-
-    def _op_push(self, proc, ops, rip, end):
-        self._push(proc, proc.regs.gpr[ops[0]])
-
-    def _op_pop(self, proc, ops, rip, end):
-        proc.regs.gpr[ops[0]] = self._pop(proc)
-
-    def _op_syscall(self, proc, ops, rip, end):
-        self._syscall(proc, rip)
-
-    def _op_nop(self, proc, ops, rip, end):
-        pass
-
-    def _op_int3(self, proc, ops, rip, end):
-        self._trap(proc, rip)
-
-    def _op_hlt(self, proc, ops, rip, end):
-        # privileged on x86; user-mode execution faults
-        proc.regs.rip = rip
-        self._fault(proc, Signal.SIGSEGV, rip)
-
-    # ------------------------------------------------------------------
-
-    def _push(self, proc: Process, value: int) -> None:
-        proc.regs.gpr[SP] = (proc.regs.gpr[SP] - 8) & _MASK64
-        proc.memory.write(proc.regs.gpr[SP], _u64(value))
-
-    def _pop(self, proc: Process) -> int:
-        value = int.from_bytes(proc.memory.read(proc.regs.gpr[SP], 8), "little")
-        proc.regs.gpr[SP] = (proc.regs.gpr[SP] + 8) & _MASK64
-        return value
+    # system
 
     def _syscall(self, proc: Process, rip: int) -> None:
         self.kernel.clock_ns += self.kernel.config.syscall_cost_ns

@@ -16,16 +16,18 @@ The memory model mirrors what CRIU sees through ``/proc/pid/maps`` and
   plus a slice; anything else (cross-page, zero-length, unmapped, wrong
   permission) takes the checked page-by-page path, which faults at the
   same address and with the same reason as a VMA-by-VMA walk;
-* the CPU's decode cache lives here and is evicted by range: a store or
-  ``write_raw`` to an executable page, an ``munmap`` of executable
-  memory and an ``mprotect`` that flips some page's execute bit drop the
-  cached decodes that start in ``[start - (MAX_INSTRUCTION - 1), end)``,
-  the only ones whose fetched bytes can overlap the change.  This is
-  what makes an ``int3`` patched into a running image take effect on
-  its next execution.  ``code_epoch`` counts those changes.  A restored
-  address space adopts the decode cache of the dead one it replaces
-  (:meth:`AddressSpace.adopt_decodes`), minus the same ranges around
-  every executable page whose bytes or execute bit differ.
+* the CPU's decode cache and block cache live here and are evicted by
+  range: a store or ``write_raw`` to an executable page, an ``munmap``
+  of executable memory and an ``mprotect`` that flips some page's
+  execute bit drop the cached decodes that start in
+  ``[start - (MAX_INSTRUCTION - 1), end)``, the only ones whose fetched
+  bytes can overlap the change, and every translated block whose extent
+  meets that range.  This is what makes an ``int3`` patched into a
+  running image take effect on its next execution.  ``code_epoch``
+  counts those changes.  A restored address space adopts both caches of
+  the dead one it replaces (:meth:`AddressSpace.adopt_decodes`), minus
+  the same ranges around every executable page whose bytes or execute
+  bit differ.
 """
 
 from __future__ import annotations
@@ -121,11 +123,14 @@ class AddressSpace:
     vmas: list[VMA] = field(default_factory=list)
     #: counts changes to executable bytes or to the execute permission
     code_epoch: int = 0
-    #: CPU decode cache: address -> (handler, operands, length, terminates);
+    #: CPU decode cache: address -> (handler, operands, length, ends);
     #: never serialized or forked.  A new or cloned address space starts
     #: with a cold cache; a restored one adopts the still-valid decodes of
     #: the dead address space it replaces (:meth:`adopt_decodes`)
     decode_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: CPU block cache: start address -> (translation, instructions, end);
+    #: built from the decode cache, evicted and adopted with it
+    block_cache: dict = field(default_factory=dict, repr=False, compare=False)
     #: the page index: page number -> page, for pages with that permission
     readable_pages: dict[int, bytearray] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -354,7 +359,10 @@ class AddressSpace:
         self._evict_decodes(start, end)
 
     def _evict_decodes(self, start: int, end: int) -> None:
-        """Drop the cached decodes that may read a byte of ``[start, end)``."""
+        """Drop the cached decodes that may read a byte of ``[start, end)``
+        (those starting in ``[start - (MAX_INSTRUCTION - 1), end)``), and
+        every translated block whose extent meets that range: a block
+        never outlives a decode it was built from."""
         cache = self.decode_cache
         low = start - (MAX_INSTRUCTION - 1)
         if end - low <= len(cache):
@@ -363,6 +371,13 @@ class AddressSpace:
         else:
             for address in [address for address in cache if low <= address < end]:
                 del cache[address]
+        blocks = self.block_cache
+        if blocks:
+            for address in [
+                address for address, block in blocks.items()
+                if address < end and low < block[2]
+            ]:
+                del blocks[address]
 
     # ------------------------------------------------------------------
     # raw access (kernel/loader/checkpoint: no permission checks)
@@ -414,19 +429,21 @@ class AddressSpace:
     # whole-space operations
 
     def adopt_decodes(self, old: "AddressSpace") -> None:
-        """Start from a copy of ``old``'s decode cache, minus what may
-        not hold here.
+        """Start from copies of ``old``'s decode and block caches, minus
+        what may not hold here.
 
         ``old`` is the address space of the dead process this one
         replaces.  A cached decode depends only on the bytes it decoded
         and their execute bit, so dropping, by the store rule above,
         every decode that may read an executable page whose bytes or
         execute bit differ between the two spaces leaves entries that
-        decode here exactly as they did there.  ``old`` keeps its cache
-        (a restore that fails later can adopt it again); no executable
-        byte changed here, so ``code_epoch`` does not move.
+        decode here exactly as they did there; the same call drops the
+        blocks built from them.  ``old`` keeps its caches (a restore
+        that fails later can adopt them again); no executable byte
+        changed here, so ``code_epoch`` does not move.
         """
         self.decode_cache = dict(old.decode_cache)
+        self.block_cache = dict(old.block_cache)
         ours, theirs = self.executable_pages, old.executable_pages
         for index in ours.keys() | theirs.keys():
             if ours.get(index) != theirs.get(index):

@@ -1,13 +1,15 @@
-"""A restore keeps the decodes that still hold, and only those.
+"""A restore keeps the decodes and translated blocks that still hold,
+and only those.
 
-Each restored address space adopts the decode cache of the dead process
-it replaces, minus the decodes that may read a page whose bytes or
-execute bit changed.  Every transaction shape DynaCut runs is checked
-here on staged miniredis against a twin kernel that runs the same
-operations with the restored caches cleared: after each restore every
-cached decode must match a fresh decode of the bytes now at its
-address, newly patched ``int3`` sites must trap on their first
-execution, and the next request must behave exactly as on the twin.
+Each restored address space adopts the decode and block caches of the
+dead process it replaces, minus the entries that may read a page whose
+bytes or execute bit changed.  Every transaction shape DynaCut runs is
+checked here on staged miniredis against a twin kernel that runs the
+same operations with the restored caches cleared: after each restore
+every cached decode must match a fresh decode of the bytes now at its
+address and every cached block must consist of cached decodes, newly
+patched ``int3`` sites must trap on their first execution, and the next
+request must behave exactly as on the twin.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from repro.faults import FaultPlan
 from repro.fleet import get_app
 from repro.fleet.apps import profile_feature
 from repro.isa.encoding import decode, instruction_length_at
-from repro.isa.instructions import BLOCK_TERMINATORS
 from repro.kernel import Kernel
+from repro.kernel.jit import HANDLERS, UNIT_ENDERS
 from repro.kernel.memory import PAGE_SHIFT
 from repro.workloads import RedisClient
 
@@ -52,6 +54,7 @@ class World:
         if not self.carry:
             for proc in restored:
                 proc.memory.decode_cache.clear()
+                proc.memory.block_cache.clear()
         return restored
 
     def observe(self) -> dict:
@@ -65,20 +68,27 @@ class World:
         }
 
 
-def _assert_decodes_hold(kernel: Kernel, proc) -> None:
-    """Every cached decode equals a fresh decode of the bytes there now."""
+def _assert_decodes_hold(proc) -> None:
+    """Every cached decode equals a fresh decode of the bytes there now,
+    and every cached block is a run of cached decodes."""
     memory = proc.memory
-    handlers = kernel.cpu._handlers
-    for address, (handler, operands, length, terminates) in memory.decode_cache.items():
+    cache = memory.decode_cache
+    for start, (__, size, end) in memory.block_cache.items():
+        address = start
+        for __ in range(size):
+            assert address in cache, f"block at {start:#x} outlived {address:#x}"
+            address += cache[address][2]
+        assert address == end, f"block at {start:#x} no longer ends at {end:#x}"
+    for address, (handler, operands, length, ends) in memory.decode_cache.items():
         assert address >> PAGE_SHIFT in memory.executable_pages, (
             f"decode cached at non-executable {address:#x}"
         )
         fresh = decode(memory.fetch(
             address, instruction_length_at(memory.fetch(address, 1))
         ))
-        assert (handler, operands, length, terminates) == (
-            handlers[fresh.mnemonic], fresh.operands, fresh.length,
-            fresh.mnemonic in BLOCK_TERMINATORS,
+        assert (handler, operands, length, ends) == (
+            HANDLERS[fresh.mnemonic], fresh.operands, fresh.length,
+            fresh.mnemonic in UNIT_ENDERS,
         ), f"stale decode at {address:#x}"
 
 
@@ -147,9 +157,12 @@ def test_restores_keep_only_valid_decodes(worlds):
         for world in worlds:
             restored[world.carry] = world.transact(operation)
         for proc in restored[True]:
-            _assert_decodes_hold(carried.kernel, proc)
+            _assert_decodes_hold(proc)
         assert any(proc.memory.decode_cache for proc in restored[True]), (
             f"{operation.__name__}: the restore carried no decodes over"
+        )
+        assert any(proc.memory.block_cache for proc in restored[True]), (
+            f"{operation.__name__}: the restore carried no blocks over"
         )
         traps_before = carried.observe()["traps"]
         for world in worlds:
@@ -162,5 +175,5 @@ def test_restores_keep_only_valid_decodes(worlds):
             base = _module_base(carried.proc, carried.feature.module)
             entry = base + carried.feature.entry.offset
             assert entry in observed["traps"][len(traps_before):]
-        _assert_decodes_hold(carried.kernel, carried.proc)
+        _assert_decodes_hold(carried.proc)
     assert [r.outcome for r in carried.dynacut.history].count("rolled-back") == 1
