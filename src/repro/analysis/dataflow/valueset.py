@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from ... import telemetry
 from ...binfmt.self_format import DynRelocType, ImageKind, SelfImage
 from ...isa.disassembler import DecodedInstruction
+from ...isa.instructions import divide
 from ..cfg import ControlFlowGraph, DigestCache, image_cfg
 from .framework import DataflowProblem, Direction, solve
 from .hazards import StoreHazard, classify_store
@@ -287,7 +288,8 @@ def _divop(a: ValueSet, b: ValueSet, mod: bool) -> ValueSet:
     def op(x: int, y: int) -> int:
         if y == 0:
             return 0
-        return (x % y if mod else x // y) & MASK64
+        quotient, remainder = divide(x, y)
+        return remainder if mod else quotient
 
     if a.is_finite and b.is_finite:
         return a._binop(b, op)

@@ -92,8 +92,8 @@ INSTRUCTION_SPECS: tuple[InstructionSpec, ...] = (
     _spec("add", 0x08, R, R),
     _spec("sub", 0x09, R, R),
     _spec("mul", 0x0A, R, R),
-    _spec("div", 0x0B, R, R),             # signed; divide by zero raises #DE
-    _spec("mod", 0x0C, R, R),
+    _spec("div", 0x0B, R, R),             # rd <- rd / rs, signed (divide); rs 0 raises #DE
+    _spec("mod", 0x0C, R, R),             # rd <- rd % rs, signed (divide); rs 0 raises #DE
     _spec("and", 0x0D, R, R),
     _spec("or", 0x0E, R, R),
     _spec("xor", 0x0F, R, R),
@@ -147,6 +147,27 @@ CONDITIONAL_BRANCHES = frozenset({"je", "jne", "jl", "jle", "jg", "jge"})
 
 #: Direct branches carrying a REL32 target.
 DIRECT_BRANCHES = frozenset({"jmp", "je", "jne", "jl", "jle", "jg", "jge", "call"})
+
+_MASK64 = (1 << 64) - 1
+
+
+def divide(dividend: int, divisor: int) -> tuple[int, int]:
+    """The results of ``div`` and ``mod`` on two register values.
+
+    Both operands are 64-bit two's-complement integers, held as register
+    values in ``[0, 2**64)``; ``divisor`` is nonzero (on the CPU a zero
+    divisor raises ``SIGFPE`` instead).  The quotient is exact and truncates
+    toward zero, and the remainder ``dividend - quotient * divisor``
+    takes the dividend's sign, as in C.  Returns ``(quotient,
+    remainder)`` as register values; the one overflowing case,
+    ``-2**63 div -1``, wraps to ``-2**63``.
+    """
+    n = dividend - (1 << 64) if dividend >> 63 else dividend
+    d = divisor - (1 << 64) if divisor >> 63 else divisor
+    quotient = abs(n) // abs(d)
+    if (n < 0) != (d < 0):
+        quotient = -quotient
+    return quotient & _MASK64, (n - quotient * d) & _MASK64
 
 
 @dataclass(frozen=True)

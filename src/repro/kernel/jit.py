@@ -2,9 +2,10 @@
 
 Every mnemonic's semantics are written once, below, as a Python source
 template over a few locals (``g`` the register list, ``regs`` the
-register file, ``R``/``W``/``X`` the readable, writable and executable
-page index, ``mem`` the address space, ``cpu`` and ``proc``).  Two
-things are generated from the templates:
+register file, ``R``/``RQ`` the readable pages and their word views,
+``S``/``SQ`` the store map and its word views, ``mem`` the address
+space, ``cpu`` and ``proc``).  Two things are generated from the
+templates:
 
 * one **single-instruction handler** per mnemonic (:data:`HANDLERS`),
   with the operands, ``rip`` and ``end`` as arguments.  The decode cache
@@ -12,8 +13,14 @@ things are generated from the templates:
   a resume;
 * one **translation** per hot basic block (:func:`translate`): the
   templates of its instructions in a row, with every operand and
-  address an integer literal, so register operations run inline and
-  single-page loads and stores index the page dict directly.
+  address an integer literal, so register operations run inline.
+
+Both access guest memory through the page index (see :mod:`.memory`):
+a byte load or store is one dict probe plus one byte index, and an
+8-byte load or store (``ld64``, ``st64``, ``push``, ``pop``, ``call``,
+``callr``, ``ret``) at an address with ``x & 7 == 0`` is one dict probe
+plus one word index, so it never crosses a page.  A store probes only
+the store map, which holds no executable page.
 
 A translation unit starts at an entry address and ends after the first
 instruction of :data:`UNIT_ENDERS` (a trace terminator, ``syscall``,
@@ -24,16 +31,17 @@ only touch registers and data pages, so nothing can observe the clock
 between them and the CPU may charge the whole block on entry.
 
 A template leaves a handler or a block only through :class:`BlockExit`,
-raised by the shared slow paths: a load or store that crosses a page or
-faults, and, in a translation, a store that touches an executable page.
-The exit names the instruction (its index in the block and its
-address); every register is as it was before that instruction, so the
-CPU's one exit routine can make the state exact (see
-:meth:`repro.kernel.cpu.CPU._leave`).  A faulting access has changed
-nothing; a store to executable bytes leaves the block *before* storing,
-and the CPU then runs that instruction alone, through
-:meth:`~repro.kernel.memory.AddressSpace.write`, which evicts whatever
-the store makes stale (DL503).
+raised by the shared slow paths, which serve every access the page
+index cannot: an unaligned 8-byte access, one that faults, or a store
+to an executable page.  In a translation, a store that touches an
+executable page leaves the block.  The exit names the instruction (its
+index in the block and its address); every register is as it was
+before that instruction, so the CPU's one exit routine can make the
+state exact (see :meth:`repro.kernel.cpu.CPU._leave`).  A faulting
+access has changed nothing; a store to executable bytes leaves the
+block *before* storing, and the CPU then runs that instruction alone,
+through :meth:`~repro.kernel.memory.AddressSpace.write`, which evicts
+whatever the store makes stale (DL503).
 """
 
 from __future__ import annotations
@@ -43,15 +51,14 @@ from typing import Callable
 
 from .memory import MemoryFault, PAGE_SHIFT, PAGE_SIZE
 from .signals import Signal
-from ..isa.instructions import BLOCK_TERMINATORS, INSTRUCTION_SPECS
+from ..isa.instructions import BLOCK_TERMINATORS, INSTRUCTION_SPECS, divide
 
 #: literals the templates name: the 64-bit mask, the sign bit, the page
-#: shift, the in-page offset mask and the last offset at which a qword
-#: fits in its page
+#: shift, the in-page offset mask and the in-page word index mask
 _CONSTANTS = {
     "{M}": "0xFFFFFFFFFFFFFFFF", "{S}": "0x8000000000000000",
     "{SHIFT}": str(PAGE_SHIFT), "{OFFSET}": str(PAGE_SIZE - 1),
-    "{LAST}": str(PAGE_SIZE - 8),
+    "{WORD}": str(PAGE_SIZE // 8 - 1),
 }
 
 
@@ -63,32 +70,29 @@ def _load(width: int) -> str:
             "v = p[x & {OFFSET}] if p is not None else _load(mem, x, 1, {k}, {rip})"
         )
     return (
-        "p = R.get(x >> {SHIFT})\n"
-        "o = x & {OFFSET}\n"
-        "v = _int(p[o:o + 8], 'little') if p is not None and o <= {LAST} "
+        "p = RQ.get(x >> {SHIFT})\n"
+        "v = p[x >> 3 & {WORD}] if p is not None and not x & 7 "
         "else _load(mem, x, 8, {k}, {rip})"
     )
 
 
 def _store(width: int, value: str) -> str:
-    """Store ``value`` at ``x``; executable pages take the slow path."""
+    """Store ``value`` at ``x``; the store map holds no executable page,
+    so a store to one takes the slow path."""
     if width == 1:
         return (
-            "i = x >> {SHIFT}\n"
-            "p = W.get(i)\n"
-            "if p is not None and i not in X:\n"
+            "p = S.get(x >> {SHIFT})\n"
+            "if p is not None:\n"
             "    p[x & {OFFSET}] = VALUE & 255\n"
             "else:\n"
-            "    _store(mem, x, (VALUE & 255).to_bytes(1, 'little'), {k}, {rip})"
+            "    _store(mem, x, 1, VALUE, {k}, {rip})"
         ).replace("VALUE", value)
     return (
-        "i = x >> {SHIFT}\n"
-        "p = W.get(i)\n"
-        "o = x & {OFFSET}\n"
-        "if p is not None and o <= {LAST} and i not in X:\n"
-        "    p[o:o + 8] = (VALUE & {M}).to_bytes(8, 'little')\n"
+        "p = SQ.get(x >> {SHIFT})\n"
+        "if p is not None and not x & 7:\n"
+        "    p[x >> 3 & {WORD}] = VALUE & {M}\n"
         "else:\n"
-        "    _store(mem, x, (VALUE & {M}).to_bytes(8, 'little'), {k}, {rip})"
+        "    _store(mem, x, 8, VALUE, {k}, {rip})"
     ).replace("VALUE", value)
 
 
@@ -101,10 +105,7 @@ _TAKEN = "({end} + {a}) & {M}"
 _DIVIDE = """
 d = g[{b}]
 if d:
-    n = g[{a}]
-    d = d - 0x10000000000000000 if d & {S} else d
-    n = n - 0x10000000000000000 if n & {S} else n
-    g[{a}] = RESULT & {M}
+    g[{a}] = _divide(g[{a}], d)[RESULT]
     regs.rip = {end}
 else:
     regs.rip = {rip}
@@ -135,9 +136,9 @@ TEMPLATES: dict[str, str] = {name: _constants(source) for name, source in {
     "add": "g[{a}] = (g[{a}] + g[{b}]) & {M}",
     "sub": "g[{a}] = (g[{a}] - g[{b}]) & {M}",
     "mul": "g[{a}] = (g[{a}] * g[{b}]) & {M}",
-    # signed, truncating toward zero; a zero divisor faults at the div
-    "div": _DIVIDE.replace("RESULT", "int(n / d)"),
-    "mod": _DIVIDE.replace("RESULT", "(n - int(n / d) * d)"),
+    # signed and exact (see ``divide``); a zero divisor faults at the div
+    "div": _DIVIDE.replace("RESULT", "0"),
+    "mod": _DIVIDE.replace("RESULT", "1"),
     "and": "g[{a}] &= g[{b}]",
     "or": "g[{a}] |= g[{b}]",
     "xor": "g[{a}] ^= g[{b}]",
@@ -212,36 +213,37 @@ class BlockExit(Exception):
 
 
 def _load_slow(memory, address, size, index, rip):
-    """A load the page index cannot serve: cross-page, or faulting."""
+    """A load the page index cannot serve: unaligned, or faulting."""
     try:
         return int.from_bytes(memory.read(address, size), "little")
     except MemoryFault as fault:
         raise BlockExit(index, rip, fault) from None
 
 
-def _store_slow(memory, address, data, index, rip):
-    """A store the page index cannot serve: cross-page, faulting, or
-    to an executable page (``AddressSpace.write`` evicts what it makes
-    stale)."""
+def _store_slow(memory, address, size, value, index, rip):
+    """Store the low ``size`` bytes of ``value`` where the page index
+    cannot: unaligned, faulting, or to an executable page
+    (``AddressSpace.write`` evicts what it makes stale)."""
+    data = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
     try:
         memory.write(address, data)
     except MemoryFault as fault:
         raise BlockExit(index, rip, fault) from None
 
 
-def _store_in_block(memory, address, data, index, rip):
+def _store_in_block(memory, address, size, value, index, rip):
     """:func:`_store_slow` inside a translation, which leaves the block
     before a store that touches an executable page."""
     executable = memory.executable_pages
     if (address >> PAGE_SHIFT in executable
-            or (address + len(data) - 1) >> PAGE_SHIFT in executable):
+            or (address + size - 1) >> PAGE_SHIFT in executable):
         raise BlockExit(index, rip, None)
-    _store_slow(memory, address, data, index, rip)
+    _store_slow(memory, address, size, value, index, rip)
 
 
 def _globals(store) -> dict:
     return {
-        "_int": int.from_bytes, "_load": _load_slow, "_store": store,
+        "_divide": divide, "_load": _load_slow, "_store": store,
         "SIGSEGV": Signal.SIGSEGV, "SIGFPE": Signal.SIGFPE,
     }
 
@@ -251,6 +253,10 @@ def _globals(store) -> dict:
 _HANDLER_GLOBALS = _globals(_store_slow)
 _BLOCK_GLOBALS = _globals(_store_in_block)
 
+
+#: template local -> the page index map it names
+_INDEX = {"R": "readable_pages", "RQ": "readable_words",
+          "S": "store_pages", "SQ": "store_words"}
 
 #: how a trace terminator closes the trace block: ``CPU._emit_block``,
 #: or just forget the start when no tracer is attached anywhere
@@ -288,12 +294,10 @@ def _source(name: str, params: str, instructions, preamble=()) -> str:
     text = "\n".join(body)
     if "g[" in text:
         prologue.append("g = regs.gpr")
-    pages = [(local, kind) for local, kind in
-             (("R", "readable"), ("W", "writable"), ("X", "executable"))
-             if f"{local}.get(" in text or f"in {local}:" in text]
+    index = [(local, name) for local, name in _INDEX.items() if f"{local}.get(" in text]
     if "(mem, " in text:
         prologue.append("mem = proc.memory")
-    prologue += [f"{local} = mem.{kind}_pages" for local, kind in pages]
+    prologue += [f"{local} = mem.{name}" for local, name in index]
     lines = "\n".join(prologue + body).replace("\n", "\n    ")
     return f"def {name}({params}):\n    {lines}\n"
 

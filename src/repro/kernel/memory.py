@@ -9,13 +9,23 @@ The memory model mirrors what CRIU sees through ``/proc/pid/maps`` and
 * permission checks distinguish read/write/execute, so executing an
   unmapped or non-executable address faults exactly like on Linux;
 * a page index maps each page number to its page bytearray, one map per
-  permission (readable, writable, executable).  Only ``mmap``,
-  ``munmap``, ``mprotect`` and construction (hence ``clone``) change
-  VMAs, and each rebuilds the index over exactly the pages it changed.
-  A guest load, store or fetch inside one page is then one dict probe
-  plus a slice; anything else (cross-page, zero-length, unmapped, wrong
-  permission) takes the checked page-by-page path, which faults at the
-  same address and with the same reason as a VMA-by-VMA walk;
+  permission (readable, writable, executable), plus a *store map* of
+  the pages a guest store may write directly: writable and not
+  executable.  Each page also has one *word view*, a
+  ``memoryview(page).cast("Q")`` built when the page is, and the index
+  keeps the views of the readable pages and of the store map, so an
+  aligned 8-byte load or store is one dict probe plus one word index.
+  Views use the host's byte order, so they exist only on a
+  little-endian host (VM64 is little-endian); elsewhere the word maps
+  stay empty.  A page with an exported view cannot change size, and
+  none does: every page write is a same-length slice assignment.  Only
+  ``mmap``, ``munmap``, ``mprotect`` and construction (hence ``clone``)
+  change VMAs, and each rebuilds the index over exactly the pages it
+  changed.  A guest load, store or fetch inside one page is then one
+  dict probe plus a slice; anything else (cross-page, zero-length,
+  unmapped, wrong permission, a store to an executable page) takes the
+  checked page-by-page path, which faults at the same address and with
+  the same reason as a VMA-by-VMA walk;
 * the CPU's decode cache and block cache live here and are evicted by
   range: a store or ``write_raw`` to an executable page, an ``munmap``
   of executable memory and an ``mprotect`` that flips some page's
@@ -32,6 +42,7 @@ The memory model mirrors what CRIU sees through ``/proc/pid/maps`` and
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -44,6 +55,9 @@ _OFFSET_MASK = PAGE_SIZE - 1
 MAX_INSTRUCTION = 10
 #: the key the VMA list is sorted on
 _vma_start = attrgetter("start")
+#: a word view reads and writes qwords in the host's byte order, which
+#: is the guest's (little-endian) only on a little-endian host
+_WORD_VIEWS = sys.byteorder == "little"
 
 
 class MemoryFault(Exception):
@@ -141,8 +155,26 @@ class AddressSpace:
     executable_pages: dict[int, bytearray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: the store map: the writable pages that are not executable
+    store_pages: dict[int, bytearray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: page number -> the word view of the page now under that number
+    #: (empty on a big-endian host)
+    words: dict[int, memoryview] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: the word views of the readable pages and of the store map
+    readable_words: dict[int, memoryview] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    store_words: dict[int, memoryview] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        for index, page in list(self.pages.items()):
+            self._add_page(index, page)
         for vma in self.vmas:
             self._index(vma.start, vma.end, vma.perms)
 
@@ -175,7 +207,7 @@ class AddressSpace:
         vma = VMA(start, end, perms, backing, tag)
         self.vmas.insert(bisect_right(self.vmas, start, key=_vma_start), vma)
         for index in range(start >> PAGE_SHIFT, end >> PAGE_SHIFT):
-            self.pages[index] = bytearray(PAGE_SIZE)
+            self._add_page(index, bytearray(PAGE_SIZE))
         self._index(start, end, perms)
         if "x" in perms:
             # nothing cached can depend on bytes that were unmapped
@@ -210,6 +242,7 @@ class AddressSpace:
             self._index(lo, hi, "")
             for index in range(lo >> PAGE_SHIFT, hi >> PAGE_SHIFT):
                 del self.pages[index]
+                self.words.pop(index, None)
         if touched_exec:
             self._code_changed(start, end)
 
@@ -261,16 +294,29 @@ class AddressSpace:
                 candidate = vma.end
         return candidate
 
+    def _add_page(self, index: int, page: bytearray) -> None:
+        """Put ``page`` under page number ``index``, with its word view."""
+        self.pages[index] = page
+        if _WORD_VIEWS:
+            self.words[index] = memoryview(page).cast("Q")
+
     def _index(self, start: int, end: int, perms: str) -> None:
         """Point the page index for ``[start, end)`` at ``perms``."""
-        pages = self.pages
+        pages, words = self.pages, self.words
+        readable = "r" in perms
+        stores = "w" in perms and "x" not in perms
         indices = range(start >> PAGE_SHIFT, end >> PAGE_SHIFT)
-        for flag, allowed in zip(
-            "rwx", (self.readable_pages, self.writable_pages, self.executable_pages)
+        for allowed, source, wanted in (
+            (self.readable_pages, pages, readable),
+            (self.writable_pages, pages, "w" in perms),
+            (self.executable_pages, pages, "x" in perms),
+            (self.store_pages, pages, stores),
+            (self.readable_words, words, readable and _WORD_VIEWS),
+            (self.store_words, words, stores and _WORD_VIEWS),
         ):
-            if flag in perms:
+            if wanted:
                 for index in indices:
-                    allowed[index] = pages[index]
+                    allowed[index] = source[index]
             else:
                 for index in indices:
                     allowed.pop(index, None)
@@ -288,14 +334,11 @@ class AddressSpace:
         return self._read_raw(address, size)
 
     def write(self, address: int, data: bytes) -> None:
-        index = address >> PAGE_SHIFT
-        page = self.writable_pages.get(index)
+        page = self.store_pages.get(address >> PAGE_SHIFT)
         offset = address & _OFFSET_MASK
         end = offset + len(data)
         if page is not None and offset < end <= PAGE_SIZE:
             page[offset:end] = data
-            if index in self.executable_pages:
-                self._code_changed(address, address + len(data))
             return
         self._check(address, len(data), "write")
         self._write_raw(address, data)

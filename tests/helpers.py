@@ -9,6 +9,15 @@ from repro.kernel import Kernel, Process
 from repro.minic import compile_source
 
 
+def c_divmod(dividend: int, divisor: int) -> tuple[int, int]:
+    """C's ``/`` and ``%`` on signed integers: the exact quotient rounded
+    toward zero, and the remainder with the dividend's sign."""
+    quotient = dividend // divisor
+    if quotient < 0 and quotient * divisor != dividend:
+        quotient += 1        # floor division rounded it down
+    return quotient, dividend - quotient * divisor
+
+
 def build_minic(source: str, name: str = "prog", with_libc: bool = True) -> SelfImage:
     """Compile a MiniC program into an executable."""
     module = compile_source(source, name + ".o")

@@ -188,6 +188,35 @@ class TestResolvedEncodings:
             (image.symbol_address("alpha"), image.symbol_address("beta"))
         ))
 
+    def test_signed_division_resolves(self):
+        # div and mod read their operands as signed, like the CPU:
+        # -2(t+1) div -2 is t+1 and -7 mod 2 is -1 (unsigned, they would
+        # give 0 and 1)
+        image, report = _analyze(
+            """
+            .section text
+            .global _start
+            .global target
+            _start:
+                movi r1, @target
+                addi r1, 1
+                movi r2, -2
+                mul r1, r2
+                div r1, r2
+                movi r3, -7
+                movi r4, 2
+                mod r3, r4
+                add r1, r3
+                jmpr r1
+            target:
+                hlt
+            """,
+            "vsa_signed_div",
+        )
+        site = _site(report, "jmpr")
+        assert site.resolved
+        assert site.targets == (image.symbol_address("target"),)
+
     def test_plt_tail_resolves_external(self):
         # the import stub loads a GOT word (dynamic relocation site) and
         # jumps through it: resolved-external, never "unknown"

@@ -20,7 +20,8 @@ compared.  The guests: the three servers under a short request mix
 enable), the seven SPEC kernels, the DL50x self-modifying guest, and a
 hot loop in an ``rwx`` mapping whose ``st8`` rewrites an instruction
 later in its own block.  A hypothesis property does the same for random
-straight-line code in an ``rwx`` page.
+straight-line code in an ``rwx`` page, some of it on a stack that is not
+8-byte aligned.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from repro.kernel.syscalls import Sys
 from repro.tracing import BlockTracer
 from repro.workloads import HttpClient, RedisClient
 
-from .helpers import build_asm
+from .helpers import build_asm, c_divmod
 
 _MASK64 = (1 << 64) - 1
 _SIGN_BIT = 1 << 63
@@ -177,12 +178,8 @@ class ReferenceCPU(CPU):
             proc.regs.rip = rip
             self._fault(proc, Signal.SIGFPE, rip)
             return
-        dividend = _signed(gpr[ops[0]])
-        quotient = int(dividend / divisor)
-        if want_mod:
-            gpr[ops[0]] = (dividend - quotient * divisor) & _MASK64
-        else:
-            gpr[ops[0]] = quotient & _MASK64
+        quotient, remainder = c_divmod(_signed(gpr[ops[0]]), divisor)
+        gpr[ops[0]] = (remainder if want_mod else quotient) & _MASK64
 
     def _op_div(self, proc, ops, rip, end):
         self._divmod(proc, ops, rip, want_mod=False)
@@ -691,6 +688,8 @@ def _instruction():
         st.tuples(st.sampled_from(["st8", "st64"]), _BASE, _FREE, _IMM),
         st.tuples(st.just("push"), _FREE),
         st.tuples(st.just("pop"), _FREE),
+        st.tuples(st.just("call"), st.integers(0, 2)),
+        st.tuples(st.just("ret")),
         st.tuples(st.just("int3")),
     )
 
@@ -698,11 +697,12 @@ def _instruction():
 def _program(values: list[int], body: list[tuple]) -> tuple[bytes, int, int]:
     """``body`` 16 times in a loop, with r0..r7 starting at ``values``;
     returns the code and the offsets of a signal handler that resumes at
-    the loop's tail and of its restorer.  A branch skips the next 0-2
-    instructions of the body."""
+    the loop's tail and of its restorer.  A branch or call skips the next
+    0-2 instructions of the body; a ``ret`` returns to whatever ``sp``
+    points at."""
     encoded = []
     for index, (mnemonic, *operands) in enumerate(body):
-        if mnemonic in _BRANCHES:
+        if mnemonic in _BRANCHES or mnemonic == "call":
             operands = [len(_encode(*body[index + 1:index + 1 + operands[0]]))]
         encoded.append(_encode((mnemonic, *operands)))
     bases = [("movi", 8, DATA), ("movi", 9, CODE), ("movi", 10, 0x10),
@@ -723,14 +723,17 @@ def _program(values: list[int], body: list[tuple]) -> tuple[bytes, int, int]:
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(_U64, min_size=8, max_size=8),
-       st.lists(_instruction(), min_size=4, max_size=24))
-def test_random_straight_line_code_matches_stepping(values, body):
+       st.lists(_instruction(), min_size=4, max_size=24),
+       st.one_of(st.just(0), st.integers(1, 7)))
+def test_random_straight_line_code_matches_stepping(values, body, misalign):
+    """``misalign`` moves the initial ``sp`` off its 8-byte alignment, so
+    the body's push, pop, call and ret take the unaligned path."""
     code, handler, restorer = _program(values, body)
 
     def setup(proc) -> None:
         proc.memory.mmap(DATA, PAGE_SIZE, "rw-")
         proc.memory.mmap(STACK_TOP - PAGE_SIZE, PAGE_SIZE, "rw-")
-        proc.regs.gpr[15] = STACK_TOP - 64
+        proc.regs.gpr[15] = STACK_TOP - 64 - misalign
         action = SigAction(handler=CODE + handler, restorer=CODE + restorer)
         for signal in (Signal.SIGSEGV, Signal.SIGILL, Signal.SIGTRAP, Signal.SIGFPE):
             proc.sigactions[signal] = action
