@@ -122,7 +122,7 @@ def test_fleet_rollout_under_traffic(benchmark, results_dir):
             for name, row in results.items()
         ],
     )
-    # fleet_cli owns results/fleet_rollout.json
+    # the fleet-rollout campaign owns results/fleet_rollout.json
     (results_dir / "fleet_rollout_bench.json").write_text(
         json.dumps(results, indent=2) + "\n"
     )

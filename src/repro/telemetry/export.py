@@ -59,7 +59,7 @@ def to_trace_jsonl(source: RequestTracer | Iterable[Span]) -> str:
 
     Spans are ordered by ``(trace_id, span_id)`` and serialized with
     sorted keys and sorted attrs, so equal seeds export byte-identical
-    trace streams (the ``--check-determinism`` contract).
+    trace streams (what every campaign's replay checks).
     """
     spans = source.spans() if isinstance(source, RequestTracer) else source
     return "".join(

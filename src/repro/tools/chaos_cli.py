@@ -11,23 +11,24 @@ scored against the availability invariant:
 * **half-patched** — some but not all of the feature's blocks carry
   the rewrite (must never happen; the transactional engine's contract).
 
-The aggregate goes to ``results/chaos_campaign.json``; the full
-per-campaign telemetry event streams (journal phases, rewrite reports,
-spans) go to the uncommitted ``.jsonl`` sidecar next to it.  Exit
-status is 0 when every run survived with zero half-patched outcomes,
-1 otherwise.
+Each application is one recorded run of the ``chaos`` campaign
+(:mod:`repro.tools.campaign`), which writes
+``results/chaos_campaign.json``; the full per-application telemetry
+event streams (journal phases, rewrite reports, spans) go to the
+uncommitted ``.jsonl`` sidecar next to it.  Exit status is 0 when
+every run survived with zero half-patched outcomes, 1 otherwise.
 
-Usage::
+Usage (``python -m repro.tools.chaos_cli`` is an alias)::
 
-    python -m repro.tools.chaos_cli [--runs N] [--seed-base S]
-                                    [--output FILE] [--app redis|lighttpd]
+    python -m repro.tools.campaign chaos [--runs N] [--seed-base S]
+                                         [--output FILE] [--app redis|lighttpd]
 """
 
 from __future__ import annotations
 
 import argparse
-import pathlib
 import sys
+from functools import partial
 from random import Random
 
 from ..apps import LIGHTTPD_PORT, REDIS_PORT, stage_lighttpd, stage_redis
@@ -45,7 +46,6 @@ from ..kernel import Kernel
 from ..telemetry import TelemetryHub
 from ..tracing import BlockTracer
 from ..workloads import HttpClient, RedisClient
-from .campaign import run_recorded, write_results
 
 #: sites a campaign run may arm (all of them — the recipe visits each)
 CAMPAIGN_SITES = sorted(KNOWN_SITES)
@@ -107,9 +107,7 @@ def _module_base(proc, module: str) -> int:
     raise SystemExit(f"module {module!r} not mapped in pid {proc.pid}")
 
 
-def run_campaign(
-    app: str, runs: int, seed_base: int, hub: TelemetryHub | None = None
-) -> dict:
+def run_campaign(app: str, runs: int, seed_base: int, hub: TelemetryHub) -> dict:
     """``runs`` seeded chaos runs against ``app``; returns the record."""
     records = []
     for index in range(runs):
@@ -119,9 +117,8 @@ def run_campaign(
         kind = rng.choice(KINDS)
 
         kernel, proc, feature, module, serves = _STAGERS[app]()
-        if hub is not None:
-            # each run stages a fresh kernel; follow its virtual clock
-            hub.bind_clock(lambda kernel=kernel: kernel.clock_ns)
+        # each run stages a fresh kernel; follow its virtual clock
+        hub.bind_clock(lambda kernel=kernel: kernel.clock_ns)
         pid = proc.pid
         base = _module_base(proc, module)
         offsets = [base + block.offset for block in feature.blocks]
@@ -182,11 +179,15 @@ def run_campaign(
             sum(r["survived"] for r in records) / runs if runs else 1.0
         ),
     }
-    return {"app": app, "summary": summary, "records": records}
+    return {
+        "app": app,
+        "ok": summary["survived"] == runs and summary["half_patched"] == 0,
+        "summary": summary,
+        "records": records,
+    }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="chaos")
+def flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--runs", type=int, default=10,
                         help="seeded runs per application (default 10)")
     parser.add_argument("--seed-base", type=int, default=1000,
@@ -194,48 +195,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--app", choices=sorted(_STAGERS), action="append",
                         help="restrict to one application (repeatable); "
                              "default: all")
-    parser.add_argument("--output", type=pathlib.Path,
-                        default=pathlib.Path("results/chaos_campaign.json"))
-    return parser
+
+
+def runs(args: argparse.Namespace) -> list:
+    return [
+        (f"chaos-{app}", partial(run_campaign, app, args.runs, args.seed_base))
+        for app in args.app or sorted(_STAGERS)
+    ]
+
+
+def describe(campaign: dict) -> str:
+    summary = campaign["summary"]
+    return (
+        f"{campaign['app']}: {summary['survived']}/{summary['runs']} "
+        f"survived ({summary['committed']} committed, "
+        f"{summary['rolled_back']} rolled back, "
+        f"{summary['total_retries']} retries, "
+        f"{summary['half_patched']} half-patched)"
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    apps = args.app or sorted(_STAGERS)
+    from .campaign import alias
 
-    campaigns = []
-    hubs = []
-    for app in apps:
-        campaign, hub = run_recorded(
-            f"chaos-{app}",
-            lambda hub, app=app: run_campaign(
-                app, args.runs, args.seed_base, hub
-            ),
-        )
-        campaigns.append(campaign)
-        hubs.append(hub)
-    total_runs = sum(c["summary"]["runs"] for c in campaigns)
-    total_survived = sum(c["summary"]["survived"] for c in campaigns)
-    total_half = sum(c["summary"]["half_patched"] for c in campaigns)
-    clean = total_survived == total_runs and total_half == 0
-
-    payload = {
-        "campaigns": campaigns,
-        "total_runs": total_runs,
-        "total_survived": total_survived,
-        "total_half_patched": total_half,
-        "clean": clean,
-    }
-    for campaign in campaigns:
-        summary = campaign["summary"]
-        print(
-            f"{campaign['app']}: {summary['survived']}/{summary['runs']} "
-            f"survived ({summary['committed']} committed, "
-            f"{summary['rolled_back']} rolled back, "
-            f"{summary['total_retries']} retries, "
-            f"{summary['half_patched']} half-patched)"
-        )
-    return write_results(args.output, payload, hubs, clean, banner="campaign")
+    return alias("chaos", argv)
 
 
 if __name__ == "__main__":

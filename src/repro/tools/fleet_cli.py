@@ -15,21 +15,23 @@ the active removal set and re-enables the feature fleet-wide.  The
 run reports how much virtual time passed between first drifted trap
 and fleet-wide re-enable.
 
-Results go to ``results/fleet_rollout.json`` (or ``--output``).
+They are the ``fleet-rollout`` and ``fleet-drift`` campaigns of
+:mod:`repro.tools.campaign`, one recorded run each.  The rollout
+report goes to ``results/fleet_rollout.json`` and the drift report to
+``results/fleet_drift.json`` (or ``--output``).
 
-Usage::
+Usage (``python -m repro.tools.fleet_cli rollout|drift`` is an alias)::
 
-    python -m repro.tools.fleet_cli rollout [--app lighttpd] [--size 8]
+    python -m repro.tools.campaign fleet-rollout [--app lighttpd] [--size 8]
         [--strategy canary|rolling] [--max-unavailable N]
         [--fault SITE:KIND] [--seed S] [--output FILE]
-    python -m repro.tools.fleet_cli drift [--app lighttpd] [--size 4]
+    python -m repro.tools.campaign fleet-drift [--app lighttpd] [--size 4]
         [--output FILE]
 """
 
 from __future__ import annotations
 
 import argparse
-import pathlib
 import sys
 
 from ..faults import KNOWN_SITES, FaultPlan
@@ -43,7 +45,6 @@ from ..fleet import (
 from ..kernel import Kernel
 from ..telemetry import TelemetryHub
 from ..workloads import SECOND_NS, TimelineEvent, run_request_timeline
-from .campaign import run_recorded, write_results
 
 
 def _build_fleet(args, strategy: str) -> FleetController:
@@ -68,7 +69,7 @@ def _pristine(controller: FleetController) -> bool:
     return not any(instance.customized for instance in controller.instances)
 
 
-def run_rollout(args, hub: TelemetryHub) -> tuple[dict, bool]:
+def run_rollout(args, hub: TelemetryHub) -> dict:
     controller = _build_fleet(args, args.strategy)
     hub.bind_clock(lambda: controller.kernel.clock_ns)
     executor = RolloutExecutor(controller)
@@ -108,17 +109,17 @@ def run_rollout(args, hub: TelemetryHub) -> tuple[dict, bool]:
 
     report = executor.report
     if args.fault:
-        clean = report.aborted and _pristine(controller)
+        ok = report.aborted and _pristine(controller)
     else:
-        clean = (
+        ok = (
             report.completed
             and timeline.failed_requests == 0
             and not timeline.errors
             and all(i.customized for i in controller.instances)
         )
-    payload = {
+    return {
         "mode": "rollout",
-        "clean": clean,
+        "ok": ok,
         "fault": args.fault or None,
         "rollout": report.to_dict(),
         "workload": {
@@ -129,10 +130,9 @@ def run_rollout(args, hub: TelemetryHub) -> tuple[dict, bool]:
         },
         "fleet": controller.status(),
     }
-    return payload, clean
 
 
-def run_drift(args, hub: TelemetryHub) -> tuple[dict, bool]:
+def run_drift(args, hub: TelemetryHub) -> dict:
     controller = _build_fleet(args, "rolling")
     hub.bind_clock(lambda: controller.kernel.clock_ns)
     RolloutExecutor(controller).run()
@@ -157,14 +157,13 @@ def run_drift(args, hub: TelemetryHub) -> tuple[dict, bool]:
     detector.check()
     status = detector.status
     served_again = app.feature_request(kernel, controller.frontend_port, feature)
-    clean = status.triggered and _pristine(controller) and served_again
     latency = (
         status.triggered_ns - status.first_drift_ns
         if status.triggered and status.first_drift_ns is not None else None
     )
-    payload = {
+    return {
         "mode": "drift",
-        "clean": clean,
+        "ok": status.triggered and _pristine(controller) and served_again,
         "feature": feature,
         "drift": status.to_dict(),
         "reenable_latency_ns": latency,
@@ -175,75 +174,66 @@ def run_drift(args, hub: TelemetryHub) -> tuple[dict, bool]:
         },
         "fleet": controller.status(),
     }
-    return payload, clean
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fleet")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common_flags(
+    parser: argparse.ArgumentParser, size: int, duration: int
+) -> None:
+    parser.add_argument("--app", default="lighttpd",
+                        choices=("lighttpd", "nginx", "redis"))
+    parser.add_argument("--size", type=int, default=size)
+    parser.add_argument("--feature", action="append",
+                        help="feature(s) to remove; default: all the app has")
+    parser.add_argument("--max-unavailable", type=int, default=2)
+    parser.add_argument("--probe-requests", type=int, default=4)
+    parser.add_argument("--duration", type=int, default=duration,
+                        help="workload duration in virtual seconds")
 
-    def common(p: argparse.ArgumentParser, size: int, duration: int) -> None:
-        p.add_argument("--app", default="lighttpd",
-                       choices=("lighttpd", "nginx", "redis"))
-        p.add_argument("--size", type=int, default=size)
-        p.add_argument("--feature", action="append",
-                       help="feature(s) to remove; default: all the app has")
-        p.add_argument("--max-unavailable", type=int, default=2)
-        p.add_argument("--probe-requests", type=int, default=4)
-        p.add_argument("--duration", type=int, default=duration,
-                       help="workload duration in virtual seconds")
-        p.add_argument("--output", type=pathlib.Path,
-                       default=pathlib.Path("results/fleet_rollout.json"))
 
-    rollout = sub.add_parser("rollout", help="canary/rolling fleet rollout")
-    common(rollout, size=8, duration=40)
-    rollout.add_argument("--strategy", default="canary",
-                         choices=("canary", "rolling"))
-    rollout.add_argument("--fault", metavar="SITE[:KIND]",
-                         help="arm a seeded fault during the canary; the "
-                              "rollout is then expected to abort pristine")
-    rollout.add_argument("--fault-times", type=int, default=10)
-    rollout.add_argument("--seed", type=int, default=1234)
+def rollout_flags(parser: argparse.ArgumentParser) -> None:
+    _common_flags(parser, size=8, duration=40)
+    parser.add_argument("--strategy", default="canary",
+                        choices=("canary", "rolling"))
+    parser.add_argument("--fault", metavar="SITE[:KIND]",
+                        help="arm a seeded fault during the canary; the "
+                             "rollout is then expected to abort pristine")
+    parser.add_argument("--fault-times", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1234)
 
-    drift = sub.add_parser("drift", help="workload-drift re-enable loop")
-    common(drift, size=4, duration=12)
-    return parser
+
+def drift_flags(parser: argparse.ArgumentParser) -> None:
+    _common_flags(parser, size=4, duration=12)
+
+
+def describe_rollout(record: dict) -> str:
+    rollout, workload = record["rollout"], record["workload"]
+    return (
+        f"{record['fleet']['app']} x{record['fleet']['size']} "
+        f"{rollout['strategy']}: {rollout['state']}"
+        f" ({len(rollout['customized'])} customized,"
+        f" {len(rollout['rolled_back'])} rolled back,"
+        f" max drained {rollout['max_drained_seen']});"
+        f" workload {workload['total_requests']} reqs,"
+        f" {workload['failed_requests']} failed"
+    )
+
+
+def describe_drift(record: dict) -> str:
+    drift = record["drift"]
+    return (
+        f"{record['fleet']['app']} x{record['fleet']['size']} drift:"
+        f" triggered={drift['triggered']} after {drift['checks']} checks,"
+        f" reenabled={len(drift['reenabled'])} instances,"
+        f" latency={record['reenable_latency_ns']}ns"
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    runner = run_rollout if args.command == "rollout" else run_drift
-    verdict: dict[str, bool] = {}
+    """``fleet_cli rollout|drift FLAGS``: the ``fleet-*`` campaigns."""
+    from .campaign import alias
 
-    def body(hub: TelemetryHub) -> dict:
-        record, clean = runner(args, hub)
-        record["clean"] = clean
-        verdict["clean"] = clean
-        return record
-
-    payload, hub = run_recorded(f"fleet-{args.command}", body)
-    clean = verdict["clean"]
-
-    if args.command == "rollout":
-        rollout = payload["rollout"]
-        workload = payload["workload"]
-        print(
-            f"{args.app} x{args.size} {rollout['strategy']}: {rollout['state']}"
-            f" ({len(rollout['customized'])} customized,"
-            f" {len(rollout['rolled_back'])} rolled back,"
-            f" max drained {rollout['max_drained_seen']});"
-            f" workload {workload['total_requests']} reqs,"
-            f" {workload['failed_requests']} failed"
-        )
-    else:
-        drift = payload["drift"]
-        print(
-            f"{args.app} x{args.size} drift: triggered={drift['triggered']}"
-            f" after {drift['checks']} checks,"
-            f" reenabled={len(drift['reenabled'])} instances,"
-            f" latency={payload['reenable_latency_ns']}ns"
-        )
-    return write_results(args.output, payload, [hub], clean)
+    argv = sys.argv[1:] if argv is None else argv
+    return alias(f"fleet-{argv[0]}" if argv else "fleet", argv[1:])
 
 
 if __name__ == "__main__":

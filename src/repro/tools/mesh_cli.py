@@ -25,27 +25,22 @@ heartbeat can recover the host.  The frontend therefore serves from a stale view
 (cross-host failover territory) until the shard's own abort gate sees
 the dead host.
 
-``--check`` runs one quick 2-shard seed (CI);
-``--check-determinism`` runs the whole campaign twice and requires the
-committed report and the full event sidecar to be byte-identical.
+This is the ``mesh`` campaign of :mod:`repro.tools.campaign`.
+:class:`HostCrash` is the scenario itself; the ``trace`` campaign runs
+the same one with per-request tracing, SET traffic and a heal sweep on
+top, and shares this module's flags and their checks.
 
-:class:`HostCrash` is the scenario itself; ``trace_cli`` runs the same
-one with per-request tracing, SET traffic and a heal sweep on top.
+Usage (``python -m repro.tools.mesh_cli`` is an alias)::
 
-Usage::
-
-    python -m repro.tools.mesh_cli [--seeds 3] [--seed-base 700]
+    python -m repro.tools.campaign mesh [--seeds 3] [--seed-base 700]
         [--shards 4] [--size 2] [--output FILE]
-        [--check] [--check-determinism]
 """
 
 from __future__ import annotations
 
 import argparse
-import pathlib
 import sys
 from collections.abc import Callable, Iterable
-from functools import partial
 from random import Random
 
 from ..faults import FaultPlan
@@ -58,7 +53,6 @@ from ..workloads import (
     TimelineResult,
     run_request_timeline,
 )
-from .campaign import Results, finish, run_seeded, seed_range
 
 #: bounded post-workload settling: mesh ticks until every shard is quiet
 SETTLE_TICKS = 8
@@ -278,66 +272,36 @@ def describe(campaign: dict) -> str:
     )
 
 
-def run_all(args) -> Results:
-    return run_seeded(
-        {"shards": args.shards, "size_per_shard": args.size, "routing": "hash"},
-        (
-            (f"mesh-{seed}", partial(run_campaign, args, seed))
-            for seed in seed_range(args)
-        ),
-        describe,
-    )
+def header(args: argparse.Namespace) -> dict:
+    return {"shards": args.shards, "size_per_shard": args.size, "routing": "hash"}
 
 
-def build_parser(
-    prog: str = "mesh",
-    seeds: int = 3,
-    seed_base: int = 700,
-    output: str = "results/mesh_rollout.json",
-) -> argparse.ArgumentParser:
-    """The host-crash campaign's arguments (trace_cli's defaults differ)."""
-    parser = argparse.ArgumentParser(prog=prog)
+def flags(
+    parser: argparse.ArgumentParser, seeds: int, seed_base: int
+) -> None:
+    """The host-crash campaigns' flags (trace's seed defaults differ)."""
     parser.add_argument("--seeds", type=int, default=seeds)
     parser.add_argument("--seed-base", type=int, default=seed_base)
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--size", type=int, default=2,
                         help="instances per shard")
-    parser.add_argument("--output", type=pathlib.Path,
-                        default=pathlib.Path(output))
-    parser.add_argument("--check", action="store_true",
-                        help="one quick 2-shard seed (CI)")
-    parser.add_argument("--check-determinism", action="store_true",
-                        help="run twice; require byte-identical exports")
-    return parser
 
 
-def parse_args(
-    parser: argparse.ArgumentParser, argv: list[str] | None
-) -> argparse.Namespace | None:
-    """Parsed arguments, or None (after saying why) when unusable."""
-    args = parser.parse_args(argv)
-    if args.check:
-        args.shards, args.size, args.seeds = 2, 2, 1
+def usage(args: argparse.Namespace) -> str | None:
     if args.shards < 2:
-        print(f"{parser.prog}: --shards must be >= 2 "
-              "(a crash needs a survivor)")
-        return None
+        return "--shards must be >= 2 (a crash needs a survivor)"
     if args.size < 2:
         # one instance = one canary batch: the shard's rollout finishes
         # in a single step and the crash can never land mid-rollout
-        print(f"{parser.prog}: --size must be >= 2 (the crash lands "
-              "between the canary batch and the rolling batch)")
-        return None
-    return args
+        return ("--size must be >= 2 (the crash lands between the canary "
+                "batch and the rolling batch)")
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = parse_args(build_parser(), argv)
-    if args is None:
-        return 2
-    return finish(
-        args.output, lambda: run_all(args), replay=args.check_determinism
-    )
+    from .campaign import alias
+
+    return alias("mesh", argv)
 
 
 if __name__ == "__main__":

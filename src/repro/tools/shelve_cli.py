@@ -32,21 +32,18 @@ the drifted PUT mix both serve throughout (``verify`` heals, shelving
 restores, nothing refuses), and the driver's accounting identity
 ``total == served + failed`` holds with ``failed == 0``.
 
-``--check`` runs one quick seed (CI); ``--check-determinism`` runs the
-whole campaign twice and requires the committed report and the full
-event sidecar to be byte-identical.
+This is the ``shelve`` campaign of :mod:`repro.tools.campaign`; its
+default, one seed, writes the committed ``results/shelve_campaign.json``.
 
-Usage::
+Usage (``python -m repro.tools.shelve_cli`` is an alias)::
 
-    python -m repro.tools.shelve_cli [--seeds 3] [--seed-base 900]
-        [--size 2] [--put-mix 0.35] [--output FILE]
-        [--check] [--check-determinism]
+    python -m repro.tools.campaign shelve [--seeds 1] [--seed-base 900]
+        [--size 2] [--put-mix 0.35] [--retention-floor 60] [--output FILE]
 """
 
 from __future__ import annotations
 
 import argparse
-import pathlib
 import sys
 from functools import partial
 from random import Random
@@ -60,7 +57,6 @@ from ..workloads import (
     TimelineEvent,
     run_request_timeline,
 )
-from .campaign import Results, finish, run_seeded, seed_range
 
 #: the removed feature the drifted mix exercises
 DRIFT_FEATURE = "dav-write"
@@ -243,30 +239,26 @@ def describe(campaign: dict) -> str:
     )
 
 
-def run_all(args) -> Results:
-    return run_seeded(
-        {
-            "size": args.size,
-            "put_mix": args.put_mix,
-            "retention_floor_pct": args.retention_floor,
-            "drift_feature": DRIFT_FEATURE,
-            "scenarios": list(SCENARIOS),
-        },
-        (
-            (
-                f"shelve-{seed}-{action}",
-                partial(run_scenario, args, seed, action),
-            )
-            for seed in seed_range(args)
-            for action in SCENARIOS
-        ),
-        describe,
-    )
+def header(args: argparse.Namespace) -> dict:
+    return {
+        "size": args.size,
+        "put_mix": args.put_mix,
+        "retention_floor_pct": args.retention_floor,
+        "drift_feature": DRIFT_FEATURE,
+        "scenarios": list(SCENARIOS),
+    }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="shelve")
-    parser.add_argument("--seeds", type=int, default=3)
+def runs(args: argparse.Namespace) -> list:
+    return [
+        (f"shelve-{seed}-{action}", partial(run_scenario, args, seed, action))
+        for seed in range(args.seed_base, args.seed_base + args.seeds)
+        for action in SCENARIOS
+    ]
+
+
+def flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seeds", type=int, default=1)
     parser.add_argument("--seed-base", type=int, default=900)
     parser.add_argument("--size", type=int, default=2,
                         help="instances in each scenario fleet")
@@ -275,29 +267,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--retention-floor", type=float, default=60.0,
                         help="min %% of removed bytes the shelve scenario "
                              "must retain after cooldown")
-    parser.add_argument("--output", type=pathlib.Path,
-                        default=pathlib.Path("results/shelve_campaign.json"))
-    parser.add_argument("--check", action="store_true",
-                        help="one quick seed (CI)")
-    parser.add_argument("--check-determinism", action="store_true",
-                        help="run twice; require byte-identical exports")
-    return parser
+
+
+def usage(args: argparse.Namespace) -> str | None:
+    if args.size < 2:
+        return ("--size must be >= 2 (shelving is per-instance; "
+                "a one-instance fleet can't show the blast radius)")
+    if not 0.0 < args.put_mix <= 1.0:
+        return "--put-mix must be in (0, 1]"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.check:
-        args.seeds = 1
-    if args.size < 2:
-        print("shelve: --size must be >= 2 (shelving is per-instance; "
-              "a one-instance fleet can't show the blast radius)")
-        return 2
-    if not 0.0 < args.put_mix <= 1.0:
-        print("shelve: --put-mix must be in (0, 1]")
-        return 2
-    return finish(
-        args.output, lambda: run_all(args), replay=args.check_determinism
-    )
+    from .campaign import alias
+
+    return alias("shelve", argv)
 
 
 if __name__ == "__main__":

@@ -18,23 +18,22 @@ is **clean** when the fleet settles with every instance HEALTHY or
 cleanly QUARANTINED, every request is accounted (served, failed over,
 or logged as failed), and the injection log matches the armed plan.
 
-Each seed runs under its own telemetry hub: the committed report
+This is the ``supervisor`` campaign of :mod:`repro.tools.campaign`:
+each seed runs under its own telemetry hub, the committed report
 (``results/supervisor_chaos.json`` or ``--output``) carries summaries
-and per-scenario digests only, while the full per-seed event streams
+and per-scenario digests only, and the full per-seed event streams
 land in the uncommitted ``<output>.jsonl`` sidecar.
 
-Usage::
+Usage (``python -m repro.tools.supervisor_cli`` is an alias)::
 
-    python -m repro.tools.supervisor_cli [--seeds 20] [--seed-base 100]
+    python -m repro.tools.campaign supervisor [--seeds 20] [--seed-base 100]
         [--size 4] [--app lighttpd] [--duration 12] [--output FILE]
 """
 
 from __future__ import annotations
 
 import argparse
-import pathlib
 import sys
-from functools import partial
 from random import Random
 
 from ..faults import FaultPlan
@@ -49,8 +48,12 @@ from ..fleet import (
 )
 from ..kernel import Kernel
 from ..telemetry import TelemetryHub
-from ..workloads import SECOND_NS, TimelineEvent, run_request_timeline
-from .campaign import Results, finish, run_seeded, seed_range
+from ..workloads import (
+    SECOND_NS,
+    TimelineEvent,
+    TimelineResult,
+    run_request_timeline,
+)
 
 SCENARIOS = ("crash", "wedge", "corrupt", "quarantine")
 #: bounded post-workload settling: heartbeats until the fleet is quiet
@@ -77,6 +80,34 @@ def _arm_scenario(plan: FaultPlan, scenario: str, rng: Random) -> None:
         plan.arm("restore.memory", "permanent", probability=1.0, times=0)
 
 
+def serve_then_settle(
+    supervisor: FleetSupervisor,
+    plan: FaultPlan,
+    duration_s: int,
+    events: list[TimelineEvent],
+) -> TimelineResult:
+    """Wanted frontend traffic for ``duration_s`` under ``plan``, then
+    at most :data:`SETTLE_TICKS` heartbeats until the fleet settles."""
+    controller = supervisor.controller
+    kernel, app, pool = controller.kernel, controller.app, controller.pool
+    assert pool is not None
+    with plan:
+        timeline = run_request_timeline(
+            kernel,
+            lambda: app.wanted_request(kernel, controller.frontend_port),
+            duration_ns=duration_s * SECOND_NS,
+            events=events,
+            failover_meter=lambda: pool.total_failovers,
+        )
+        # bounded settling: give in-flight recoveries their heartbeats
+        for __ in range(SETTLE_TICKS):
+            if supervisor.settled:
+                break
+            kernel.clock_ns += controller.policy.heartbeat_interval_ns
+            supervisor.tick()
+    return timeline
+
+
 def run_campaign(args, seed: int, hub: TelemetryHub) -> dict:
     rng = Random(seed)
     scenario = rng.choice(SCENARIOS)
@@ -92,7 +123,6 @@ def run_campaign(args, seed: int, hub: TelemetryHub) -> dict:
     controller.spawn_fleet()
     RolloutExecutor(controller).run()      # customize offline, then guard
     supervisor = FleetSupervisor(controller)
-    kernel, pool = controller.kernel, controller.pool
 
     plan = FaultPlan(seed=seed)
     if scenario == "wedge":
@@ -118,21 +148,7 @@ def run_campaign(args, seed: int, hub: TelemetryHub) -> dict:
         )
         for offset in range(2, args.duration - 3, 3)
     ]
-    with plan:
-        timeline = run_request_timeline(
-            kernel,
-            lambda: app.wanted_request(kernel, controller.frontend_port),
-            duration_ns=args.duration * SECOND_NS,
-            events=events,
-            failover_meter=lambda: pool.total_failovers,
-        )
-        # bounded settling: give in-flight recoveries their heartbeats
-        for __ in range(SETTLE_TICKS):
-            if supervisor.settled:
-                break
-            kernel.clock_ns += policy.heartbeat_interval_ns
-            supervisor.tick()
-
+    timeline = serve_then_settle(supervisor, plan, args.duration, events)
     states = {
         name: record.state.value
         for name, record in supervisor.records.items()
@@ -190,8 +206,7 @@ def describe(campaign: dict) -> str:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="supervisor")
+def flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seeds", type=int, default=20)
     parser.add_argument("--seed-base", type=int, default=100)
     parser.add_argument("--app", default="lighttpd",
@@ -199,25 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--size", type=int, default=4)
     parser.add_argument("--duration", type=int, default=12,
                         help="workload duration in virtual seconds")
-    parser.add_argument("--output", type=pathlib.Path,
-                        default=pathlib.Path("results/supervisor_chaos.json"))
-    return parser
-
-
-def run_all(args) -> Results:
-    return run_seeded(
-        {"app": args.app, "size": args.size, "duration_s": args.duration},
-        (
-            (f"supervisor-{seed}", partial(run_campaign, args, seed))
-            for seed in seed_range(args)
-        ),
-        describe,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return finish(args.output, lambda: run_all(args))
+    from .campaign import alias
+
+    return alias("supervisor", argv)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ matplotlib.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 _COLORS = (
@@ -23,8 +24,71 @@ class Series:
     dashed: bool = False
 
 
+class _Figure:
+    """What every chart shares: writing its ``to_svg()`` to a file."""
+
+    def save(self, path) -> None:
+        with open(path, "w") as handle:
+            handle.write(self.to_svg())
+
+
+def _frame(chart) -> list[str]:
+    """A chart's SVG header, background, title, axes and axis labels."""
+    m = chart.margin
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{chart.width}" '
+        f'height="{chart.height}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{chart.width}" height="{chart.height}" fill="white"/>',
+        f'<text x="{chart.width / 2}" y="20" text-anchor="middle" '
+        f'font-size="14" font-weight="bold">{chart.title}</text>',
+        f'<line x1="{m}" y1="{chart.height - m}" x2="{chart.width - m}" '
+        f'y2="{chart.height - m}" stroke="black"/>',
+        f'<line x1="{m}" y1="{m}" x2="{m}" y2="{chart.height - m}" '
+        'stroke="black"/>',
+        f'<text x="{chart.width / 2}" y="{chart.height - 12}" '
+        f'text-anchor="middle">{chart.x_label}</text>',
+        f'<text x="16" y="{chart.height / 2}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {chart.height / 2})">{chart.y_label}</text>',
+    ]
+
+
+def _y_tick(m: int, y_val: float, y_pix: float) -> list[str]:
+    return [
+        f'<line x1="{m - 4}" y1="{y_pix:.1f}" x2="{m}" '
+        f'y2="{y_pix:.1f}" stroke="black"/>',
+        f'<text x="{m - 8}" y="{y_pix + 4:.1f}" '
+        f'text-anchor="end">{y_val:g}</text>',
+    ]
+
+
+def _bar_frame(
+    chart, heights: list[float]
+) -> tuple[list[str], Callable[[float], float], list[float], float]:
+    """A bar chart's frame with six y ticks from 0, its y scale, each
+    bar's left edge and the bar width.
+
+    The y axis tops out 8% above the tallest of the bars' ``heights``.
+    """
+    tallest = max(heights, default=0.0)
+    y_max = (tallest if tallest > 0 else 1.0) * 1.08
+    m = chart.margin
+    plot_h = chart.height - 2 * m
+
+    def sy(y: float) -> float:
+        return chart.height - m - y / y_max * plot_h
+
+    parts = _frame(chart)
+    for i in range(6):
+        y_val = y_max * i / 5
+        parts.extend(_y_tick(m, y_val, sy(y_val)))
+    slot = (chart.width - 2 * m) / max(len(heights), 1)
+    bar_w = max(4.0, slot * 0.6)
+    edges = [m + index * slot + (slot - bar_w) / 2 for index in range(len(heights))]
+    return parts, sy, edges, bar_w
+
+
 @dataclass
-class LineChart:
+class LineChart(_Figure):
     """A simple multi-series line chart with axes and a legend."""
 
     title: str
@@ -68,27 +132,12 @@ class LineChart:
         def sy(y: float) -> float:
             return self.height - m - (y - y_min) / (y_max - y_min) * plot_h
 
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" font-family="sans-serif" font-size="12">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<text x="{self.width / 2}" y="20" text-anchor="middle" '
-            f'font-size="14" font-weight="bold">{self.title}</text>',
-            # axes
-            f'<line x1="{m}" y1="{self.height - m}" x2="{self.width - m}" '
-            f'y2="{self.height - m}" stroke="black"/>',
-            f'<line x1="{m}" y1="{m}" x2="{m}" y2="{self.height - m}" '
-            'stroke="black"/>',
-            f'<text x="{self.width / 2}" y="{self.height - 12}" '
-            f'text-anchor="middle">{self.x_label}</text>',
-            f'<text x="16" y="{self.height / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {self.height / 2})">{self.y_label}</text>',
-        ]
+        parts = _frame(self)
         # ticks: 5 on each axis
         for i in range(6):
             x_val = x_min + (x_max - x_min) * i / 5
             y_val = y_min + (y_max - y_min) * i / 5
-            x_pix, y_pix = sx(x_val), sy(y_val)
+            x_pix = sx(x_val)
             parts.append(
                 f'<line x1="{x_pix:.1f}" y1="{self.height - m}" '
                 f'x2="{x_pix:.1f}" y2="{self.height - m + 4}" stroke="black"/>'
@@ -97,14 +146,7 @@ class LineChart:
                 f'<text x="{x_pix:.1f}" y="{self.height - m + 16}" '
                 f'text-anchor="middle">{x_val:g}</text>'
             )
-            parts.append(
-                f'<line x1="{m - 4}" y1="{y_pix:.1f}" x2="{m}" '
-                f'y2="{y_pix:.1f}" stroke="black"/>'
-            )
-            parts.append(
-                f'<text x="{m - 8}" y="{y_pix + 4:.1f}" '
-                f'text-anchor="end">{y_val:g}</text>'
-            )
+            parts.extend(_y_tick(m, y_val, sy(y_val)))
         # series
         for index, series in enumerate(self.series):
             color = _COLORS[index % len(_COLORS)]
@@ -129,13 +171,9 @@ class LineChart:
         parts.append("</svg>")
         return "\n".join(parts)
 
-    def save(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_svg())
-
 
 @dataclass
-class BarChart:
+class BarChart(_Figure):
     """Labeled vertical bars with axes and per-bar value captions."""
 
     title: str
@@ -151,73 +189,32 @@ class BarChart:
 
     def to_svg(self) -> str:
         m = self.margin
-        plot_w = self.width - 2 * m
-        plot_h = self.height - 2 * m
-        y_max = max((value for __, value in self.bars), default=0.0)
-        if y_max <= 0:
-            y_max = 1.0
-        y_max *= 1.08
-
-        def sy(y: float) -> float:
-            return self.height - m - y / y_max * plot_h
-
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" font-family="sans-serif" font-size="12">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<text x="{self.width / 2}" y="20" text-anchor="middle" '
-            f'font-size="14" font-weight="bold">{self.title}</text>',
-            f'<line x1="{m}" y1="{self.height - m}" x2="{self.width - m}" '
-            f'y2="{self.height - m}" stroke="black"/>',
-            f'<line x1="{m}" y1="{m}" x2="{m}" y2="{self.height - m}" '
-            'stroke="black"/>',
-            f'<text x="{self.width / 2}" y="{self.height - 12}" '
-            f'text-anchor="middle">{self.x_label}</text>',
-            f'<text x="16" y="{self.height / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {self.height / 2})">{self.y_label}</text>',
-        ]
-        for i in range(6):
-            y_val = y_max * i / 5
-            y_pix = sy(y_val)
+        parts, sy, edges, bar_w = _bar_frame(
+            self, [value for __, value in self.bars]
+        )
+        for index, ((label, value), x) in enumerate(zip(self.bars, edges)):
+            color = _COLORS[index % len(_COLORS)]
+            top = sy(max(0.0, value))
+            bar_h = self.height - m - top
             parts.append(
-                f'<line x1="{m - 4}" y1="{y_pix:.1f}" x2="{m}" '
-                f'y2="{y_pix:.1f}" stroke="black"/>'
+                f'<rect x="{x:.1f}" y="{top:.1f}" width="{bar_w:.1f}" '
+                f'height="{bar_h:.1f}" fill="{color}"/>'
+            )
+            cx = x + bar_w / 2
+            parts.append(
+                f'<text x="{cx:.1f}" y="{top - 4:.1f}" '
+                f'text-anchor="middle" font-size="10">{value:g}</text>'
             )
             parts.append(
-                f'<text x="{m - 8}" y="{y_pix + 4:.1f}" '
-                f'text-anchor="end">{y_val:g}</text>'
+                f'<text x="{cx:.1f}" y="{self.height - m + 16}" '
+                f'text-anchor="middle">{label}</text>'
             )
-        if self.bars:
-            slot = plot_w / len(self.bars)
-            bar_w = max(4.0, slot * 0.6)
-            for index, (label, value) in enumerate(self.bars):
-                color = _COLORS[index % len(_COLORS)]
-                x = m + index * slot + (slot - bar_w) / 2
-                top = sy(max(0.0, value))
-                bar_h = self.height - m - top
-                parts.append(
-                    f'<rect x="{x:.1f}" y="{top:.1f}" width="{bar_w:.1f}" '
-                    f'height="{bar_h:.1f}" fill="{color}"/>'
-                )
-                cx = x + bar_w / 2
-                parts.append(
-                    f'<text x="{cx:.1f}" y="{top - 4:.1f}" '
-                    f'text-anchor="middle" font-size="10">{value:g}</text>'
-                )
-                parts.append(
-                    f'<text x="{cx:.1f}" y="{self.height - m + 16}" '
-                    f'text-anchor="middle">{label}</text>'
-                )
         parts.append("</svg>")
         return "\n".join(parts)
 
-    def save(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_svg())
-
 
 @dataclass
-class StackedBarChart:
+class StackedBarChart(_Figure):
     """Vertical bars stacked by category (the latency-waterfall style).
 
     ``categories`` fixes both the stacking order (bottom-up) and the
@@ -242,68 +239,28 @@ class StackedBarChart:
 
     def to_svg(self) -> str:
         m = self.margin
-        plot_w = self.width - 2 * m
-        plot_h = self.height - 2 * m
-        y_max = max(
-            (sum(segments.values()) for __, segments in self.bars),
-            default=0.0,
+        parts, sy, edges, bar_w = _bar_frame(
+            self, [sum(segments.values()) for __, segments in self.bars]
         )
-        if y_max <= 0:
-            y_max = 1.0
-        y_max *= 1.08
-
-        def sy(y: float) -> float:
-            return self.height - m - y / y_max * plot_h
-
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" font-family="sans-serif" font-size="12">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<text x="{self.width / 2}" y="20" text-anchor="middle" '
-            f'font-size="14" font-weight="bold">{self.title}</text>',
-            f'<line x1="{m}" y1="{self.height - m}" x2="{self.width - m}" '
-            f'y2="{self.height - m}" stroke="black"/>',
-            f'<line x1="{m}" y1="{m}" x2="{m}" y2="{self.height - m}" '
-            'stroke="black"/>',
-            f'<text x="{self.width / 2}" y="{self.height - 12}" '
-            f'text-anchor="middle">{self.x_label}</text>',
-            f'<text x="16" y="{self.height / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {self.height / 2})">{self.y_label}</text>',
-        ]
-        for i in range(6):
-            y_val = y_max * i / 5
-            y_pix = sy(y_val)
-            parts.append(
-                f'<line x1="{m - 4}" y1="{y_pix:.1f}" x2="{m}" '
-                f'y2="{y_pix:.1f}" stroke="black"/>'
-            )
-            parts.append(
-                f'<text x="{m - 8}" y="{y_pix + 4:.1f}" '
-                f'text-anchor="end">{y_val:g}</text>'
-            )
-        if self.bars:
-            slot = plot_w / len(self.bars)
-            bar_w = max(4.0, slot * 0.6)
-            for index, (label, segments) in enumerate(self.bars):
-                x = m + index * slot + (slot - bar_w) / 2
-                running = 0.0
-                for category in self.categories:
-                    value = segments.get(category, 0.0)
-                    if value <= 0:
-                        continue
-                    top = sy(running + value)
-                    seg_h = sy(running) - top
-                    parts.append(
-                        f'<rect x="{x:.1f}" y="{top:.1f}" '
-                        f'width="{bar_w:.1f}" height="{seg_h:.1f}" '
-                        f'fill="{self.color(category)}"/>'
-                    )
-                    running += value
+        for (label, segments), x in zip(self.bars, edges):
+            running = 0.0
+            for category in self.categories:
+                value = segments.get(category, 0.0)
+                if value <= 0:
+                    continue
+                top = sy(running + value)
+                seg_h = sy(running) - top
                 parts.append(
-                    f'<text x="{x + bar_w / 2:.1f}" '
-                    f'y="{self.height - m + 16}" '
-                    f'text-anchor="middle" font-size="10">{label}</text>'
+                    f'<rect x="{x:.1f}" y="{top:.1f}" '
+                    f'width="{bar_w:.1f}" height="{seg_h:.1f}" '
+                    f'fill="{self.color(category)}"/>'
                 )
+                running += value
+            parts.append(
+                f'<text x="{x + bar_w / 2:.1f}" '
+                f'y="{self.height - m + 16}" '
+                f'text-anchor="middle" font-size="10">{label}</text>'
+            )
         for index, category in enumerate(self.categories):
             legend_y = self.margin + 8 + index * 16
             parts.append(
@@ -317,13 +274,9 @@ class StackedBarChart:
         parts.append("</svg>")
         return "\n".join(parts)
 
-    def save(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_svg())
-
 
 @dataclass
-class GridMap:
+class GridMap(_Figure):
     """A colored-cell grid (the Figure 2 memory-footprint style).
 
     ``cells`` is a flat list of category keys; ``palette`` maps each
@@ -372,7 +325,3 @@ class GridMap:
             legend_x += 14 + 8 * len(label) + 16
         parts.append("</svg>")
         return "\n".join(parts)
-
-    def save(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_svg())

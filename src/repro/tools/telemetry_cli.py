@@ -1,32 +1,30 @@
 """``telemetry`` CLI — record, replay, and verify a DynaScope run.
 
-``run`` drives the reference observability scenario: an 8-instance
-lighttpd fleet under a closed-loop balanced workload, customized by a
-rolling rollout *while serving*, then hit by seeded chaos crashes with
-the DynaGuard supervisor recovering from committed images, plus a
-trickle of removed-feature traffic so the verifier trap path and the
-drift detector light up.  The entire run records into one
-:class:`~repro.telemetry.TelemetryHub`; afterwards the CLI
-
-* reconstructs every reported aggregate **from the event stream
-  alone** (:func:`~repro.telemetry.summarize_events`) and verifies it
-  against the live controller/supervisor numbers — the acceptance
-  contract of the observability layer;
-* writes the committed summary to ``results/telemetry_rollout.json``,
-  the full event stream to the uncommitted ``.jsonl`` sidecar, the
-  Prometheus text snapshot to the uncommitted ``.prom`` sidecar, and
-  SVG timelines (throughput, per-instance traps, rewrite costs) next
-  to the summary;
-* with ``--check-determinism``, runs the same seed twice and asserts
-  the event stream and metric snapshot are byte-identical.
+``run`` is the ``telemetry`` campaign of :mod:`repro.tools.campaign`:
+the reference observability scenario, an 8-instance lighttpd fleet
+under a closed-loop balanced workload, customized by a rolling rollout
+*while serving*, then hit by seeded chaos crashes with the DynaGuard
+supervisor recovering from committed images, plus a trickle of
+removed-feature traffic so the verifier trap path and the drift
+detector light up.  The run records into one
+:class:`~repro.telemetry.TelemetryHub`; afterwards it reconstructs
+every reported aggregate **from the event stream alone**
+(:func:`~repro.telemetry.summarize_events`) and verifies it against
+the live controller/supervisor numbers — the acceptance contract of
+the observability layer.  The campaign runner writes the committed
+summary to ``results/telemetry_rollout.json`` with the uncommitted
+``.jsonl`` event stream and ``.prom`` snapshot next to it, and
+:func:`charts` draws the SVG timelines (throughput, per-instance
+traps, rewrite costs).
 
 ``report`` rebuilds the aggregates from a ``.jsonl`` stream alone;
 ``check`` strictly parses a ``.prom`` snapshot (the CI assertion).
 
-Usage::
+Usage (``python -m repro.tools.telemetry_cli run`` is an alias of the
+campaign)::
 
-    python -m repro.tools.telemetry_cli run [--app lighttpd] [--size 8]
-        [--seed 42] [--duration 24] [--check-determinism] [--output FILE]
+    python -m repro.tools.campaign telemetry [--app lighttpd] [--size 8]
+        [--seed 42] [--duration 24] [--output FILE]
     python -m repro.tools.telemetry_cli report EVENTS.jsonl
     python -m repro.tools.telemetry_cli check SNAPSHOT.prom
 """
@@ -37,8 +35,9 @@ import argparse
 import json
 import pathlib
 import sys
+from functools import partial
+from typing import TYPE_CHECKING
 
-from .. import telemetry
 from ..faults import FaultPlan
 from ..fleet import (
     DriftDetector,
@@ -56,21 +55,21 @@ from ..telemetry import (
     prometheus_snapshot,
     read_jsonl,
     summarize_events,
-    to_jsonl,
 )
-from ..workloads import SECOND_NS, TimelineEvent, run_request_timeline
+from ..workloads import SECOND_NS, TimelineEvent
+from .supervisor_cli import serve_then_settle
 from .svgplot import BarChart, LineChart
 
-#: bounded post-workload settling, as in the supervisor campaign CLI
-SETTLE_TICKS = 12
+if TYPE_CHECKING:
+    from .campaign import Results
 
 
 # ----------------------------------------------------------------------
 # the reference scenario
 
 
-def _run_scenario(args) -> tuple[TelemetryHub, dict]:
-    """One recorded rollout-under-chaos run; returns (hub, live numbers)."""
+def run_scenario(args, hub: TelemetryHub) -> dict:
+    """One recorded rollout-under-chaos run, checked against its events."""
     app = get_app(args.app)
     policy = FleetPolicy(
         features=app.features,
@@ -84,83 +83,70 @@ def _run_scenario(args) -> tuple[TelemetryHub, dict]:
         drift_action="ignore",    # observe drift, don't mutate the fleet
     )
     kernel = Kernel()
-    hub = TelemetryHub(lambda: kernel.clock_ns)
-    with telemetry.recording(hub):
-        controller = FleetController(kernel, app, policy, size=args.size)
-        controller.spawn_fleet()
-        pool = controller.pool
-        assert pool is not None
-        executor = RolloutExecutor(controller)
-        supervisor = FleetSupervisor(controller)
-        detector = DriftDetector(controller)
+    hub.bind_clock(lambda: kernel.clock_ns)
+    controller = FleetController(kernel, app, policy, size=args.size)
+    controller.spawn_fleet()
+    pool = controller.pool
+    assert pool is not None
+    executor = RolloutExecutor(controller)
+    supervisor = FleetSupervisor(controller)
+    detector = DriftDetector(controller)
 
-        feature = policy.features[0]
+    feature = policy.features[0]
 
-        def feature_traffic() -> None:
-            try:
-                app.feature_request(kernel, controller.frontend_port, feature)
-            except Exception:  # noqa: BLE001 — a refused request still traps
-                pass
+    def feature_traffic() -> None:
+        try:
+            app.feature_request(kernel, controller.frontend_port, feature)
+        except Exception:  # noqa: BLE001 — a refused request still traps
+            pass
 
-        events = [
-            # rolling rollout, one batch per step, while traffic flows
-            TimelineEvent(
-                at_ns=(1 + 2 * i) * SECOND_NS, label=f"rollout-step-{i}",
-                action=lambda: executor.step() if not executor.done else None,
-            )
-            for i in range(args.size // 2 + 1)
-        ] + [
-            # supervisor heartbeat every 3 virtual seconds
-            TimelineEvent(
-                at_ns=second * SECOND_NS, label=f"tick-{second}",
-                action=supervisor.tick,
-            )
-            for second in range(3, args.duration, 3)
-        ] + [
-            # chaos right AFTER a heartbeat: the balancer serves from a
-            # stale view for ~2.5 virtual seconds, so connection
-            # failover is actually exercised before the next tick
-            # detects the crash and recovers from the committed image
-            TimelineEvent(
-                at_ns=int((offset + 0.5) * SECOND_NS), label=f"chaos-{offset}",
-                action=lambda: inject_chaos(controller),
-            )
-            for offset in (9, 15)
-        ] + [
-            # removed-feature traffic between a tick and a drift check,
-            # so the drift detector (not the trap-storm scan) is the
-            # first to attribute the fresh verifier traps
-            TimelineEvent(
-                at_ns=int((offset + 0.5) * SECOND_NS), label=f"drift-{offset}",
-                action=feature_traffic,
-            )
-            for offset in (12, 18, 21)
-        ] + [
-            TimelineEvent(
-                at_ns=second * SECOND_NS, label=f"drift-check-{second}",
-                action=detector.check,
-            )
-            for second in (13, 19, 22)
-        ]
+    events = [
+        # rolling rollout, one batch per step, while traffic flows
+        TimelineEvent(
+            at_ns=(1 + 2 * i) * SECOND_NS, label=f"rollout-step-{i}",
+            action=lambda: executor.step() if not executor.done else None,
+        )
+        for i in range(args.size // 2 + 1)
+    ] + [
+        # supervisor heartbeat every 3 virtual seconds
+        TimelineEvent(
+            at_ns=second * SECOND_NS, label=f"tick-{second}",
+            action=supervisor.tick,
+        )
+        for second in range(3, args.duration, 3)
+    ] + [
+        # chaos right AFTER a heartbeat: the balancer serves from a
+        # stale view for ~2.5 virtual seconds, so connection
+        # failover is actually exercised before the next tick
+        # detects the crash and recovers from the committed image
+        TimelineEvent(
+            at_ns=int((offset + 0.5) * SECOND_NS), label=f"chaos-{offset}",
+            action=lambda: inject_chaos(controller),
+        )
+        for offset in (9, 15)
+    ] + [
+        # removed-feature traffic between a tick and a drift check,
+        # so the drift detector (not the trap-storm scan) is the
+        # first to attribute the fresh verifier traps
+        TimelineEvent(
+            at_ns=int((offset + 0.5) * SECOND_NS), label=f"drift-{offset}",
+            action=feature_traffic,
+        )
+        for offset in (12, 18, 21)
+    ] + [
+        TimelineEvent(
+            at_ns=second * SECOND_NS, label=f"drift-check-{second}",
+            action=detector.check,
+        )
+        for second in (13, 19, 22)
+    ]
 
-        # deterministic crashes: the Nth visit to the injection site
-        # (inject_chaos walks live instances in order, 8 per call)
-        plan = FaultPlan(seed=args.seed)
-        plan.arm("fleet.instance_crash", "transient", on_call=3, times=1)
-        plan.arm("fleet.instance_crash", "transient", on_call=13, times=1)
-        with plan:
-            timeline = run_request_timeline(
-                kernel,
-                lambda: app.wanted_request(kernel, controller.frontend_port),
-                duration_ns=args.duration * SECOND_NS,
-                events=events,
-                failover_meter=lambda: pool.total_failovers,
-            )
-            for __ in range(SETTLE_TICKS):
-                if supervisor.settled:
-                    break
-                kernel.clock_ns += policy.heartbeat_interval_ns
-                supervisor.tick()
+    # deterministic crashes: the Nth visit to the injection site
+    # (inject_chaos walks live instances in order, 8 per call)
+    plan = FaultPlan(seed=args.seed)
+    plan.arm("fleet.instance_crash", "transient", on_call=3, times=1)
+    plan.arm("fleet.instance_crash", "transient", on_call=13, times=1)
+    timeline = serve_then_settle(supervisor, plan, args.duration, events)
 
     live = {
         "rollout_state": executor.report.state,
@@ -198,7 +184,38 @@ def _run_scenario(args) -> tuple[TelemetryHub, dict]:
         },
         "supervision": supervisor.supervision_status(),
     }
-    return hub, live
+    recon = summarize_events(hub.events)
+    matches = _verify_reconstruction(live, recon)
+    try:
+        snapshot_ok = bool(parse_prometheus(prometheus_snapshot(hub.registry)))
+    except ValueError:
+        snapshot_ok = False
+    registry_snapshot = hub.registry.snapshot()
+    return {
+        "ok": (
+            live["rollout_state"] == "completed"
+            and live["settled"]
+            and all(matches.values())
+            and snapshot_ok
+        ),
+        "live": live,
+        "reconstructed": {
+            "events": recon["events"],
+            "kinds": recon["kinds"],
+            "traps": recon["traps"],
+            "failovers": recon["failovers"],
+            "dispatch": recon["dispatch"],
+            "rewrites": recon["rewrites"],
+            "drift": recon["drift"],
+            "spans": recon["spans"],
+        },
+        "matches": matches,
+        "snapshot_parses": snapshot_ok,
+        "registry": {
+            "counters": registry_snapshot["counters"],
+            "histograms": registry_snapshot["histograms"],
+        },
+    }
 
 
 def _verify_reconstruction(live: dict, recon: dict) -> dict:
@@ -223,19 +240,16 @@ def _verify_reconstruction(live: dict, recon: dict) -> dict:
     }
 
 
-def _write_charts(hub: TelemetryHub, recon: dict, output: pathlib.Path) -> list[str]:
-    """Throughput / traps / rewrite-cost figures next to ``output``."""
-    written: list[str] = []
-
+def charts(results: Results, paths: list[pathlib.Path]) -> None:
+    """Throughput / traps / rewrite-cost figures, to ``paths``."""
+    (hub,) = results.hubs.values()
     throughput = LineChart(
         "Balanced fleet throughput under rollout + chaos",
         "virtual time (s)", "requests/s",
     )
     for series in hub.registry.series_matching("throughput_rps"):
         throughput.add_series("frontend", series.points(1 / SECOND_NS))
-    path = output.with_name(output.stem + "_timeline.svg")
-    throughput.save(path)
-    written.append(str(path))
+    throughput.save(paths[0])
 
     traps = LineChart(
         "Per-instance verifier traps (high-water)",
@@ -244,115 +258,55 @@ def _write_charts(hub: TelemetryHub, recon: dict, output: pathlib.Path) -> list[
     for series in hub.registry.series_matching("traps_seen"):
         label = dict(series.labels).get("instance", "?")
         traps.add_series(label, series.points(1 / SECOND_NS))
-    path = output.with_name(output.stem + "_traps.svg")
-    traps.save(path)
-    written.append(str(path))
+    traps.save(paths[1])
 
     costs = BarChart(
         "Rewrite cost per instance (committed transactions)",
         "instance", "total cost (ms)",
     )
-    for name, summary in sorted(recon["rewrites"].items()):
+    rewrites = results.payload["campaigns"][0]["reconstructed"]["rewrites"]
+    for name, summary in sorted(rewrites.items()):
         costs.add_bar(name or "?", summary["total_ns"] / 1_000_000)
-    path = output.with_name(output.stem + "_costs.svg")
-    costs.save(path)
-    written.append(str(path))
-    return written
+    costs.save(paths[2])
 
 
-def run_scenario(args) -> int:
-    if args.duration < 24:
-        raise SystemExit(
-            "the reference scenario schedules chaos/drift events up to "
-            "t=22s; --duration must be >= 24"
-        )
-    hub, live = _run_scenario(args)
-    recon = summarize_events(hub.events)
-    matches = _verify_reconstruction(live, recon)
+def flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--app", default="lighttpd",
+                        choices=("lighttpd", "nginx", "redis"))
+    parser.add_argument("--size", type=int, default=8)
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--duration", type=int, default=24,
+                        help="workload duration in virtual seconds")
 
-    snapshot_text = prometheus_snapshot(hub.registry)
-    try:
-        parsed = parse_prometheus(snapshot_text)
-        snapshot_ok = bool(parsed)
-    except ValueError:
-        snapshot_ok = False
 
-    determinism = None
-    if args.check_determinism:
-        hub2, __ = _run_scenario(args)
-        determinism = {
-            "events_identical": to_jsonl(hub.events) == to_jsonl(hub2.events),
-            "snapshot_identical": (
-                snapshot_text == prometheus_snapshot(hub2.registry)
-            ),
-        }
-
-    clean = (
-        live["rollout_state"] == "completed"
-        and live["settled"]
-        and all(matches.values())
-        and snapshot_ok
-        and (determinism is None or all(determinism.values()))
-    )
-
-    output = args.output
-    output.parent.mkdir(parents=True, exist_ok=True)
-    sidecar = output.with_suffix(".jsonl")
-    sidecar.write_text(to_jsonl(hub.events))
-    prom = output.with_suffix(".prom")
-    prom.write_text(snapshot_text)
-    charts = _write_charts(hub, recon, output)
-
-    registry_snapshot = hub.registry.snapshot()
-    payload = {
+def header(args: argparse.Namespace) -> dict:
+    return {
         "mode": "telemetry-rollout",
         "app": args.app,
         "size": args.size,
         "seed": args.seed,
         "duration_s": args.duration,
-        "clean": clean,
-        "live": live,
-        "reconstructed": {
-            "events": recon["events"],
-            "kinds": recon["kinds"],
-            "traps": recon["traps"],
-            "failovers": recon["failovers"],
-            "dispatch": recon["dispatch"],
-            "rewrites": recon["rewrites"],
-            "drift": recon["drift"],
-            "spans": recon["spans"],
-        },
-        "matches": matches,
-        "snapshot_parses": snapshot_ok,
-        "determinism": determinism,
-        "registry": {
-            "counters": registry_snapshot["counters"],
-            "histograms": registry_snapshot["histograms"],
-        },
-        "artifacts": {
-            "events_jsonl": str(sidecar),
-            "prometheus": str(prom),
-            "charts": charts,
-        },
     }
-    output.write_text(json.dumps(payload, indent=2) + "\n")
 
-    print(
-        f"{args.app} x{args.size} seed {args.seed}: "
+
+def runs(args: argparse.Namespace) -> list:
+    if args.duration < 24:
+        raise SystemExit(
+            "the reference scenario schedules chaos/drift events up to "
+            "t=22s; --duration must be >= 24"
+        )
+    return [("telemetry", partial(run_scenario, args))]
+
+
+def describe(record: dict) -> str:
+    recon = record["reconstructed"]
+    matches = record["matches"]
+    return (
         f"{recon['events']} events, "
         f"{recon['failovers']['total']} failovers, "
         f"traps={sum(recon['traps'].values())}, "
         f"matches={'all' if all(matches.values()) else matches}"
     )
-    if determinism is not None:
-        print(
-            "determinism: events "
-            f"{'identical' if determinism['events_identical'] else 'DIVERGED'},"
-            " snapshot "
-            f"{'identical' if determinism['snapshot_identical'] else 'DIVERGED'}"
-        )
-    print(f"{'CLEAN' if clean else 'VIOLATED'} -> {output}")
-    return 0 if clean else 1
 
 
 # ----------------------------------------------------------------------
@@ -393,18 +347,7 @@ def run_check(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="telemetry")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="record the reference chaos-rollout run")
-    run.add_argument("--app", default="lighttpd",
-                     choices=("lighttpd", "nginx", "redis"))
-    run.add_argument("--size", type=int, default=8)
-    run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--duration", type=int, default=24,
-                     help="workload duration in virtual seconds")
-    run.add_argument("--check-determinism", action="store_true",
-                     help="run the seed twice; assert byte-identical output")
-    run.add_argument("--output", type=pathlib.Path,
-                     default=pathlib.Path("results/telemetry_rollout.json"))
+    sub.add_parser("run", help="alias of: python -m repro.tools.campaign telemetry")
 
     report = sub.add_parser("report", help="rebuild aggregates from a .jsonl")
     report.add_argument("events", help="JSONL event stream to summarize")
@@ -416,9 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["run"]:
+        from .campaign import alias
+
+        return alias("telemetry", argv[1:])
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return run_scenario(args)
     if args.command == "report":
         return run_report(args)
     return run_check(args)

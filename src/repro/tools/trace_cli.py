@@ -22,23 +22,21 @@ identities the observability layer promises:
 * **tail latency** — p50/p95/p99 are exact nearest-rank percentiles
   over per-request ``wall_ns`` values, not bucket interpolations.
 
-``--check`` runs one quick 2-shard seed (CI);
-``--check-determinism`` runs the whole campaign twice and requires the
-committed report *and the full span stream* to be byte-identical.
+This is the ``trace`` campaign of :mod:`repro.tools.campaign`, whose
+replay requires the committed report *and the full span stream* to be
+byte-identical.
 
-Usage::
+Usage (``python -m repro.tools.trace_cli`` is an alias)::
 
-    python -m repro.tools.trace_cli [--seeds 2] [--seed-base 900]
+    python -m repro.tools.campaign trace [--seeds 2] [--seed-base 900]
         [--shards 4] [--size 2] [--output FILE]
-        [--check] [--check-determinism]
 """
 
 from __future__ import annotations
 
-import dataclasses
 import pathlib
 import sys
-from functools import partial
+from typing import TYPE_CHECKING
 
 from ..telemetry import (
     PHASES,
@@ -49,9 +47,11 @@ from ..telemetry import (
     to_trace_jsonl,
 )
 from ..workloads import SECOND_NS, TimelineEvent
-from .campaign import Results, finish, run_seeded, seed_range
-from .mesh_cli import HostCrash, build_parser, parse_args, workload_record
+from .mesh_cli import HostCrash, workload_record
 from .svgplot import LineChart, StackedBarChart
+
+if TYPE_CHECKING:
+    from .campaign import Results
 
 #: every Nth workload request is a SET (the post-rollout trap driver)
 SET_EVERY = 8
@@ -271,8 +271,9 @@ def p99_timeline(records: list[dict], walls: list[int]) -> list[dict]:
     ]
 
 
-def render_figures(output: pathlib.Path, campaign: dict) -> list[pathlib.Path]:
-    """The latency waterfall + p99 timeline SVGs for one campaign."""
+def render_figures(results: Results, paths: list[pathlib.Path]) -> None:
+    """The first seed's latency waterfall and p99 timeline, to ``paths``."""
+    campaign = results.payload["campaigns"][0]
     waterfall = StackedBarChart(
         title=(
             f"Slowest requests by phase (seed {campaign['seed']}, "
@@ -293,8 +294,7 @@ def render_figures(output: pathlib.Path, campaign: dict) -> list[pathlib.Path]:
                 for phase, ns in record["phases"].items()
             },
         )
-    waterfall_path = output.with_name("trace_latency_waterfall.svg")
-    waterfall.save(waterfall_path)
+    waterfall.save(paths[0])
 
     timeline = LineChart(
         title=f"Per-second p99 request wall time (seed {campaign['seed']})",
@@ -308,9 +308,7 @@ def render_figures(output: pathlib.Path, campaign: dict) -> list[pathlib.Path]:
             for point in campaign["p99_timeline"]
         ],
     )
-    timeline_path = output.with_name("trace_p99_timeline.svg")
-    timeline.save(timeline_path)
-    return [waterfall_path, timeline_path]
+    timeline.save(paths[1])
 
 
 def describe(campaign: dict) -> str:
@@ -325,47 +323,10 @@ def describe(campaign: dict) -> str:
     )
 
 
-def run_all(args) -> Results:
-    results = run_seeded(
-        {
-            "shards": args.shards,
-            "size_per_shard": args.size,
-            "routing": "hash",
-            "trap_policy": "verify",
-        },
-        (
-            (f"trace-{seed}", partial(run_campaign, args, seed))
-            for seed in seed_range(args)
-        ),
-        describe,
-    )
-    spans = "".join(
-        campaign.pop("_spans") for campaign in results.payload["campaigns"]
-    )
-    return dataclasses.replace(results, stream=spans, unit="spans")
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser(
-        "trace", seeds=2, seed_base=900,
-        output="results/trace_attribution.json",
-    )
-    args = parse_args(parser, argv)
-    if args is None:
-        return 2
+    from .campaign import alias
 
-    def artifacts(results: Results) -> None:
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        figures = render_figures(args.output, results.payload["campaigns"][0])
-        spans_path = args.output.with_suffix(".spans.jsonl")
-        spans_path.write_text(results.stream)
-        print(f"figures -> {', '.join(str(path) for path in figures)} "
-              f"(spans -> {spans_path})")
-
-    return finish(
-        args.output, lambda: run_all(args),
-        replay=args.check_determinism, artifacts=artifacts,
-    )
+    return alias("trace", argv)
 
 
 if __name__ == "__main__":

@@ -215,8 +215,9 @@ class TestFleetCli:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["clean"]
-        assert payload["rollout"]["state"] == "completed"
-        assert payload["workload"]["failed_requests"] == 0
+        record = payload["campaigns"][0]
+        assert record["rollout"]["state"] == "completed"
+        assert record["workload"]["failed_requests"] == 0
         assert "CLEAN" in capsys.readouterr().out
 
     def test_rollout_with_fault_expects_abort(self, tmp_path, capsys):
@@ -231,21 +232,26 @@ class TestFleetCli:
         ])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["rollout"]["state"] == "aborted"
+        assert payload["campaigns"][0]["rollout"]["state"] == "aborted"
         assert payload["clean"]
 
-    def test_drift_mode_reenables(self, tmp_path, capsys):
+    def test_drift_mode_reenables(self, tmp_path, capsys, monkeypatch):
         from repro.tools import fleet_cli
 
-        out = tmp_path / "fleet.json"
+        # the default output: drift must not overwrite the rollout report
+        monkeypatch.chdir(tmp_path)
         code = fleet_cli.main([
             "drift", "--size", "2", "--duration", "8",
-            "--probe-requests", "2", "--output", str(out),
+            "--probe-requests", "2",
         ])
         assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["drift"]["triggered"]
-        assert payload["feature_served_after_reenable"]
+        assert not (tmp_path / "results" / "fleet_rollout.json").exists()
+        payload = json.loads(
+            (tmp_path / "results" / "fleet_drift.json").read_text()
+        )
+        record = payload["campaigns"][0]
+        assert record["drift"]["triggered"]
+        assert record["feature_served_after_reenable"]
 
     def test_unknown_fault_site_rejected(self, tmp_path):
         from repro.tools import fleet_cli
@@ -272,13 +278,6 @@ class TestShelveCli:
         assert shelve_cli.main(["--put-mix", "0"]) == 2
         assert shelve_cli.main(["--put-mix", "1.5"]) == 2
 
-    def test_check_mode_collapses_to_one_seed(self):
-        from repro.tools import shelve_cli
-
-        parser = shelve_cli.build_parser()
-        args = parser.parse_args(["--check"])
-        assert args.check and args.seeds == 3  # collapsed inside main()
-
 
 class TestTraceCli:
     def test_check_replays_identically_from_cleared_caches(
@@ -292,7 +291,7 @@ class TestTraceCli:
         _FLOW_CACHE.clear()
         output = tmp_path / "trace.json"
         assert trace_cli.main([
-            "--check", "--check-determinism", "--output", str(output),
+            "--shards", "2", "--seeds", "1", "--output", str(output),
         ]) == 0
         printed = capsys.readouterr().out
         assert "determinism: byte-identical re-export" in printed
