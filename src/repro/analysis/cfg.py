@@ -18,7 +18,6 @@ has, which is why symbol seeds matter.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generic, TypeVar
@@ -32,6 +31,7 @@ from ..isa.encoding import DecodeError
 if TYPE_CHECKING:
     from .dataflow.liveness import RegSet
     from .lint import InstructionMap
+    from .reachability import ClassificationKey, Classified, ProveInputs
 
 T = TypeVar("T")
 
@@ -202,29 +202,11 @@ def image_digest(image: SelfImage) -> str:
     and dynamic relocations — two images with equal digests produce
     identical CFGs *and* identical dataflow results, which is what
     makes :class:`DigestCache` safe across rewrites: a patched segment
-    changes the digest.
+    is a new image with a new digest.  Each image hashes itself once
+    (:attr:`SelfImage.digest <repro.binfmt.self_format.SelfImage.digest>`),
+    because an image is never mutated after it is built.
     """
-    h = hashlib.sha256()
-    h.update(image.entry.to_bytes(8, "little"))
-    h.update(image.kind.value.encode())
-    for seg in sorted(image.segments, key=lambda s: s.vaddr):
-        h.update(seg.name.encode())
-        h.update(seg.vaddr.to_bytes(8, "little"))
-        h.update(seg.perms.encode())
-        h.update(seg.data)
-    for name, sym in sorted(image.symbols.items()):
-        h.update(name.encode())
-        h.update(sym.vaddr.to_bytes(8, "little"))
-        h.update(bytes([sym.is_function, sym.is_global]))
-    for name, stub in sorted(image.plt_entries.items()):
-        h.update(name.encode())
-        h.update(stub.to_bytes(8, "little"))
-    for reloc in image.dynamic_relocs:
-        h.update(reloc.vaddr.to_bytes(8, "little"))
-        h.update(reloc.type.value.encode())
-        h.update(reloc.symbol.encode())
-        h.update(reloc.addend.to_bytes(8, "little", signed=True))
-    return h.hexdigest()
+    return image.digest
 
 
 class DigestCache(Generic[T]):
@@ -299,15 +281,20 @@ class DigestCache(Generic[T]):
 class ImageAnalyses:
     """Every analysis of one image content, kept in the CFG store.
 
-    The CFG is recovered when the entry is made.  The other two slots
-    start empty and are filled from it by their one user on first use,
-    so they live and die with the CFG's store entry:
+    The CFG is recovered when the entry is made.  The other slots start
+    empty and are filled from it by their one user on first use, so
+    they live and die with the CFG's store entry:
     ``instruction_maps`` by the checkpoint linter
     (:mod:`repro.analysis.lint`), ``live_in`` by
-    :func:`~repro.analysis.dataflow.liveness.live_in_registers`.
+    :func:`~repro.analysis.dataflow.liveness.live_in_registers`, and
+    ``prove_inputs`` and ``classifications`` by
+    :func:`~repro.analysis.reachability.refine_removal_set`.
     """
 
-    __slots__ = ("cfg", "instruction_maps", "live_in")
+    __slots__ = (
+        "cfg", "instruction_maps", "live_in", "prove_inputs",
+        "classifications",
+    )
 
     def __init__(self, cfg: ControlFlowGraph):
         self.cfg = cfg
@@ -315,6 +302,10 @@ class ImageAnalyses:
         self.instruction_maps: dict[int, InstructionMap] | None = None
         #: block start -> registers live on entry to the block
         self.live_in: dict[int, RegSet] | None = None
+        #: prove mode's indirect-branch edges and liveness roots
+        self.prove_inputs: ProveInputs | None = None
+        #: (removed, entries, roots, extra edges) -> stored verdicts
+        self.classifications: dict[ClassificationKey, Classified] = {}
 
 
 #: per-image analyses by image digest, shared by every linter/analyzer

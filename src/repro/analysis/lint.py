@@ -41,6 +41,7 @@ static proof the customization pipeline makes about its text.
 
 from __future__ import annotations
 
+import re
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -183,6 +184,10 @@ def _instruction_maps(
     return maps
 
 
+#: one byte that is not zero
+_NONZERO = re.compile(rb"[^\x00]")
+
+
 class ImageLinter:
     """Lints one checkpoint against the kernel's registered binaries."""
 
@@ -263,10 +268,15 @@ class ImageLinter:
             before = pristine[low:low + len(dumped)]
             if dumped == before:
                 continue
-            for index, (byte, was) in enumerate(zip(dumped, before)):
-                if byte == was:
-                    continue
-                if byte == INT3_OPCODE:
+            # the changed bytes are the nonzero bytes of the XOR of the
+            # two pages, found without a Python loop over the page
+            delta = (
+                int.from_bytes(dumped, "little")
+                ^ int.from_bytes(before, "little")
+            ).to_bytes(len(dumped), "little")
+            for changed in _NONZERO.finditer(delta):
+                index = changed.start()
+                if dumped[index] == INT3_OPCODE:
                     patched.append(seg.vaddr + low + index)
                 else:
                     foreign.add(seg.vaddr + low + index)

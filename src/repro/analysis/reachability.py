@@ -48,12 +48,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .. import telemetry
 from ..binfmt.self_format import ImageKind, SelfImage
 from ..tracing.drcov import BlockRecord
-from .cfg import BasicBlock, ControlFlowGraph, image_cfg
+from .cfg import BasicBlock, ControlFlowGraph, ImageAnalyses, image_analyses
 from .dominators import collectively_dominated
 
 if TYPE_CHECKING:
@@ -203,6 +204,66 @@ def _reachable(
     return seen
 
 
+#: what a stored classification is keyed by: the removed, entry and
+#: root block starts (``None``: every kept block is live) and the extra
+#: edges
+ClassificationKey = tuple[
+    frozenset[int], frozenset[int], frozenset[int] | None,
+    frozenset[tuple[int, tuple[int, ...]]],
+]
+#: prove mode's inputs from an image's flow report: the indirect-branch
+#: edges and the liveness roots
+ProveInputs = tuple[dict[int, tuple[int, ...]], frozenset[int]]
+
+#: classifications kept per image; the oldest is dropped past this
+CLASSIFICATIONS_PER_IMAGE = 64
+
+
+class Classified:
+    """One stored classification of removed block starts.
+
+    ``verdicts`` is read-only, because every later refinement of the
+    same sets reads the same object; ``downstream`` (the blocks a healed
+    trap site can still run into) is filled by the first wipe-safety
+    check that needs it.
+    """
+
+    __slots__ = ("verdicts", "downstream")
+
+    def __init__(self, verdicts: dict[int, BlockClass]):
+        self.verdicts: Mapping[int, BlockClass] = MappingProxyType(verdicts)
+        self.downstream: frozenset[int] | None = None
+
+
+def _classified(
+    analyses: ImageAnalyses,
+    removed_starts: set[int],
+    entry_starts: set[int],
+    roots: frozenset[int] | None = None,
+    extra_edges: Mapping[int, tuple[int, ...]] | None = None,
+) -> Classified:
+    """:func:`classify_block_starts` over ``analyses.cfg``, computed once
+    per distinct input and kept in the image's store."""
+    key: ClassificationKey = (
+        frozenset(removed_starts),
+        frozenset(entry_starts),
+        None if roots is None else frozenset(roots),
+        frozenset(extra_edges.items()) if extra_edges else frozenset(),
+    )
+    store = analyses.classifications
+    found = store.get(key)
+    if found is None:
+        found = Classified(classify_block_starts(
+            analyses.cfg, removed_starts, entry_starts,
+            roots=None if roots is None else set(roots),
+            extra_edges=extra_edges,
+        ))
+        if len(store) >= CLASSIFICATIONS_PER_IMAGE:
+            del store[next(iter(store))]
+        store[key] = found
+    return found
+
+
 def refine_removal_set(
     binary: SelfImage,
     records: list[BlockRecord],
@@ -226,8 +287,10 @@ def refine_removal_set(
     map (see the module docstring).  The result's ``mode`` records
     whether the proof ran, fell back, or was never requested.
     """
-    if cfg is None:
-        cfg = image_cfg(binary)
+    # what depends on the image alone is kept in its store entry; a
+    # caller's own CFG gets a store of its own for this call
+    analyses = image_analyses(binary) if cfg is None else ImageAnalyses(cfg)
+    cfg = analyses.cfg
     entries = entries or []
 
     removed_starts: set[int] = set()
@@ -247,7 +310,7 @@ def refine_removal_set(
 
     mode = "legacy"
     fallback_reason: str | None = None
-    roots: set[int] | None = None
+    roots: frozenset[int] | None = None
     extra_edges: dict[int, tuple[int, ...]] | None = None
     if prove:
         from .dataflow.valueset import analyze_image_flow
@@ -256,8 +319,12 @@ def refine_removal_set(
         fallback_reason = _prove_obstacle(flow)
         if fallback_reason is None:
             mode = "prove"
-            extra_edges = _indirect_edges(cfg, flow)
-            roots = _liveness_roots(binary, cfg, flow)
+            if analyses.prove_inputs is None:
+                analyses.prove_inputs = (
+                    _indirect_edges(cfg, flow),
+                    frozenset(_liveness_roots(binary, cfg, flow)),
+                )
+            extra_edges, roots = analyses.prove_inputs
         else:
             mode = "prove-fallback"
             telemetry.count(
@@ -269,9 +336,11 @@ def refine_removal_set(
         # into the removed interior is a kept path the plain CFG misses
         entry_starts = _frontier(cfg, removed_starts, extra_edges)
 
-    verdicts = classify_block_starts(
-        cfg, removed_starts, entry_starts, roots=roots, extra_edges=extra_edges
+    classified = _classified(
+        analyses, removed_starts, entry_starts,
+        roots=roots, extra_edges=extra_edges,
     )
+    verdicts = classified.verdicts
 
     out = RemovalClassification(
         binary.name,
@@ -291,9 +360,9 @@ def refine_removal_set(
         }[out_class].append(record)
 
     if mode == "prove":
-        legacy_verdicts = classify_block_starts(
-            cfg, removed_starts, entry_starts
-        )
+        legacy_verdicts = _classified(
+            analyses, removed_starts, entry_starts
+        ).verdicts
         legacy = {"provably_dead": 0, "trap_required": 0, "suspect": 0}
         for record in records:
             verdict = _record_verdict(
@@ -307,7 +376,7 @@ def refine_removal_set(
             image=binary.name,
         )
 
-    out.wipe_safe = _wipe_safe_offsets(cfg, out, verdicts, extra_edges)
+    out.wipe_safe = _wipe_safe_offsets(cfg, out, classified, extra_edges)
     return out
 
 
@@ -409,7 +478,7 @@ def _block_lookup(cfg: ControlFlowGraph) -> _BlockOf:
 def _wipe_safe_offsets(
     cfg: ControlFlowGraph,
     classification: RemovalClassification,
-    verdicts: dict[int, BlockClass],
+    classified: Classified,
     extra_edges: Mapping[int, tuple[int, ...]] | None,
 ) -> tuple[int, ...]:
     """Provably-dead records whose bytes may be wiped outright.
@@ -419,14 +488,14 @@ def _wipe_safe_offsets(
     block on such a path would run wiped bytes, so only dead records
     unreachable from every trap block are wipe-safe.
     """
-    edges = _merge_edges(cfg.edges, extra_edges)
-    trap_starts = [
-        start for start, verdict in verdicts.items()
-        if verdict is BlockClass.TRAP_REQUIRED
-    ]
-    downstream: set[int] = set()
-    for start in trap_starts:
-        downstream |= _reachable(edges, edges.get(start, ()))
+    if classified.downstream is None:
+        edges = _merge_edges(cfg.edges, extra_edges)
+        downstream: set[int] = set()
+        for start, verdict in classified.verdicts.items():
+            if verdict is BlockClass.TRAP_REQUIRED:
+                downstream |= _reachable(edges, edges.get(start, ()))
+        classified.downstream = frozenset(downstream)
+    downstream_starts = classified.downstream
     safe: list[int] = []
     for record in classification.provably_dead:
         record_end = record.offset + record.size
@@ -434,7 +503,7 @@ def _wipe_safe_offsets(
             block.start for block in _covered_blocks(cfg, record)
             if record.offset <= block.start and block.end <= record_end
         ]
-        if covered and not any(start in downstream for start in covered):
+        if covered and not any(start in downstream_starts for start in covered):
             safe.append(record.offset)
     return tuple(sorted(safe))
 
@@ -457,7 +526,7 @@ def _frontier(
 def _record_verdict(
     cfg: ControlFlowGraph,
     record: BlockRecord,
-    verdicts: dict[int, BlockClass],
+    verdicts: Mapping[int, BlockClass],
     removed_starts: set[int],
     entry_offsets: set[int],
 ) -> BlockClass:

@@ -21,8 +21,10 @@ the way the paper uses pyelftools.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .serde import ByteReader, ByteWriter
 
@@ -87,7 +89,12 @@ class DynReloc:
 
 @dataclass
 class SelfImage:
-    """A linked SELF binary (executable or shared object)."""
+    """A linked SELF binary (executable or shared object).
+
+    An image is never mutated after it is built: the linker,
+    :meth:`from_bytes` and the static-debloating baseline each build a
+    new one.  That is what lets :attr:`digest` be computed once.
+    """
 
     name: str
     kind: ImageKind
@@ -137,6 +144,12 @@ class SelfImage:
             if seg.name in ("text", "plt"):
                 total += len(seg.data)
         return total
+
+    @cached_property
+    def digest(self) -> str:
+        """:func:`content_digest` of this image, computed on first use and
+        kept for the object's life (an image is never mutated)."""
+        return content_digest(self)
 
     def read_bytes(self, vaddr: int, size: int) -> bytes:
         """Read image bytes by (link-base-relative) virtual address."""
@@ -229,6 +242,36 @@ class SelfImage:
             symbols=symbols, dynamic_relocs=relocs, plt_entries=plt,
             got_entries=got, needed=needed,
         )
+
+
+def content_digest(image: SelfImage) -> str:
+    """SHA-256 over everything static analysis reads, hashed afresh.
+
+    Covers every segment's bytes, the kind, the entry point, symbols,
+    PLT stubs and dynamic relocations: two images with equal digests
+    produce identical CFGs *and* identical dataflow results.
+    """
+    h = hashlib.sha256()
+    h.update(image.entry.to_bytes(8, "little"))
+    h.update(image.kind.value.encode())
+    for seg in sorted(image.segments, key=lambda s: s.vaddr):
+        h.update(seg.name.encode())
+        h.update(seg.vaddr.to_bytes(8, "little"))
+        h.update(seg.perms.encode())
+        h.update(seg.data)
+    for name, sym in sorted(image.symbols.items()):
+        h.update(name.encode())
+        h.update(sym.vaddr.to_bytes(8, "little"))
+        h.update(bytes([sym.is_function, sym.is_global]))
+    for name, stub in sorted(image.plt_entries.items()):
+        h.update(name.encode())
+        h.update(stub.to_bytes(8, "little"))
+    for reloc in image.dynamic_relocs:
+        h.update(reloc.vaddr.to_bytes(8, "little"))
+        h.update(reloc.type.value.encode())
+        h.update(reloc.symbol.encode())
+        h.update(reloc.addend.to_bytes(8, "little", signed=True))
+    return h.hexdigest()
 
 
 def load_self(data: bytes) -> SelfImage:

@@ -56,6 +56,46 @@ class ByteWriter:
         return len(self._buf)
 
 
+class ByteCounter:
+    """A :class:`ByteWriter` that keeps only the length of what it would
+    write, so an encoder run against it sizes its output without
+    building it."""
+
+    def __init__(self) -> None:
+        self._size = 0
+
+    def u8(self, value: int) -> "ByteCounter":
+        self._size += 1
+        return self
+
+    def u32(self, value: int) -> "ByteCounter":
+        self._size += 4
+        return self
+
+    def u64(self, value: int) -> "ByteCounter":
+        self._size += 8
+        return self
+
+    def i64(self, value: int) -> "ByteCounter":
+        self._size += 8
+        return self
+
+    def string(self, value: str) -> "ByteCounter":
+        self._size += 4 + len(value.encode("utf-8"))
+        return self
+
+    def blob(self, value: bytes) -> "ByteCounter":
+        self._size += 4 + len(value)
+        return self
+
+    def raw(self, value: bytes) -> "ByteCounter":
+        self._size += len(value)
+        return self
+
+    def __len__(self) -> int:
+        return self._size
+
+
 class ByteReader:
     """Sequential binary reader over a bytes object."""
 

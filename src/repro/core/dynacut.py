@@ -23,7 +23,6 @@ checkpoint, code patch, signal-handler insertion, restore.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -169,7 +168,8 @@ class _TxState:
 
     #: the original tree has been destroyed by the dump
     tree_down: bool = False
-    #: deep copy of the unmutated checkpoint — the rollback source
+    #: copy of the unmutated checkpoint (sharing no mutable object with
+    #: the one the rewriter patches) — the rollback source
     pristine: CheckpointImage | None = None
 
 
@@ -297,7 +297,8 @@ class DynaCut:
         # from here on the original tree is gone: every failure path
         # below must restore the pristine copy to keep the service up
         state.tree_down = True
-        state.pristine = copy.deepcopy(checkpoint)
+        # taken before the rewriter patches the pages buffer in place
+        state.pristine = checkpoint.copy()
         checkpoint_ns = kernel.clock_ns - clock
         journal.record(PHASE_CHECKPOINTED, attempt, kernel.clock_ns)
 

@@ -169,20 +169,21 @@ def _dump_pages(
 ) -> tuple[PagemapImage, PagesImage]:
     faults.trip("checkpoint.dump_pages", detail=f"pid={proc.pid}")
     entries: list[PagemapEntry] = []
-    blob = bytearray()
+    pages: list[memoryview] = []
     for vma in proc.memory.vmas:
         if not _should_dump(vma, dump_exec_pages):
             continue
         nr_pages = vma.size // PAGE_SIZE
-        data = proc.memory.read_raw(vma.start, vma.size)
         if entries and entries[-1].end == vma.start:
             entries[-1] = PagemapEntry(
                 entries[-1].vaddr, entries[-1].nr_pages + nr_pages
             )
         else:
             entries.append(PagemapEntry(vma.start, nr_pages))
-        blob += data
-    return PagemapImage(entries), PagesImage(bytes(blob))
+        pages += proc.memory.raw_views(vma.start, vma.size)
+    # each page copied once, into the one buffer the pages image keeps
+    # and the rewriter patches in place
+    return PagemapImage(entries), PagesImage(bytearray().join(pages))
 
 
 def _dump_files(proc: Process) -> FilesImage:

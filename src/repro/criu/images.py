@@ -18,10 +18,11 @@ that CRIT (:mod:`repro.criu.crit`) can decode to JSON and re-encode.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TypeVar
 
 from .. import faults
-from ..binfmt.serde import ByteReader, ByteWriter
+from ..binfmt.serde import ByteCounter, ByteReader, ByteWriter
 from ..kernel.memory import PAGE_SIZE
 
 IMAGE_VERSION = 3
@@ -33,6 +34,10 @@ _MAGICS = {
     "files": b"FILE\x01",
     "inventory": b"INVT\x01",
 }
+
+
+#: an encoder's output: the bytes themselves, or only their length
+_Out = TypeVar("_Out", ByteWriter, ByteCounter)
 
 
 class ImageError(ValueError):
@@ -77,7 +82,14 @@ class CoreImage:
     syscall_filter: list[int] | None = None
 
     def to_bytes(self) -> bytes:
-        w = ByteWriter().raw(_MAGICS["core"])
+        return self._encode(ByteWriter()).getvalue()
+
+    def byte_size(self) -> int:
+        """``len(self.to_bytes())``, without encoding."""
+        return len(self._encode(ByteCounter()))
+
+    def _encode(self, w: _Out) -> _Out:
+        w.raw(_MAGICS["core"])
         w.u64(self.pid).u64(self.ppid).string(self.binary)
         for value in self.regs.gpr:
             w.u64(value)
@@ -93,7 +105,7 @@ class CoreImage:
             w.u32(len(self.syscall_filter))
             for number in sorted(self.syscall_filter):
                 w.u32(number)
-        return w.getvalue()
+        return w
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CoreImage":
@@ -148,12 +160,19 @@ class MmImage:
     vmas: list[VmaEntry] = field(default_factory=list)
 
     def to_bytes(self) -> bytes:
-        w = ByteWriter().raw(_MAGICS["mm"])
+        return self._encode(ByteWriter()).getvalue()
+
+    def byte_size(self) -> int:
+        """``len(self.to_bytes())``, without encoding."""
+        return len(self._encode(ByteCounter()))
+
+    def _encode(self, w: _Out) -> _Out:
+        w.raw(_MAGICS["mm"])
         w.u32(len(self.vmas))
         for vma in self.vmas:
             w.u64(vma.start).u64(vma.end).string(vma.perms)
             w.string(vma.file_path).u64(vma.file_offset).string(vma.tag)
-        return w.getvalue()
+        return w
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MmImage":
@@ -195,11 +214,18 @@ class PagemapImage:
     entries: list[PagemapEntry] = field(default_factory=list)
 
     def to_bytes(self) -> bytes:
-        w = ByteWriter().raw(_MAGICS["pagemap"])
+        return self._encode(ByteWriter()).getvalue()
+
+    def byte_size(self) -> int:
+        """``len(self.to_bytes())``, without encoding."""
+        return len(self._encode(ByteCounter()))
+
+    def _encode(self, w: _Out) -> _Out:
+        w.raw(_MAGICS["pagemap"])
         w.u32(len(self.entries))
         for entry in self.entries:
             w.u64(entry.vaddr).u64(entry.nr_pages)
-        return w.getvalue()
+        return w
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PagemapImage":
@@ -213,14 +239,27 @@ class PagemapImage:
 
 @dataclass
 class PagesImage:
-    data: bytes = b""
+    """The dumped page contents, one buffer the rewriter patches in place
+    (:meth:`ProcessImage.write_memory`); bytes given to the constructor
+    are copied into a buffer of their own."""
+
+    data: bytearray = field(default_factory=bytearray)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.data, bytearray):
+            self.data = bytearray(self.data)
 
     def to_bytes(self) -> bytes:
-        return ByteWriter().raw(_MAGICS["pages"]).blob(self.data).getvalue()
+        size = len(self.data).to_bytes(4, "little")
+        return b"".join((_MAGICS["pages"], size, self.data))
+
+    def byte_size(self) -> int:
+        """``len(self.to_bytes())``, without encoding."""
+        return len(_MAGICS["pages"]) + 4 + len(self.data)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PagesImage":
-        return cls(_check_magic(data, "pages").blob())
+        return cls(bytearray(_check_magic(data, "pages").blob()))
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +285,14 @@ class FilesImage:
     fds: list[FdEntryImage] = field(default_factory=list)
 
     def to_bytes(self) -> bytes:
-        w = ByteWriter().raw(_MAGICS["files"])
+        return self._encode(ByteWriter()).getvalue()
+
+    def byte_size(self) -> int:
+        """``len(self.to_bytes())``, without encoding."""
+        return len(self._encode(ByteCounter()))
+
+    def _encode(self, w: _Out) -> _Out:
+        w.raw(_MAGICS["files"])
         w.u32(len(self.fds))
         for entry in self.fds:
             w.u64(entry.fd).string(entry.kind).string(entry.path)
@@ -255,7 +301,7 @@ class FilesImage:
             for cid in entry.pending_conns:
                 w.u64(cid)
             w.u64(entry.conn_id).string(entry.side).blob(entry.recv_buffer)
-        return w.getvalue()
+        return w
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FilesImage":
@@ -318,19 +364,27 @@ class ProcessImage:
         self, address: int, size: int
     ) -> Iterator[tuple[int, bytes]]:
         """The dumped bytes of ``[address, address+size)``, one
-        page-bounded ``(chunk address, bytes)`` at a time; pages that
-        were not dumped are skipped."""
+        page-bounded ``(chunk address, bytes)`` at a time in address
+        order; pages that were not dumped are skipped."""
         end = address + size
+        runs: list[tuple[int, int, int]] = []
+        cursor = 0
+        for entry in self.pagemap.entries:
+            low, high = max(address, entry.vaddr), min(end, entry.end)
+            if low < high:
+                runs.append((low, high, cursor + (low - entry.vaddr)))
+            cursor += entry.size
         data = self.pages.data
-        while address < end:
-            chunk_end = min((address | (PAGE_SIZE - 1)) + 1, end)
-            offset = self._locate(address)
-            if offset is not None:
-                yield address, data[offset:offset + chunk_end - address]
-            address = chunk_end
+        for low, high, offset in sorted(runs):
+            while low < high:
+                chunk_end = min((low | (PAGE_SIZE - 1)) + 1, high)
+                yield low, bytes(data[offset:offset + chunk_end - low])
+                offset += chunk_end - low
+                low = chunk_end
 
-    def read_memory(self, address: int, size: int) -> bytes:
-        """Read ``size`` bytes of dumped memory (must be fully dumped)."""
+    def _dumped_range(self, address: int, size: int) -> int:
+        """Offset of ``[address, address+size)`` in the pages blob; the
+        range must be dumped, and contiguously."""
         offset = self._locate(address)
         if offset is None:
             raise ImageError(f"address {address:#x} not in dumped pages")
@@ -339,21 +393,18 @@ class ProcessImage:
             raise ImageError(
                 f"range {address:#x}+{size:#x} spans non-dumped pages"
             )
-        return self.pages.data[offset:offset + size]
+        return offset
+
+    def read_memory(self, address: int, size: int) -> bytes:
+        """Read ``size`` bytes of dumped memory (must be fully dumped)."""
+        offset = self._dumped_range(address, size)
+        return bytes(self.pages.data[offset:offset + size])
 
     def write_memory(self, address: int, data: bytes) -> None:
-        """Patch dumped memory (the rewriter's byte-replacement primitive)."""
-        offset = self._locate(address)
-        if offset is None:
-            raise ImageError(f"address {address:#x} not in dumped pages")
-        end_offset = self._locate(address + len(data) - 1)
-        if end_offset is None or end_offset != offset + len(data) - 1:
-            raise ImageError(
-                f"range {address:#x}+{len(data):#x} spans non-dumped pages"
-            )
-        blob = bytearray(self.pages.data)
-        blob[offset:offset + len(data)] = data
-        self.pages.data = bytes(blob)
+        """Patch dumped memory in place (the rewriter's byte-replacement
+        primitive)."""
+        offset = self._dumped_range(address, len(data))
+        self.pages.data[offset:offset + len(data)] = data
 
     def add_pages(self, vaddr: int, data: bytes) -> None:
         """Append a dumped-page run (library injection support)."""
@@ -411,17 +462,46 @@ class ProcessImage:
                     new_entries.append(PagemapEntry(page_vaddr, 1))
                 new_data += page_data
         self.pagemap.entries = new_entries
-        self.pages.data = bytes(new_data)
+        self.pages.data = new_data
         return dropped
 
+    def copy(self) -> "ProcessImage":
+        """An equal image that shares no mutable object with this one."""
+        core = self.core
+        return ProcessImage(
+            core=replace(
+                core,
+                regs=replace(core.regs, gpr=list(core.regs.gpr)),
+                sigactions=[replace(entry) for entry in core.sigactions],
+                syscall_filter=(
+                    None if core.syscall_filter is None
+                    else list(core.syscall_filter)
+                ),
+            ),
+            mm=MmImage([replace(vma) for vma in self.mm.vmas]),
+            pagemap=PagemapImage(
+                [replace(entry) for entry in self.pagemap.entries]
+            ),
+            pages=PagesImage(bytearray(self.pages.data)),
+            files=FilesImage([
+                replace(
+                    entry,
+                    pending_conns=list(entry.pending_conns),
+                    recv_buffer=bytes(entry.recv_buffer),
+                )
+                for entry in self.files.fds
+            ]),
+        )
+
     def total_bytes(self) -> int:
-        """Approximate on-disk image size (the paper's 'image size')."""
+        """On-disk image size (the paper's 'image size'): the summed
+        lengths of the five image files, computed without encoding."""
         return (
-            len(self.core.to_bytes())
-            + len(self.mm.to_bytes())
-            + len(self.pagemap.to_bytes())
-            + len(self.pages.to_bytes())
-            + len(self.files.to_bytes())
+            self.core.byte_size()
+            + self.mm.byte_size()
+            + self.pagemap.byte_size()
+            + self.pages.byte_size()
+            + self.files.byte_size()
         )
 
 
@@ -453,6 +533,15 @@ class CheckpointImage:
 
     def total_bytes(self) -> int:
         return sum(proc.total_bytes() for proc in self.processes)
+
+    def copy(self) -> "CheckpointImage":
+        """An equal checkpoint that shares no mutable object with this
+        one: what ``copy.deepcopy`` makes, field by field (a
+        transaction's pristine copy, taken before the first patch)."""
+        return CheckpointImage(
+            [proc.copy() for proc in self.processes], self.clock_ns,
+            self.version,
+        )
 
     def total_pages(self) -> int:
         return sum(proc.pagemap.total_pages for proc in self.processes)

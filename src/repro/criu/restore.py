@@ -2,11 +2,11 @@
 
 Mirrors CRIU's restore pipeline:
 
-* recreate each address space from the mm image — file-backed regions
-  are first populated from the named binary (the page-fault-handler
-  reconstruction vanilla CRIU relies on), then dumped pages from the
-  pagemap/pages images are overlaid on top, so DynaCut's patched code
-  pages win over the pristine binary content;
+* recreate each address space from the mm image — the dumped pages
+  from the pagemap/pages images are written in, and the file-backed
+  pages that were not dumped are populated from the named binary (the
+  page-fault-handler reconstruction vanilla CRIU relies on), so
+  DynaCut's patched code pages win over the pristine binary content;
 * reinstall registers and sigactions from the core image;
 * rebuild the fd table: regular files reopen at their saved offsets,
   listening sockets rebind with their saved backlog, and established
@@ -170,6 +170,13 @@ def _restore_memory(kernel: Kernel, image: ProcessImage) -> AddressSpace:
             f"pid {image.pid}: pagemap claims {claimed} bytes of pages but "
             f"the pages image holds {len(image.pages.data)} (corrupt dump?)"
         )
+    # a dumped page is written once, from the dump, never first from
+    # the binary as well
+    dumped = {
+        index
+        for entry in image.pagemap.entries
+        for index in range(entry.vaddr // PAGE_SIZE, entry.end // PAGE_SIZE)
+    }
     memory = AddressSpace()
     for vma in image.mm.vmas:
         backing = None
@@ -177,13 +184,23 @@ def _restore_memory(kernel: Kernel, image: ProcessImage) -> AddressSpace:
             backing = FileBacking(vma.file_path, vma.file_offset)
         memory.mmap(vma.start, vma.size, vma.perms, backing=backing, tag=vma.tag)
         if backing is not None:
-            _populate_from_binary(kernel, memory, vma.start, vma.size, backing)
-    # overlay the dumped pages (patched code pages included)
-    cursor = 0
-    for entry in image.pagemap.entries:
-        data = image.pages.data[cursor:cursor + entry.size]
-        cursor += entry.size
-        memory.write_raw(entry.vaddr, data)
+            _populate_from_binary(
+                kernel, memory, vma.start, vma.size, backing, dumped
+            )
+    # the dumped pages (patched code pages included), written from
+    # views of the pages buffer rather than from copies of it
+    with memoryview(image.pages.data) as pages:
+        cursor = 0
+        for entry in image.pagemap.entries:
+            run = pages[cursor:cursor + entry.size]
+            cursor += entry.size
+            try:
+                memory.write_raw(entry.vaddr, run)
+            finally:
+                # a failed write must not leave the buffer exported: the
+                # traceback still holds ``run``, and an exported buffer
+                # cannot grow (``add_pages``)
+                run.release()
     return memory
 
 
@@ -193,11 +210,16 @@ def _populate_from_binary(
     start: int,
     size: int,
     backing: FileBacking,
+    dumped: set[int],
 ) -> None:
+    """Fill the pages of ``[start, start+size)`` that are not in
+    ``dumped`` (page numbers) from the backing binary."""
     binary = kernel.binaries.get(backing.path)
     if binary is None:
         raise RestoreError(f"backing binary {backing.path!r} not registered")
     for page_offset in range(0, size, PAGE_SIZE):
+        if (start + page_offset) // PAGE_SIZE in dumped:
+            continue
         file_offset = backing.offset + page_offset
         data = _read_image_page(binary, file_offset)
         if data is not None:

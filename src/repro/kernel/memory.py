@@ -426,34 +426,25 @@ class AddressSpace:
     # raw access (kernel/loader/checkpoint: no permission checks)
 
     def _read_raw(self, address: int, size: int) -> bytes:
-        out = bytearray()
-        cursor = address
-        remaining = size
-        while remaining:
-            index = cursor >> PAGE_SHIFT
-            offset = cursor & (PAGE_SIZE - 1)
-            take = min(remaining, PAGE_SIZE - offset)
-            page = self.pages.get(index)
-            if page is None:
-                raise MemoryFault(cursor, "read", "page not present")
-            out += page[offset:offset + take]
-            cursor += take
-            remaining -= take
-        return bytes(out)
+        # one copy: the join reads each page in place
+        return b"".join(self.raw_views(address, size))
 
     def _write_raw(self, address: int, data: bytes) -> None:
+        pages = self.pages
         cursor = address
         pos = 0
-        while pos < len(data):
-            index = cursor >> PAGE_SHIFT
-            offset = cursor & (PAGE_SIZE - 1)
-            take = min(len(data) - pos, PAGE_SIZE - offset)
-            page = self.pages.get(index)
-            if page is None:
-                raise MemoryFault(cursor, "write", "page not present")
-            page[offset:offset + take] = data[pos:pos + take]
-            cursor += take
-            pos += take
+        with memoryview(data) as view:
+            size = len(view)
+            while pos < size:
+                page = pages.get(cursor >> PAGE_SHIFT)
+                if page is None:
+                    raise MemoryFault(cursor, "write", "page not present")
+                offset = cursor & _OFFSET_MASK
+                take = min(size - pos, PAGE_SIZE - offset)
+                # a slice of the view, not of ``data``: no copy per page
+                page[offset:offset + take] = view[pos:pos + take]
+                cursor += take
+                pos += take
 
     def write_raw(self, address: int, data: bytes) -> None:
         """Kernel-privileged write (loader, restore, ptrace-style pokes)."""
@@ -467,6 +458,24 @@ class AddressSpace:
     def read_raw(self, address: int, size: int) -> bytes:
         """Kernel-privileged read."""
         return self._read_raw(address, size)
+
+    def raw_views(self, address: int, size: int) -> list[memoryview]:
+        """Read-only views of ``[address, address+size)``, one per page
+        it touches, in address order: what :meth:`read_raw` copies,
+        uncopied (so a view shows any later write to its page)."""
+        pages = self.pages
+        views: list[memoryview] = []
+        cursor = address
+        end = address + size
+        while cursor < end:
+            page = pages.get(cursor >> PAGE_SHIFT)
+            if page is None:
+                raise MemoryFault(cursor, "read", "page not present")
+            offset = cursor & _OFFSET_MASK
+            take = min(end - cursor, PAGE_SIZE - offset)
+            views.append(memoryview(page)[offset:offset + take].toreadonly())
+            cursor += take
+        return views
 
     # ------------------------------------------------------------------
     # whole-space operations

@@ -44,6 +44,7 @@ from .export import (
     attribute_traces,
     parse_prometheus,
     percentile,
+    prometheus_runs,
     prometheus_snapshot,
     read_jsonl,
     read_trace_jsonl,
@@ -172,6 +173,7 @@ __all__ = [
     "observe",
     "parse_prometheus",
     "percentile",
+    "prometheus_runs",
     "prometheus_snapshot",
     "quantile_from_buckets",
     "read_jsonl",

@@ -11,7 +11,8 @@ Two complementary views of one :class:`~repro.telemetry.hub.TelemetryHub`:
   metrics registry in the Prometheus exposition format (``# TYPE``
   headers, ``family{label="v"} value`` samples, cumulative histogram
   buckets).  :func:`parse_prometheus` round-trips it, which is what
-  the CI telemetry job asserts.
+  the CI telemetry job asserts; :func:`prometheus_runs` renders several
+  runs as one exposition, each sample labelled with its run.
 
 Both renderings iterate instruments in sorted order and carry only
 virtual-clock timestamps, so equal seeds produce byte-identical files.
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .hub import TelemetryEvent, TelemetryHub
-from .registry import SUMMARY_QUANTILES, MetricsRegistry, labels_text
+from .registry import SUMMARY_QUANTILES, LabelSet, MetricsRegistry, labels_text
 from .trace import PHASES, RequestTracer, leg_phase
 from .tracer import Span
 
@@ -80,14 +81,19 @@ def read_trace_jsonl(text: str) -> list[Span]:
 # ----------------------------------------------------------------------
 # Prometheus text exposition
 
+#: the prefix of every exported metric family
+PREFIX = "dynacut_"
+
+
 def _sanitize(name: str) -> str:
     return "".join(c if c.isalnum() or c == "_" else "_" for c in name)
 
 
-def prometheus_snapshot(registry: MetricsRegistry, prefix: str = "dynacut_") -> str:
-    """The registry in Prometheus text format (sorted, deterministic)."""
-    lines: list[str] = []
-
+def _families(
+    registry: MetricsRegistry, prefix: str, extra: LabelSet = ()
+) -> dict[str, list[str]]:
+    """Each family's ``# TYPE`` header then its samples, in sorted
+    order; the ``extra`` labels ride on every sample."""
     families: dict[str, list[str]] = {}
 
     def add(family: str, kind: str, sample_lines: list[str]) -> None:
@@ -95,22 +101,23 @@ def prometheus_snapshot(registry: MetricsRegistry, prefix: str = "dynacut_") -> 
             families[family] = [f"# TYPE {family} {kind}"]
         families[family].extend(sample_lines)
 
+    def labelled(labels: LabelSet, **more: str) -> str:
+        return labels_text(tuple(sorted((*labels, *extra, *more.items()))))
+
     for (name, labels), counter in sorted(registry.counters.items()):
         family = prefix + _sanitize(name)
-        add(family, "counter", [f"{family}{labels_text(labels)} {counter.value}"])
+        add(family, "counter", [f"{family}{labelled(labels)} {counter.value}"])
     for (name, labels), gauge in sorted(registry.gauges.items()):
         family = prefix + _sanitize(name)
-        add(family, "gauge", [f"{family}{labels_text(labels)} {gauge.value:g}"])
+        add(family, "gauge", [f"{family}{labelled(labels)} {gauge.value:g}"])
     for (name, labels), hist in sorted(registry.histograms.items()):
         family = prefix + _sanitize(name)
-        sample_lines = []
-        for le, cumulative in hist.cumulative_buckets():
-            bucket_labels = dict(labels)
-            bucket_labels["le"] = le
-            rendered = labels_text(tuple(sorted(bucket_labels.items())))
-            sample_lines.append(f"{family}_bucket{rendered} {cumulative}")
-        sample_lines.append(f"{family}_sum{labels_text(labels)} {hist.total:g}")
-        sample_lines.append(f"{family}_count{labels_text(labels)} {hist.count}")
+        sample_lines = [
+            f"{family}_bucket{labelled(labels, le=le)} {cumulative}"
+            for le, cumulative in hist.cumulative_buckets()
+        ]
+        sample_lines.append(f"{family}_sum{labelled(labels)} {hist.total:g}")
+        sample_lines.append(f"{family}_count{labelled(labels)} {hist.count}")
         add(family, "histogram", sample_lines)
         if hist.count:
             # estimated quantiles ride along as a sibling gauge family
@@ -118,18 +125,37 @@ def prometheus_snapshot(registry: MetricsRegistry, prefix: str = "dynacut_") -> 
             qfamily = family + "_quantile"
             qlines = []
             for q in SUMMARY_QUANTILES:
-                qlabels = dict(labels)
-                qlabels["q"] = f"{q:g}"
-                rendered = labels_text(tuple(sorted(qlabels.items())))
                 value = hist.quantile(q)
                 assert value is not None
-                qlines.append(f"{qfamily}{rendered} {value:g}")
+                qlines.append(f"{qfamily}{labelled(labels, q=f'{q:g}')} {value:g}")
             add(qfamily, "gauge", qlines)
+    return families
 
-    out: list[str] = []
-    for family in sorted(families):
-        out.extend(families[family])
+
+def _render(families: dict[str, list[str]]) -> str:
+    out = [line for family in sorted(families) for line in families[family]]
     return "\n".join(out) + "\n" if out else ""
+
+
+def prometheus_snapshot(registry: MetricsRegistry, prefix: str = PREFIX) -> str:
+    """The registry in Prometheus text format (sorted, deterministic)."""
+    return _render(_families(registry, prefix))
+
+
+def prometheus_runs(registries: Mapping[str, MetricsRegistry]) -> str:
+    """Several runs' registries as **one** exposition, by run label.
+
+    Each family appears once, under one ``# TYPE`` header, and every
+    sample carries a ``run="<label>"`` label, so a scrape (or
+    :func:`parse_prometheus`) keeps every run's samples apart.  Within
+    a family, samples follow the order of ``registries``.
+    """
+    merged: dict[str, list[str]] = {}
+    for label, registry in registries.items():
+        runs = _families(registry, PREFIX, (("run", label),))
+        for family, (header, *samples) in runs.items():
+            merged.setdefault(family, [header]).extend(samples)
+    return _render(merged)
 
 
 def parse_prometheus(text: str) -> dict[str, float]:
@@ -137,7 +163,9 @@ def parse_prometheus(text: str) -> dict[str, float]:
 
     Strict enough for the CI assertion: every non-comment line must be
     ``name[{labels}] value`` with a float value, every ``{`` closed,
-    and every family preceded by a ``# TYPE`` header.
+    every family preceded by a ``# TYPE`` header, and no family typed
+    twice and no sample given twice (a scrape rejects both, and a
+    repeated sample would overwrite the first).
     """
     values: dict[str, float] = {}
     typed: set[str] = set()
@@ -148,6 +176,10 @@ def parse_prometheus(text: str) -> dict[str, float]:
             parts = line.split()
             if len(parts) != 4 or parts[3] not in ("counter", "gauge", "histogram"):
                 raise ValueError(f"line {lineno}: malformed TYPE header: {line!r}")
+            if parts[2] in typed:
+                raise ValueError(
+                    f"line {lineno}: family {parts[2]} typed twice: {line!r}"
+                )
             typed.add(parts[2])
             continue
         if line.startswith("#"):
@@ -164,6 +196,8 @@ def parse_prometheus(text: str) -> dict[str, float]:
                 base = family[: -len(suffix)]
         if base not in typed:
             raise ValueError(f"line {lineno}: sample without TYPE header: {line!r}")
+        if key in values:
+            raise ValueError(f"line {lineno}: repeated sample: {line!r}")
         values[key] = float(raw)
     return values
 

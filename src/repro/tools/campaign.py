@@ -14,9 +14,10 @@ their flags here.
 * The committed JSON report keeps summaries and per-run digests only.
   The full event streams go to an uncommitted ``<output>.jsonl``
   sidecar, from which :func:`~repro.telemetry.summarize_events` can
-  rebuild every reported number, every hub's Prometheus snapshot to
-  ``<output>.prom``, and the request spans a run returns as ``_spans``
-  to ``<output>.spans.jsonl``.  Other ``_`` keys of a run record are
+  rebuild every reported number, every hub's Prometheus metrics to
+  ``<output>.prom`` (one exposition: each family once, each sample
+  labelled with its run), and the request spans a run returns as
+  ``_spans`` to ``<output>.spans.jsonl``.  Other ``_`` keys of a run record are
   in-memory only too (e.g. trace's per-request records for its
   figures).
 * Every campaign runs **twice** in one process before anything is
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .. import telemetry
-from ..telemetry import TelemetryHub, prometheus_snapshot, to_jsonl
+from ..telemetry import TelemetryHub, prometheus_runs, to_jsonl
 from . import (
     chaos_cli,
     fleet_cli,
@@ -108,9 +109,8 @@ class Results:
             output.with_suffix(".jsonl"): "".join(
                 to_jsonl(hub) for hub in self.hubs.values()
             ),
-            output.with_suffix(".prom"): "".join(
-                f"# run {label}\n" + prometheus_snapshot(hub.registry)
-                for label, hub in self.hubs.items()
+            output.with_suffix(".prom"): prometheus_runs(
+                {label: hub.registry for label, hub in self.hubs.items()}
             ),
         }
         spans = "".join(campaign.get("_spans", "") for campaign in campaigns)
@@ -249,7 +249,8 @@ CAMPAIGNS = registry(
             "results/telemetry_rollout_costs.svg",
         ),
         telemetry_cli.runs, telemetry_cli.describe, telemetry_cli.flags,
-        header=telemetry_cli.header, figures=telemetry_cli.charts,
+        header=telemetry_cli.header, usage=telemetry_cli.usage,
+        figures=telemetry_cli.charts,
     ),
     Campaign(
         "trace",

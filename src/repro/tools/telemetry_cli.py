@@ -289,12 +289,14 @@ def header(args: argparse.Namespace) -> dict:
     }
 
 
-def runs(args: argparse.Namespace) -> list:
+def usage(args: argparse.Namespace) -> str | None:
     if args.duration < 24:
-        raise SystemExit(
-            "the reference scenario schedules chaos/drift events up to "
-            "t=22s; --duration must be >= 24"
-        )
+        return ("--duration must be >= 24 (the reference scenario "
+                "schedules chaos/drift events up to t=22s)")
+    return None
+
+
+def runs(args: argparse.Namespace) -> list:
     return [("telemetry", partial(run_scenario, args))]
 
 

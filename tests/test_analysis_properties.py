@@ -1,18 +1,23 @@
-"""Property: static CFG recovery covers every dynamically traced block.
+"""Properties of static CFG recovery and of the classifications kept
+with it.
 
 DynaLint's removal-set refinement maps dynamic BlockRecords onto static
 CFG blocks; the mapping is only sound if every block the tracer ever
 observes starts at a static block leader.  This is exercised over the
 three servers, two SPEC kernels, and hypothesis-generated MiniC
-programs.
+programs.  Refinement keeps each classification in the image's store
+entry, so a stored verdict must be what a fresh classification of the
+same sets says.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import build_cfg
-from repro.apps import get_benchmark, stage_spec
+from repro.analysis import build_cfg, classify_block_starts
+from repro.analysis.cfg import image_analyses
+from repro.analysis.reachability import _classified
+from repro.apps import get_benchmark, redis_image, stage_spec
 from repro.apps.spec.common import INIT_DONE_LINE
 from repro.kernel import Kernel
 from repro.tracing import BlockTracer, CoverageTrace
@@ -156,3 +161,31 @@ func main() {{
         trace = tracer.finish(quiesce=False)
         assert not proc.alive
         assert missing_leaders(kernel, trace) == []
+
+
+class TestStoredClassifications:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_stored_verdicts_equal_a_fresh_classification(self, data):
+        analyses = image_analyses(redis_image())
+        starts = sorted(analyses.cfg.block_starts())
+        block = st.sampled_from(starts)
+        removed = data.draw(st.sets(block, min_size=1, max_size=60))
+        entries = data.draw(st.sets(st.sampled_from(sorted(removed))))
+        roots = data.draw(st.none() | st.frozensets(block, max_size=60))
+        extra_edges = data.draw(st.none() | st.dictionaries(
+            block, st.lists(block, min_size=1, max_size=4).map(tuple),
+            max_size=8,
+        ))
+        stored = _classified(analyses, removed, entries, roots, extra_edges)
+        fresh = classify_block_starts(
+            analyses.cfg, set(removed), set(entries),
+            roots=None if roots is None else set(roots),
+            extra_edges=extra_edges,
+        )
+        assert dict(stored.verdicts) == fresh
+        # the same sets again: the store answers, with the same verdicts
+        again = _classified(
+            analyses, set(removed), set(entries), roots, extra_edges
+        )
+        assert again is stored

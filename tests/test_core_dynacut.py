@@ -288,3 +288,43 @@ class TestValidateRemovalWorkflow:
         assert reports[-1].clean
         # and the service still works at the end
         exercise()
+
+
+class TestImagesAreNeverMutated:
+    """Each SELF image hashes itself once (``SelfImage.digest``) and
+    the per-image analysis store is keyed by that digest; both are only
+    sound because nothing mutates an image after it is built."""
+
+    @pytest.mark.parametrize("app_name", ["redis", "lighttpd"])
+    def test_remembered_digests_equal_a_fresh_hash(self, app_name):
+        from repro.binfmt.self_format import content_digest
+        from repro.fleet import get_app
+        from repro.fleet.apps import profile_feature
+
+        app = get_app(app_name)
+        feature = profile_feature(app, app.features[0])
+        kernel = Kernel()
+        proc = app.stage(kernel, app.default_port)
+        remembered = {
+            name: image.digest for name, image in kernel.binaries.items()
+        }
+        dynacut = DynaCut(kernel)
+        dynacut.disable_feature(
+            proc.pid, feature, policy=TrapPolicy.VERIFY, mode=BlockMode.ALL,
+            refine=True, prove=True,
+        )
+        shelved = [
+            block.offset for block in dynacut.disabled_blocks(
+                proc.pid, feature.name
+            )[:2]
+        ]
+        assert dynacut.reenable_blocks(proc.pid, feature, shelved)
+        kernel.clock_ns += 5
+        assert dynacut.decay_shelved(proc.pid, feature, decay_ns=5)
+        dynacut.enable_feature(proc.pid, feature)
+        assert app.wanted_request(kernel, app.default_port)
+        for name, image in kernel.binaries.items():
+            assert image.digest == content_digest(image), name
+        for name, digest in remembered.items():
+            assert content_digest(kernel.binaries[name]) == digest, name
+

@@ -272,6 +272,47 @@ class TestPermanentFault:
         assert survivor is None or not survivor.alive
 
 
+def _code_pages(proc) -> dict[int, bytes]:
+    """Every executable mapping of ``proc``, by start address."""
+    return {
+        vma.start: proc.memory.read_raw(vma.start, vma.size)
+        for vma in proc.memory.vmas
+        if vma.executable
+    }
+
+
+class TestRollbackAfterInPlacePatch:
+    """The rewriter patches the working checkpoint's pages buffer in
+    place, so the pristine copy must be taken before the first patch
+    and share no buffer with it: a rollback after the rewrite of a
+    VERIFY disable has to bring back exactly the pre-disable code."""
+
+    @pytest.mark.parametrize("site", ["lint.strict_reject", "restore.memory"])
+    def test_rollback_restores_the_pre_disable_code_pages(self, site):
+        kernel, proc, client = _staged()
+        feature = _profile_set(kernel, proc)
+        dynacut = DynaCut(kernel)
+        before = _code_pages(proc)
+        # on_call=1: the lint of the rewritten image, or the restore of
+        # the rewritten tree; the rollback's own restore is not armed
+        plan = FaultPlan(seed=11).arm(site, "permanent", on_call=1)
+        with plan:
+            with pytest.raises(CustomizationAborted):
+                dynacut.disable_feature(
+                    proc.pid, feature, policy=TrapPolicy.VERIFY,
+                    refine=True, prove=True,
+                )
+        assert plan.fired == 1
+        phases = dynacut.last_journal.phases(attempt=1)
+        # the rewrite (int3 patches, injected handler pages) did happen
+        assert "rewritten" in phases and phases[-1] == PHASE_ROLLED_BACK
+        restored = dynacut.restored_process(proc.pid)
+        assert _code_pages(restored) == before
+        assert dynacut.disabled_features(proc.pid) == []
+        assert client.set("k", "v")
+        assert client.get("k") == "v"
+
+
 class TestEnableFeatureRecord:
     def test_disabled_record_survives_aborted_reenable(self):
         kernel, proc, client = _staged()

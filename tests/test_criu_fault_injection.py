@@ -80,6 +80,24 @@ class TestCorruptedImages:
             # if restore tolerated it, reading the claimed range must fail
             image.read_memory(entry.vaddr + entry.size, 1)
 
+    def test_dumped_run_outside_every_vma_rejected(self, checkpointed):
+        from repro.kernel import MemoryFault
+
+        kernel, proc, checkpoint = checkpointed
+        image = checkpoint.processes[0]
+        # the sizes still agree, but the last run's pages map nowhere
+        entry = image.pagemap.entries[-1]
+        image.pagemap.entries[-1] = PagemapEntry(0x6000_0000_0000, entry.nr_pages)
+        with pytest.raises(MemoryFault) as excinfo:
+            restore_tree(kernel, checkpoint)
+        # the restore wrote from views of the pages buffer; while the
+        # failure's traceback lives (a CustomizationAborted keeps it as
+        # its cause), the buffer must not stay exported, or the image
+        # could no longer grow
+        assert excinfo.tb is not None
+        image.add_pages(0x7D000000, b"\x01")
+        assert image.read_memory(0x7D000000, 1) == b"\x01"
+
     def test_overlapping_vmas_rejected_at_restore(self, checkpointed):
         kernel, proc, checkpoint = checkpointed
         image = checkpoint.processes[0]

@@ -149,6 +149,99 @@ class TestProcessImageMutation:
         image.add_pages(0x7D000000, b"\x00" * PAGE_SIZE * 3)
         assert image.total_bytes() >= before + 3 * PAGE_SIZE
 
+    def test_write_memory_patches_the_buffer_in_place(self):
+        image = _process_image()
+        buffer = image.pages.data
+        image.write_memory(0x400010, b"\xcc\xcc")
+        assert image.pages.data is buffer
+        assert buffer[0x10:0x12] == b"\xcc\xcc"
+
+
+def _sized_images() -> list[ProcessImage]:
+    """Process images whose encodings exercise every variable field."""
+    plain = _process_image(7)
+    filtered = _process_image(8)
+    filtered.core.syscall_filter = [0, 1, 60, 231]
+    # a non-ASCII path: its UTF-8 length is not its length in characters
+    filtered.mm.vmas.append(
+        VmaEntry(0x600000, 0x601000, "rw-", "/tmp/d\u00e9j\u00e0", 0, "\u00e9")
+    )
+    grown = _process_image(9)
+    grown.add_pages(0x7D000000, b"\x01" * 100)
+    grown.drop_range(0x400000, 0x401000)
+    empty = ProcessImage(
+        _core(10), MmImage(), PagemapImage(), PagesImage(), FilesImage()
+    )
+    return [plain, filtered, grown, empty]
+
+
+class TestImageSizes:
+    @pytest.mark.parametrize("index", range(4))
+    def test_total_bytes_is_the_length_of_the_five_files(self, index):
+        image = _sized_images()[index]
+        encoded = (
+            image.core.to_bytes(), image.mm.to_bytes(),
+            image.pagemap.to_bytes(), image.pages.to_bytes(),
+            image.files.to_bytes(),
+        )
+        assert image.total_bytes() == sum(len(data) for data in encoded)
+
+    def test_checkpoint_total_bytes_is_what_save_writes(self):
+        fs = InMemoryFS()
+        checkpoint = CheckpointImage(_sized_images())
+        checkpoint.save(fs, "/tmp/criu/sized")
+        written = sum(
+            len(fs.read_file(path))
+            for path in fs.listdir("/tmp/criu/sized")
+            if not path.endswith("inventory.img")
+        )
+        assert checkpoint.total_bytes() == written
+
+
+def _mutable_objects(value, seen: dict[int, object]) -> None:
+    """Every list, dict, bytearray and dataclass instance reachable
+    from ``value``, by id."""
+    import dataclasses
+
+    if isinstance(value, (list, dict, bytearray)) or (
+        dataclasses.is_dataclass(value) and not isinstance(value, type)
+    ):
+        if id(value) in seen:
+            return
+        seen[id(value)] = value
+    if isinstance(value, list):
+        for item in value:
+            _mutable_objects(item, seen)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _mutable_objects(item, seen)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for spec in dataclasses.fields(value):
+            _mutable_objects(getattr(value, spec.name), seen)
+
+
+class TestCheckpointCopy:
+    def test_copy_is_equal_and_shares_no_mutable_object(self):
+        checkpoint = CheckpointImage(_sized_images(), clock_ns=77)
+        copied = checkpoint.copy()
+        assert copied == checkpoint
+        ours: dict[int, object] = {}
+        theirs: dict[int, object] = {}
+        _mutable_objects(checkpoint, ours)
+        _mutable_objects(copied, theirs)
+        assert ours.keys().isdisjoint(theirs.keys())
+
+    def test_patching_the_copy_leaves_the_original(self):
+        checkpoint = CheckpointImage([_process_image(7)])
+        copied = checkpoint.copy()
+        before = checkpoint.root().read_memory(0x400010, 2)
+        copied.root().write_memory(0x400010, b"\xcc\xcc")
+        copied.root().add_pages(0x7D000000, b"\x01")
+        copied.root().core.sigactions.clear()
+        assert checkpoint.root().read_memory(0x400010, 2) == before
+        assert checkpoint.total_pages() == 2
+        assert checkpoint.root().core.sigactions
+
 
 class TestCrit:
     @pytest.mark.parametrize("kind", ["core", "mm", "pagemap", "pages", "files"])

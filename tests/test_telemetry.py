@@ -308,6 +308,17 @@ class TestExporters:
         with pytest.raises(ValueError):
             parse_prometheus("# TYPE m sideways\nm 1\n")
 
+    def test_parse_rejects_a_family_typed_twice(self):
+        # two snapshots pasted together: a scrape rejects the second
+        # TYPE header, and the second sample would overwrite the first
+        text = prometheus_snapshot(_recorded_hub().registry)
+        with pytest.raises(ValueError, match="typed twice"):
+            parse_prometheus(text + text)
+
+    def test_parse_rejects_a_repeated_sample(self):
+        with pytest.raises(ValueError, match="repeated sample"):
+            parse_prometheus("# TYPE m counter\nm 1\nm 2\n")
+
     def test_empty_registry_renders_empty(self):
         assert prometheus_snapshot(MetricsRegistry()) == ""
 

@@ -11,6 +11,7 @@ import json
 import pathlib
 import re
 from argparse import Namespace
+from collections.abc import Callable
 
 import pytest
 import yaml
@@ -23,7 +24,13 @@ from repro.telemetry import (
     prometheus_snapshot,
     read_jsonl,
 )
-from repro.tools.campaign import CAMPAIGNS, Campaign, finish, registry
+from repro.tools.campaign import (
+    CAMPAIGNS,
+    Campaign,
+    finish,
+    registry,
+    run_seeded,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 COMMAND = re.compile(r"python -m repro\.tools\.campaign ([\w-]+)")
@@ -77,10 +84,33 @@ class TestRunner:
         events = read_jsonl(output.with_suffix(".jsonl").read_text())
         assert [event.kind for event in events] == ["probe", "campaign"]
         samples = parse_prometheus(output.with_suffix(".prom").read_text())
-        assert samples == {'dynacut_probe_total{app="probe"}': 1.0}
+        assert samples == {'dynacut_probe_total{app="probe",run="probe-1"}': 1.0}
         printed = capsys.readouterr().out
         assert "determinism: byte-identical re-export (2 events)" in printed
         assert "probe: 1 calls" in printed
+
+    def test_multi_run_sidecar_is_one_exposition_keeping_every_run(
+        self, tmp_path
+    ):
+        def body(count: int) -> Callable[[TelemetryHub], dict]:
+            def run(hub: TelemetryHub) -> dict:
+                hub.count("probe_total", count, app="probe")
+                hub.observe("probe_ns", 1_000_000 * count)
+                return {"ok": True}
+            return run
+
+        results = run_seeded({}, [("probe-1", body(1)), ("probe-2", body(2))])
+        output = tmp_path / "probe.json"
+        text = results.exports(output)[output.with_suffix(".prom")]
+        # one TYPE header per family, however many runs
+        headers = [line for line in text.splitlines() if line.startswith("# TYPE")]
+        assert len(headers) == len(set(headers)) == 3
+        samples = parse_prometheus(text)
+        assert samples['dynacut_probe_total{app="probe",run="probe-1"}'] == 1
+        assert samples['dynacut_probe_total{app="probe",run="probe-2"}'] == 2
+        assert samples['dynacut_probe_ns_count{run="probe-1"}'] == 1
+        assert samples['dynacut_probe_ns_count{run="probe-2"}'] == 1
+        assert samples['dynacut_probe_ns_sum{run="probe-2"}'] == 2_000_000
 
     def test_registry_rejects_two_campaigns_writing_one_file(self):
         probe = _probe(_steady_body)
