@@ -1,10 +1,13 @@
-"""Shared profiling machinery for the experiment benchmarks.
+"""Shared helpers for the experiment benchmarks.
 
 Each ``test_fig*.py`` / ``test_table*.py`` module regenerates one table
 or figure of the paper's evaluation (§4).  Wall-clock numbers in the
 paper are testbed measurements; this harness reports the simulator's
 *virtual-time* equivalents and asserts the paper's qualitative shape
 (orderings, ratios, win/loss outcomes) rather than absolute values.
+
+Each module profiles its guests with a named corpus from
+:mod:`repro.workloads.corpus`.
 
 Run with::
 
@@ -13,36 +16,9 @@ Run with::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import pytest
 
-from repro.apps import (
-    LIGHTTPD_PORT,
-    NGINX_PORT,
-    REDIS_PORT,
-    nginx_worker,
-    stage_lighttpd,
-    stage_nginx,
-    stage_redis,
-    stage_spec,
-    get_benchmark,
-)
-from repro.apps.httpd_lighttpd import (
-    LIGHTTPD_BINARY,
-    READY_LINE as LIGHTTPD_READY,
-)
-from repro.apps.httpd_nginx import (
-    NGINX_BINARY,
-    READY_LINE as NGINX_READY,
-    WORKER_LINE as NGINX_WORKER_LINE,
-)
-from repro.apps.kvstore import REDIS_BINARY, READY_LINE as REDIS_READY
-from repro.apps.spec import INIT_DONE_LINE
-from repro.core import TraceDiff, init_only_blocks
-from repro.kernel import Kernel
-from repro.tracing import BlockTracer, merge_traces
-from repro.workloads import HttpClient, RedisClient
+from repro.workloads.corpus import SPEC_ITERATIONS
 
 
 def print_table(title: str, headers: list[str], rows: list[list]) -> None:
@@ -60,165 +36,10 @@ def print_table(title: str, headers: list[str], rows: list[list]) -> None:
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
 
 
-@dataclass
-class ProfiledServer:
-    """A booted server with init/wanted(/feature) traces collected."""
-
-    kernel: Kernel
-    root: object                 # root Process
-    binary: str
-    init_trace: object
-    serving_trace: object
-    init_report: object
-
-
-# ----------------------------------------------------------------------
-# per-app profiling recipes
-
-
-def profile_redis(feature_command: str | None = None):
-    """Boot miniredis, profile init + serving (+ optionally a feature)."""
-    kernel = Kernel()
-    proc = stage_redis(kernel, run_to_ready=False)
-    tracer = BlockTracer(kernel, proc).attach()
-    kernel.run_until(lambda: REDIS_READY in proc.stdout_text(),
-                     max_instructions=5_000_000)
-    init_trace = tracer.nudge_dump()
-    client = RedisClient(kernel, REDIS_PORT)
-    feature_word = feature_command.split()[0] if feature_command else None
-    for cmd in ("PING", "SET a 1", "GET a", "DEL a", "EXISTS a", "DBSIZE",
-                "INCR n", "APPEND a x", "STRLEN a"):
-        if feature_word is not None and cmd.split()[0] == feature_word:
-            continue  # the undesired feature must stay out of wanted traces
-        client.command(cmd)
-    if feature_command is None:
-        serving = tracer.finish()
-        feature = None
-    else:
-        wanted = tracer.nudge_dump()
-        client.command(feature_command)
-        undesired = tracer.finish()
-        serving = merge_traces([wanted, undesired])
-        feature = TraceDiff(REDIS_BINARY).feature_blocks(
-            feature_command.split()[0], [wanted], [undesired]
-        )
-    report = init_only_blocks(init_trace, serving, REDIS_BINARY)
-    return ProfiledServer(kernel, proc, REDIS_BINARY, init_trace, serving,
-                          report), feature
-
-
-def profile_lighttpd(with_dav_feature: bool = False):
-    kernel = Kernel()
-    proc = stage_lighttpd(kernel, run_to_ready=False)
-    tracer = BlockTracer(kernel, proc).attach()
-    kernel.run_until(lambda: LIGHTTPD_READY in proc.stdout_text(),
-                     max_instructions=5_000_000)
-    init_trace = tracer.nudge_dump()
-    client = HttpClient(kernel, LIGHTTPD_PORT)
-    kernel.fs.write_file("/var/www/about.html", "<p>about</p>")
-    for __ in range(3):
-        client.get("/")
-    client.get("/about.html")
-    client.get("/missing.html")
-    client.head("/")
-    client.options("/")
-    client.post("/echo", "abcd")
-    if with_dav_feature:
-        wanted = tracer.nudge_dump()
-        client.put("/probe.txt", "x")
-        client.delete("/probe.txt")
-        undesired = tracer.finish()
-        serving = merge_traces([wanted, undesired])
-        feature = TraceDiff(LIGHTTPD_BINARY).feature_blocks(
-            "dav-write", [wanted], [undesired]
-        )
-    else:
-        serving = tracer.finish()
-        feature = None
-    report = init_only_blocks(init_trace, serving, LIGHTTPD_BINARY)
-    return ProfiledServer(kernel, proc, LIGHTTPD_BINARY, init_trace, serving,
-                          report), feature
-
-
-def profile_nginx(with_dav_feature: bool = False):
-    kernel = Kernel()
-    master = stage_nginx(kernel, run_to_ready=False)
-    tracer_m = BlockTracer(kernel, master).attach()
-    kernel.run_until(lambda: NGINX_READY in master.stdout_text(),
-                     max_instructions=8_000_000)
-    worker = nginx_worker(kernel, master)
-    tracer_w = BlockTracer(kernel, worker).attach()
-    kernel.run_until(lambda: NGINX_WORKER_LINE in worker.stdout_text(),
-                     max_instructions=2_000_000)
-    init_trace = merge_traces([tracer_m.nudge_dump(), tracer_w.nudge_dump()])
-    client = HttpClient(kernel, NGINX_PORT)
-    kernel.fs.write_file("/var/www/about.html", "<p>about</p>")
-    for __ in range(3):
-        client.get("/")
-    client.get("/about.html")
-    client.get("/missing.html")
-    client.head("/")
-    client.options("/")
-    client.post("/echo", "abcd")
-    if with_dav_feature:
-        wanted = merge_traces([tracer_m.nudge_dump(), tracer_w.nudge_dump()])
-        client.put("/probe.txt", "x")
-        client.delete("/probe.txt")
-        undesired = merge_traces([tracer_m.finish(), tracer_w.finish()])
-        serving = merge_traces([wanted, undesired])
-        feature = TraceDiff(NGINX_BINARY).feature_blocks(
-            "dav-write", [wanted], [undesired]
-        )
-    else:
-        serving = merge_traces([tracer_m.finish(), tracer_w.finish()])
-        feature = None
-    report = init_only_blocks(init_trace, serving, NGINX_BINARY)
-    return ProfiledServer(kernel, master, NGINX_BINARY, init_trace, serving,
-                          report), feature
-
-
-#: benchmarks evaluated in Figures 7 and 9 (602.gcc/657.xz analogues are
-#: excluded exactly as in the paper, which could not trace them)
-SPEC_EVALUATED = (
-    "600.perlbench_s",
-    "605.mcf_s",
-    "620.omnetpp_s",
-    "623.xalancbmk_s",
-    "625.x264_s",
-    "631.deepsjeng_s",
-    "641.leela_s",
-)
-
-#: iterations long enough that a mid-run rewrite finds the process alive
-SPEC_ITERATIONS = {
-    "600.perlbench_s": 40,
-    "605.mcf_s": 400,
-    "620.omnetpp_s": 40,
-    "623.xalancbmk_s": 40,
-    "625.x264_s": 10,
-    "631.deepsjeng_s": 30,
-    "641.leela_s": 2500,
-}
-
-
-def profile_spec(name: str, to_completion: bool = False):
-    """Boot a SPEC-like benchmark and split coverage at init-done."""
-    bench = get_benchmark(name)
-    kernel = Kernel()
-    proc = stage_spec(kernel, name, iterations=SPEC_ITERATIONS[name],
-                      run_to_init=False)
-    tracer = BlockTracer(kernel, proc).attach()
-    kernel.run_until(lambda: INIT_DONE_LINE in proc.stdout_text(),
-                     max_instructions=20_000_000)
-    init_trace = tracer.nudge_dump(quiesce=False)
-    if to_completion:
-        kernel.run_until(lambda: not proc.alive, max_instructions=120_000_000)
-    else:
-        kernel.run(max_instructions=1_500_000)
-    serving = tracer.finish(quiesce=False)
-    report = init_only_blocks(init_trace, serving, bench.binary)
-    return ProfiledServer(kernel, proc, bench.binary, init_trace, serving,
-                          report)
+#: benchmarks evaluated in Figures 7 and 9, each with a figures corpus
+#: (602.gcc/657.xz analogues are excluded exactly as in the paper, which
+#: could not trace them)
+SPEC_EVALUATED = tuple(SPEC_ITERATIONS)
 
 
 @pytest.fixture(scope="session")

@@ -24,13 +24,14 @@ from repro.core import BlockMode, CoverageGraph, DynaCut, TrapPolicy
 from repro.criu import checkpoint_tree
 from repro.workloads import RedisClient
 from repro.apps import REDIS_PORT
+from repro.workloads.corpus import CORPORA, profile
 
-from conftest import print_table, profile_lighttpd, profile_redis
+from conftest import print_table
 
 
 def test_ablation_byte_vs_block_granularity(benchmark, results_dir):
     def run():
-        profiled, __ = profile_lighttpd()
+        profiled = profile(CORPORA["figures-lighttpd"])
         module = profiled.binary
         init_graph = CoverageGraph.from_traces(profiled.init_trace)
         serving_graph = CoverageGraph.from_traces(profiled.serving_trace)
@@ -73,7 +74,8 @@ def test_ablation_block_modes(benchmark, results_dir):
     def run():
         out = {}
         for mode in (BlockMode.ENTRY, BlockMode.ALL, BlockMode.WIPE):
-            profiled, feature = profile_redis(feature_command="SET probe v")
+            profiled = profile(CORPORA["figures-redis-set"])
+            feature = profiled.feature
             dynacut = DynaCut(profiled.kernel)
             report = dynacut.disable_feature(
                 profiled.root.pid, feature, policy=TrapPolicy.REDIRECT,
@@ -160,7 +162,7 @@ def test_ablation_restore_vs_reinit(benchmark, results_dir):
 
 def test_ablation_exec_page_dump(benchmark, results_dir):
     def run():
-        profiled, __ = profile_redis()
+        profiled = profile(CORPORA["figures-redis"])
         kernel = profiled.kernel
         with_flag = checkpoint_tree(
             kernel, profiled.root.pid, image_dir=None,

@@ -15,60 +15,33 @@ from __future__ import annotations
 
 import json
 
-from repro.apps import LIGHTTPD_PORT, stage_lighttpd
-from repro.apps.httpd_lighttpd import LIGHTTPD_BINARY, READY_LINE
-from repro.core import BlockMode, DynaCut, TraceDiff, TrapPolicy
+from repro.apps import LIGHTTPD_PORT
+from repro.core import BlockMode, DynaCut, TrapPolicy
 from repro.core.verifier import read_verifier_log
-from repro.kernel import Kernel
-from repro.tracing import BlockTracer
 from repro.workloads import HttpClient
+from repro.workloads.corpus import CORPORA, profile, send
 
 from conftest import print_table
 
 DISPATCHER = "lh_handle_request"
 
 
-def _thin_profile():
-    kernel = Kernel()
-    proc = stage_lighttpd(kernel, run_to_ready=False)
-    tracer = BlockTracer(kernel, proc).attach()
-    kernel.run_until(lambda: READY_LINE in proc.stdout_text(),
-                     max_instructions=5_000_000)
-    tracer.nudge_dump()
-    client = HttpClient(kernel, LIGHTTPD_PORT)
-    kernel.fs.write_file("/var/www/about.html", "<p>about</p>")
-    client.get("/")
-    client.get("/about.html")
-    wanted = tracer.nudge_dump()
-    client.put("/probe.txt", "x")
-    client.delete("/probe.txt")
-    undesired = tracer.finish()
-    feature = TraceDiff(LIGHTTPD_BINARY).feature_blocks(
-        "dav-write", [wanted], [undesired]
-    )
-    return kernel, proc, feature
-
-
-def _exercise(client):
-    return [
-        client.get("/").status,
-        client.get("/about.html").status,
-        client.get("/missing.html").status,
-        client.head("/").status,
-        client.options("/").status,
-        client.post("/echo", "abcd").status,
-    ]
+#: the wanted workload the customized server is kept for
+WANTED = ("GET /", "GET /about.html", "GET /missing.html", "HEAD /",
+          "OPTIONS /", "POST /echo abcd")
 
 
 def _verify_run(refine: bool):
-    kernel, proc, feature = _thin_profile()
+    profiled = profile(CORPORA["dynalint-lighttpd"])
+    kernel, proc, feature = profiled.kernel, profiled.root, profiled.feature
     dynacut = DynaCut(kernel)
     report = dynacut.disable_feature(
         proc.pid, feature, policy=TrapPolicy.VERIFY, mode=BlockMode.ALL,
         refine=refine, dispatcher_symbol=DISPATCHER if refine else None,
     )
     proc = dynacut.restored_process(proc.pid)
-    statuses = _exercise(HttpClient(kernel, LIGHTTPD_PORT))
+    client = HttpClient(kernel, LIGHTTPD_PORT)
+    statuses = [send(client, request).status for request in WANTED]
     traps = len(read_verifier_log(kernel, proc).trapped_addresses)
     return {
         "removal_set": feature.count,
@@ -84,7 +57,8 @@ def _verify_run(refine: bool):
 
 def _redirect_run():
     """The 403 policy, untouched by refinement (it does not compose)."""
-    kernel, proc, feature = _thin_profile()
+    profiled = profile(CORPORA["dynalint-lighttpd"])
+    kernel, proc, feature = profiled.kernel, profiled.root, profiled.feature
     dynacut = DynaCut(kernel)
     dynacut.disable_feature(
         proc.pid, feature, policy=TrapPolicy.REDIRECT,

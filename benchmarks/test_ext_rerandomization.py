@@ -14,7 +14,9 @@ from repro.kernel import ProcessState, Signal
 from repro.workloads import HttpClient, RedisClient
 from repro.apps import LIGHTTPD_PORT, REDIS_PORT
 
-from conftest import print_table, profile_lighttpd, profile_redis
+from repro.workloads.corpus import CORPORA, profile
+
+from conftest import print_table
 
 
 def _libc_base(proc) -> int:
@@ -24,11 +26,11 @@ def _libc_base(proc) -> int:
 def test_ext_live_rerandomization(benchmark, results_dir):
     def run():
         out = {}
-        for label, profiler, port in (
-            ("Redis", profile_redis, REDIS_PORT),
-            ("Lighttpd", profile_lighttpd, LIGHTTPD_PORT),
+        for label, corpus, port in (
+            ("Redis", "figures-redis", REDIS_PORT),
+            ("Lighttpd", "figures-lighttpd", LIGHTTPD_PORT),
         ):
-            profiled, __ = profiler()
+            profiled = profile(CORPORA[corpus])
             kernel = profiled.kernel
             proc = profiled.root
             dynacut = DynaCut(kernel)

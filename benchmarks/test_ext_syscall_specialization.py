@@ -20,17 +20,19 @@ from repro.kernel import Sys
 from repro.workloads import RedisClient, HttpClient
 from repro.apps import LIGHTTPD_PORT, REDIS_PORT
 
-from conftest import print_table, profile_lighttpd, profile_redis
+from repro.workloads.corpus import CORPORA, profile
+
+from conftest import print_table
 
 
 def test_ext_syscall_specialization(benchmark, results_dir):
     def run():
         out = {}
-        for label, profiler, port, client_cls in (
-            ("Redis", profile_redis, REDIS_PORT, RedisClient),
-            ("Lighttpd", profile_lighttpd, LIGHTTPD_PORT, HttpClient),
+        for label, corpus, port, client_cls in (
+            ("Redis", "figures-redis", REDIS_PORT, RedisClient),
+            ("Lighttpd", "figures-lighttpd", LIGHTTPD_PORT, HttpClient),
         ):
-            profiled, __ = profiler()
+            profiled = profile(CORPORA[corpus])
             kernel = profiled.kernel
             report = specialization_report(
                 profiled.init_trace, profiled.serving_trace

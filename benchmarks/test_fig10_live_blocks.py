@@ -25,8 +25,9 @@ from repro.core.covgraph import CoverageGraph
 from repro.isa import INT3_OPCODE
 from repro.tracing import BlockRecord
 from repro.workloads import HttpClient
+from repro.workloads.corpus import CORPORA, profile
 
-from conftest import print_table, profile_lighttpd
+from conftest import print_table
 
 
 def _phase_blocks(cfg, allow_bytes):
@@ -59,7 +60,8 @@ def _live_fraction(proc, cfg) -> float:
 
 def test_fig10_live_blocks_over_time(benchmark, results_dir):
     def run():
-        profiled, dav = profile_lighttpd(with_dav_feature=True)
+        profiled = profile(CORPORA["figures-lighttpd-dav"])
+        dav = profiled.feature
         kernel = profiled.kernel
         module = profiled.binary
         binary = kernel.binaries[module]

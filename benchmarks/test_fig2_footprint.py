@@ -11,11 +11,9 @@ from __future__ import annotations
 import json
 
 from repro.analysis import build_cfg
-from conftest import (
-    print_table,
-    profile_lighttpd,
-    profile_spec,
-)
+from repro.workloads.corpus import CORPORA, profile
+
+from conftest import print_table
 
 
 def _footprint(profiled):
@@ -52,8 +50,8 @@ def _render_map(cfg, executed, init_only, columns: int = 64) -> str:
 
 def test_fig2_memory_footprints(benchmark, results_dir):
     def run():
-        mcf = profile_spec("605.mcf_s", to_completion=True)
-        lighttpd, __ = profile_lighttpd()
+        mcf = profile(CORPORA["figures-605.mcf_s-exit"])
+        lighttpd = profile(CORPORA["figures-lighttpd"])
         return mcf, lighttpd
 
     mcf, lighttpd = benchmark.pedantic(run, rounds=1, iterations=1)

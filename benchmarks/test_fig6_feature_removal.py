@@ -16,7 +16,9 @@ from repro.core import BlockMode, DynaCut, TrapPolicy
 from repro.workloads import HttpClient, RedisClient
 from repro.apps import LIGHTTPD_PORT, NGINX_PORT, REDIS_PORT
 
-from conftest import print_table, profile_lighttpd, profile_nginx, profile_redis
+from repro.workloads.corpus import CORPORA, profile
+
+from conftest import print_table
 
 
 def _customize(profiled, feature, redirect_symbol):
@@ -32,22 +34,22 @@ def test_fig6_feature_customization_overhead(benchmark, results_dir):
     def run():
         out = {}
 
-        lighttpd, dav = profile_lighttpd(with_dav_feature=True)
-        __, report = _customize(lighttpd, dav, "http_forbidden_entry")
+        lighttpd = profile(CORPORA["figures-lighttpd-dav"])
+        __, report = _customize(lighttpd, lighttpd.feature, "http_forbidden_entry")
         client = HttpClient(lighttpd.kernel, LIGHTTPD_PORT)
         assert client.put("/x", "v").status == 403
         assert client.get("/").status == 200
         out["Lighttpd"] = (lighttpd, report)
 
-        nginx, dav = profile_nginx(with_dav_feature=True)
-        __, report = _customize(nginx, dav, "ngx_forbidden_entry")
+        nginx = profile(CORPORA["figures-nginx-dav"])
+        __, report = _customize(nginx, nginx.feature, "ngx_forbidden_entry")
         client = HttpClient(nginx.kernel, NGINX_PORT)
         assert client.put("/x", "v").status == 403
         assert client.get("/").status == 200
         out["Nginx"] = (nginx, report)
 
-        redis, feature = profile_redis(feature_command="SET probe v")
-        __, report = _customize(redis, feature, "redis_unknown_cmd")
+        redis = profile(CORPORA["figures-redis-set"])
+        __, report = _customize(redis, redis.feature, "redis_unknown_cmd")
         client = RedisClient(redis.kernel, REDIS_PORT)
         assert client.command("SET k v").startswith("-ERR")
         assert client.ping()

@@ -11,14 +11,9 @@ from __future__ import annotations
 import json
 
 from repro.core import DynaCut
+from repro.workloads.corpus import CORPORA, profile
 
-from conftest import (
-    SPEC_EVALUATED,
-    print_table,
-    profile_lighttpd,
-    profile_nginx,
-    profile_spec,
-)
+from conftest import SPEC_EVALUATED, print_table
 
 
 def _remove_init(profiled):
@@ -38,13 +33,11 @@ def _remove_init(profiled):
 def test_fig7_init_code_removal_overhead(benchmark, results_dir):
     def run():
         out = {}
-        lighttpd, __ = profile_lighttpd()
-        out["Lighttpd"] = (lighttpd.init_report, _remove_init(lighttpd))
-        nginx, __ = profile_nginx()
-        out["Nginx"] = (nginx.init_report, _remove_init(nginx))
-        for name in SPEC_EVALUATED:
-            profiled = profile_spec(name)
-            out[name] = (profiled.init_report, _remove_init(profiled))
+        for app, corpus in (("Lighttpd", "figures-lighttpd"),
+                            ("Nginx", "figures-nginx"),
+                            *((name, f"figures-{name}") for name in SPEC_EVALUATED)):
+            profiled = profile(CORPORA[corpus])
+            out[app] = (profiled.init_report, _remove_init(profiled))
         return out
 
     outcomes = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -18,8 +18,9 @@ from repro.workloads import (
     run_request_timeline,
 )
 from repro.apps import REDIS_PORT
+from repro.workloads.corpus import CORPORA, profile
 
-from conftest import print_table, profile_redis
+from conftest import print_table
 
 DURATION_S = 30
 DISABLE_AT_S = 8
@@ -27,7 +28,8 @@ ENABLE_AT_S = 20
 
 
 def _timeline(with_dynacut: bool):
-    profiled, feature = profile_redis(feature_command="SET probe v")
+    profiled = profile(CORPORA["figures-redis-set"])
+    feature = profiled.feature
     kernel = profiled.kernel
     client = RedisClient(kernel, REDIS_PORT)
     client.set("hot", "value")

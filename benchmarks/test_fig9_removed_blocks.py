@@ -12,25 +12,18 @@ from __future__ import annotations
 import json
 
 from repro.analysis import build_cfg
+from repro.workloads.corpus import CORPORA, profile
 
-from conftest import (
-    SPEC_EVALUATED,
-    print_table,
-    profile_lighttpd,
-    profile_nginx,
-    profile_spec,
-)
+from conftest import SPEC_EVALUATED, print_table
 
 
 def test_fig9_removed_block_counts(benchmark, results_dir):
     def run():
         out = {}
-        lighttpd, __ = profile_lighttpd()
-        out["Lighttpd"] = lighttpd
-        nginx, __ = profile_nginx()
-        out["Nginx"] = nginx
+        out["Lighttpd"] = profile(CORPORA["figures-lighttpd"])
+        out["Nginx"] = profile(CORPORA["figures-nginx"])
         for name in SPEC_EVALUATED:
-            out[name] = profile_spec(name, to_completion=True)
+            out[name] = profile(CORPORA[f"figures-{name}-exit"])
         return out
 
     profiles = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -21,8 +21,9 @@ from repro.attacks import PROBES_REQUIRED, attempt_ret2plt, run_brop
 from repro.core import DynaCut
 from repro.tracing import merge_traces
 from repro.workloads import HttpClient
+from repro.workloads.corpus import CORPORA, profile
 
-from conftest import print_table, profile_lighttpd, profile_nginx
+from conftest import print_table
 
 
 def _plt_stats(profiled):
@@ -38,8 +39,8 @@ def _plt_stats(profiled):
 
 def test_sec_plt_entry_removal_and_attacks(benchmark, results_dir):
     def run():
-        nginx, __ = profile_nginx()
-        lighttpd, __ = profile_lighttpd()
+        nginx = profile(CORPORA["figures-nginx"])
+        lighttpd = profile(CORPORA["figures-lighttpd"])
         nginx_stats = _plt_stats(nginx)
         lighttpd_stats = _plt_stats(lighttpd)
 
@@ -61,7 +62,7 @@ def test_sec_plt_entry_removal_and_attacks(benchmark, results_dir):
         )
 
         # customized instance
-        nginx2, __ = profile_nginx()
+        nginx2 = profile(CORPORA["figures-nginx"])
         dynacut = DynaCut(nginx2.kernel)
         dynacut.remove_init_code(
             nginx2.root.pid, nginx2.binary,

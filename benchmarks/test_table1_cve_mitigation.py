@@ -14,8 +14,9 @@ from repro.apps import REDIS_PORT
 from repro.attacks import REDIS_CVES, attempt_cve
 from repro.core import BlockMode, DynaCut, TrapPolicy
 from repro.workloads import RedisClient
+from repro.workloads.corpus import CORPORA, profile
 
-from conftest import print_table, profile_redis
+from conftest import print_table
 
 
 def test_table1_cve_mitigation(benchmark, results_dir):
@@ -23,18 +24,16 @@ def test_table1_cve_mitigation(benchmark, results_dir):
         outcomes = {}
         for spec in REDIS_CVES:
             # vanilla server: deliver the exploit
-            vanilla, __ = profile_redis()
+            vanilla = profile(CORPORA["figures-redis"])
             vanilla_outcome = attempt_cve(
                 vanilla.kernel, vanilla.root, REDIS_PORT, spec
             )
 
             # customized server: block the command feature, re-attack
-            profiled, feature = profile_redis(
-                feature_command=spec.benign_line
-            )
+            profiled = profile(CORPORA["figures-redis"].against(spec.benign_line))
             dynacut = DynaCut(profiled.kernel)
             dynacut.disable_feature(
-                profiled.root.pid, feature, policy=TrapPolicy.REDIRECT,
+                profiled.root.pid, profiled.feature, policy=TrapPolicy.REDIRECT,
                 mode=BlockMode.ENTRY, redirect_symbol="redis_unknown_cmd",
             )
             proc = dynacut.restored_process(profiled.root.pid)

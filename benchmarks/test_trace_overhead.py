@@ -35,8 +35,9 @@ from repro.workloads import (
     run_request_timeline,
 )
 from repro.apps import REDIS_PORT
+from repro.workloads.corpus import CORPORA, profile
 
-from conftest import print_table, profile_redis
+from conftest import print_table
 
 DURATION_S = 12
 DISABLE_AT_S = 3
@@ -46,7 +47,8 @@ PAIRS = 8
 
 
 def _timeline(clock: HostClock, tracer: RequestTracer | None):
-    profiled, feature = profile_redis(feature_command="SET probe v")
+    profiled = profile(CORPORA["figures-redis-set"])
+    feature = profiled.feature
     kernel = profiled.kernel
     client = RedisClient(kernel, REDIS_PORT)
     client.set("hot", "value")

@@ -17,41 +17,18 @@ from __future__ import annotations
 
 import json
 
-from repro.apps import REDIS_PORT, stage_redis
-from repro.apps.kvstore import REDIS_BINARY
-from repro.core import (
-    BlockMode,
-    CustomizationAborted,
-    DynaCut,
-    TraceDiff,
-    TrapPolicy,
-)
+from repro.core import BlockMode, CustomizationAborted, DynaCut, TrapPolicy
 from repro.faults import FaultPlan
 from repro.kernel import Kernel
-from repro.tracing import BlockTracer
-from repro.workloads import RedisClient
+from repro.workloads.corpus import CORPORA, profile
 
 from conftest import print_table
 
 
-def _world():
-    kernel = Kernel()
-    proc = stage_redis(kernel)
-    tracer = BlockTracer(kernel, proc).attach()
-    client = RedisClient(kernel, REDIS_PORT)
-    for cmd in ("PING", "GET a", "DEL a"):
-        client.command(cmd)
-    wanted = tracer.nudge_dump()
-    client.command("SET a 1")
-    undesired = tracer.finish()
-    feature = TraceDiff(REDIS_BINARY).feature_blocks(
-        "SET", [wanted], [undesired]
-    )
-    return kernel, proc.pid, client, feature
-
-
 def _session(plan: FaultPlan | None):
-    kernel, pid, client, feature = _world()
+    profiled = profile(CORPORA["transaction-redis"])
+    kernel, pid = profiled.kernel, profiled.root.pid
+    client, feature = profiled.client, profiled.feature
     dynacut = DynaCut(kernel)
     start = kernel.clock_ns
     outcome = "committed"

@@ -22,6 +22,7 @@ LIGHTTPD_BINARY = "minilight"
 LIGHTTPD_PORT = 8080
 LIGHTTPD_CONFIG_PATH = "/etc/lighttpd.conf"
 DOCROOT = "/var/www"
+INDEX_BODY = "<h1>it works</h1>"
 
 DEFAULT_CONFIG = """\
 server.port = 8080
@@ -517,7 +518,12 @@ def build_minilight(libc: SelfImage) -> SelfImage:
     return link_executable([module], LIGHTTPD_BINARY, libraries=[libc])
 
 
-def install_default_config(fs, index_body: str = "<h1>it works</h1>") -> None:
+def install_default_config(
+    fs, index_body: str = INDEX_BODY, port: int = LIGHTTPD_PORT
+) -> None:
     """Stage the lighttpd config and a docroot with an index file."""
-    fs.write_file(LIGHTTPD_CONFIG_PATH, DEFAULT_CONFIG)
+    config = DEFAULT_CONFIG.replace(
+        f"server.port = {LIGHTTPD_PORT}", f"server.port = {port}"
+    )
+    fs.write_file(LIGHTTPD_CONFIG_PATH, config)
     fs.write_file(f"{DOCROOT}/index.html", index_body)

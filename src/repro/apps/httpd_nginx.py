@@ -29,6 +29,7 @@ NGINX_BINARY = "mininginx"
 NGINX_PORT = 8081
 NGINX_CONFIG_PATH = "/etc/nginx.conf"
 DOCROOT = "/var/www"
+INDEX_BODY = "<h1>nginx-like</h1>"
 
 DEFAULT_CONFIG = """\
 worker_processes 1
@@ -465,7 +466,10 @@ def build_mininginx(libc: SelfImage) -> SelfImage:
     return link_executable([module], NGINX_BINARY, libraries=[libc])
 
 
-def install_default_config(fs, index_body: str = "<h1>nginx-like</h1>") -> None:
+def install_default_config(
+    fs, index_body: str = INDEX_BODY, port: int = NGINX_PORT
+) -> None:
     """Stage the nginx config and a docroot with an index file."""
-    fs.write_file(NGINX_CONFIG_PATH, DEFAULT_CONFIG)
+    config = DEFAULT_CONFIG.replace(f"listen {NGINX_PORT}", f"listen {port}")
+    fs.write_file(NGINX_CONFIG_PATH, config)
     fs.write_file(f"{DOCROOT}/index.html", index_body)

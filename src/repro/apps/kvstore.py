@@ -637,6 +637,7 @@ def build_miniredis(libc: SelfImage) -> SelfImage:
     return link_executable([module], REDIS_BINARY, libraries=[libc])
 
 
-def install_default_config(fs) -> None:
+def install_default_config(fs, port: int = REDIS_PORT) -> None:
     """Write the default redis config into a kernel filesystem."""
-    fs.write_file(REDIS_CONFIG_PATH, DEFAULT_CONFIG)
+    config = DEFAULT_CONFIG.replace(f"port {REDIS_PORT}", f"port {port}")
+    fs.write_file(REDIS_CONFIG_PATH, config)

@@ -9,6 +9,7 @@ config files onto a concrete kernel and return the booted process.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 from ..binfmt.self_format import SelfImage
 from ..kernel.kernel import Kernel
@@ -61,60 +62,68 @@ def all_images() -> dict[str, SelfImage]:
 # staging helpers
 
 
-def stage_redis(kernel: Kernel, run_to_ready: bool = True) -> Process:
-    """Register, configure and boot miniredis on ``kernel``."""
+def _boot(
+    kernel: Kernel,
+    image: SelfImage,
+    run_to_ready: bool,
+    ready: Callable[[Process], bool],
+    bound: int,
+    argv: list[str] | None = None,
+) -> Process:
+    """Register ``image`` (and libc), spawn it and, if asked, run the
+    kernel until ``ready`` holds for the new process."""
     kernel.register_binary(libc_image())
-    kernel.register_binary(redis_image())
-    kvstore.install_default_config(kernel.fs)
-    proc = kernel.spawn(kvstore.REDIS_BINARY)
-    if run_to_ready:
-        ready = kernel.run_until(
-            lambda: kvstore.READY_LINE in proc.stdout_text(),
-            max_instructions=5_000_000,
-        )
-        if not ready:
-            raise RuntimeError("miniredis failed to reach ready state")
+    kernel.register_binary(image)
+    proc = kernel.spawn(image.name, argv)
+    if run_to_ready and not kernel.run_until(
+        lambda: ready(proc), max_instructions=bound
+    ):
+        raise RuntimeError(f"{image.name} failed to reach ready state")
     return proc
 
 
-def stage_lighttpd(kernel: Kernel, run_to_ready: bool = True) -> Process:
-    """Register, configure and boot minilight on ``kernel``."""
-    kernel.register_binary(libc_image())
-    kernel.register_binary(lighttpd_image())
-    httpd_lighttpd.install_default_config(kernel.fs)
-    proc = kernel.spawn(httpd_lighttpd.LIGHTTPD_BINARY)
-    if run_to_ready:
-        ready = kernel.run_until(
-            lambda: httpd_lighttpd.READY_LINE in proc.stdout_text(),
-            max_instructions=5_000_000,
+def stage_redis(
+    kernel: Kernel, run_to_ready: bool = True, port: int = kvstore.REDIS_PORT
+) -> Process:
+    """Configure and boot miniredis on ``kernel``."""
+    kvstore.install_default_config(kernel.fs, port)
+    return _boot(
+        kernel, redis_image(), run_to_ready,
+        lambda proc: kvstore.READY_LINE in proc.stdout_text(), 6_000_000,
+    )
+
+
+def stage_lighttpd(
+    kernel: Kernel,
+    run_to_ready: bool = True,
+    port: int = httpd_lighttpd.LIGHTTPD_PORT,
+    index_body: str = httpd_lighttpd.INDEX_BODY,
+) -> Process:
+    """Configure and boot minilight on ``kernel``."""
+    httpd_lighttpd.install_default_config(kernel.fs, index_body, port)
+    return _boot(
+        kernel, lighttpd_image(), run_to_ready,
+        lambda proc: httpd_lighttpd.READY_LINE in proc.stdout_text(), 6_000_000,
+    )
+
+
+def stage_nginx(
+    kernel: Kernel,
+    run_to_ready: bool = True,
+    port: int = httpd_nginx.NGINX_PORT,
+    index_body: str = httpd_nginx.INDEX_BODY,
+) -> Process:
+    """Configure and boot mininginx (master + worker); returns the master."""
+    httpd_nginx.install_default_config(kernel.fs, index_body, port)
+
+    def ready(master: Process) -> bool:
+        return httpd_nginx.READY_LINE in master.stdout_text() and any(
+            httpd_nginx.WORKER_LINE in p.stdout_text()
+            for p in kernel.processes.values()
+            if p.ppid == master.pid
         )
-        if not ready:
-            raise RuntimeError("minilight failed to reach ready state")
-    return proc
 
-
-def stage_nginx(kernel: Kernel, run_to_ready: bool = True) -> Process:
-    """Register, configure and boot mininginx (master + worker)."""
-    kernel.register_binary(libc_image())
-    kernel.register_binary(nginx_image())
-    httpd_nginx.install_default_config(kernel.fs)
-    master = kernel.spawn(httpd_nginx.NGINX_BINARY)
-    if run_to_ready:
-        def worker_running() -> bool:
-            return any(
-                httpd_nginx.WORKER_LINE in p.stdout_text()
-                for p in kernel.processes.values()
-                if p.ppid == master.pid
-            )
-
-        ready = kernel.run_until(
-            lambda: httpd_nginx.READY_LINE in master.stdout_text()
-            and worker_running(),
-            max_instructions=8_000_000,
-        )
-        if not ready:
-            raise RuntimeError("mininginx failed to reach ready state")
-    return master
+    return _boot(kernel, nginx_image(), run_to_ready, ready, 10_000_000)
 
 
 def nginx_worker(kernel: Kernel, master: Process) -> Process:
@@ -134,18 +143,9 @@ def stage_spec(
     """Register and boot a SPEC-like benchmark; stops at init-done."""
     from .spec.common import INIT_DONE_LINE
 
-    bench = get_benchmark(name)
-    kernel.register_binary(libc_image())
-    kernel.register_binary(spec_image(name))
-    argv = [bench.binary]
-    if iterations is not None:
-        argv.append(str(iterations))
-    proc = kernel.spawn(bench.binary, argv)
-    if run_to_init:
-        ready = kernel.run_until(
-            lambda: INIT_DONE_LINE in proc.stdout_text(),
-            max_instructions=10_000_000,
-        )
-        if not ready:
-            raise RuntimeError(f"{name} did not finish initialization")
-    return proc
+    image = spec_image(name)
+    argv = [image.name] + ([] if iterations is None else [str(iterations)])
+    return _boot(
+        kernel, image, run_to_init,
+        lambda proc: INIT_DONE_LINE in proc.stdout_text(), 10_000_000, argv,
+    )

@@ -4,17 +4,17 @@ The :class:`FleetController` is app-agnostic; everything server-specific
 lives in an adapter:
 
 * **staging** an instance on an arbitrary port (each guest reads its
-  port from its config file during init, so the adapter rewrites the
+  port from its config file during init, so staging rewrites the
   config immediately before each spawn — instance *i* boots with its
   own port, then the file is free for instance *i+1*);
 * the **wanted request** (the health probe's and balancer workload's
   unit of service) and the **feature request** (exercising the code a
   policy removes);
-* the **profiling recipe**: boot a scratch kernel, trace a wanted
-  workload and the feature workload, and tracediff them into the
-  feature's unique blocks.  Offsets are module-relative and every
-  instance runs the same binary image, so one profile serves the whole
-  fleet — it is memoized process-wide.
+* the **profiling corpus** of each removable feature
+  (:mod:`repro.workloads.corpus`): profiled once on a scratch kernel
+  into the feature's unique blocks.  Offsets are module-relative and
+  every instance runs the same binary image, so one profile serves the
+  whole fleet — it is memoized process-wide.
 """
 
 from __future__ import annotations
@@ -22,21 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..apps import (
-    LIGHTTPD_PORT,
-    NGINX_PORT,
-    REDIS_PORT,
-    nginx_worker,
-    stage_lighttpd,
-    stage_nginx,
-    stage_redis,
-)
 from ..apps import httpd_lighttpd, httpd_nginx, kvstore
-from ..core import FeatureBlocks, TraceDiff
+from ..apps import stage_lighttpd, stage_nginx, stage_redis
+from ..core import FeatureBlocks
 from ..kernel.kernel import Kernel
 from ..kernel.process import Process
-from ..tracing import BlockTracer, merge_traces
 from ..workloads import HttpClient, RedisClient
+from ..workloads.corpus import CORPORA, Corpus, profile
 
 
 class FleetAppError(RuntimeError):
@@ -52,47 +44,26 @@ class FleetApp:
     default_port: int
     #: symbol of the app's error arm (redirect trap target)
     redirect_symbol: str
-    #: write the app's config for ``port`` into ``fs``
-    configure: Callable[[object, int], None]
     #: boot one instance listening on ``port``; returns the root process
     stage: Callable[[Kernel, int], Process]
     #: issue one wanted request; True on success
     wanted_request: Callable[[Kernel, int], bool]
     #: exercise ``feature`` once; True when the feature was *served*
     feature_request: Callable[[Kernel, int, str], bool]
-    #: features this adapter can profile
-    features: tuple[str, ...]
-    #: collect (wanted, undesired) traces for ``feature`` on a scratch
-    #: kernel; returns the FeatureBlocks
-    profile: Callable[[str], FeatureBlocks]
+    #: the profiling corpus of each feature this adapter can remove
+    corpora: tuple[Corpus, ...]
+
+    @property
+    def features(self) -> tuple[str, ...]:
+        return tuple(corpus.feature for corpus in self.corpora)
+
+
+#: the index page every fleet web server serves
+FLEET_INDEX = "<h1>fleet</h1>"
 
 
 # ----------------------------------------------------------------------
-# minilight (single-process poll loop)
-
-
-def _lighttpd_configure(fs, port: int) -> None:
-    config = httpd_lighttpd.DEFAULT_CONFIG.replace(
-        f"server.port = {LIGHTTPD_PORT}", f"server.port = {port}"
-    )
-    fs.write_file(httpd_lighttpd.LIGHTTPD_CONFIG_PATH, config)
-    fs.write_file(f"{httpd_lighttpd.DOCROOT}/index.html", "<h1>fleet</h1>")
-
-
-def _lighttpd_stage(kernel: Kernel, port: int) -> Process:
-    _lighttpd_configure(kernel.fs, port)
-    from ..apps import libc_image, lighttpd_image
-
-    kernel.register_binary(libc_image())
-    kernel.register_binary(lighttpd_image())
-    proc = kernel.spawn(httpd_lighttpd.LIGHTTPD_BINARY)
-    ready = kernel.run_until(
-        lambda: httpd_lighttpd.READY_LINE in proc.stdout_text(),
-        max_instructions=6_000_000,
-    )
-    if not ready:
-        raise FleetAppError(f"minilight on port {port} never became ready")
-    return proc
+# web servers (minilight, mininginx)
 
 
 def _http_wanted(kernel: Kernel, port: int) -> bool:
@@ -123,114 +94,8 @@ def _http_dav_request(kernel: Kernel, port: int, feature: str) -> bool:
     return client.delete(path).status == 204
 
 
-_PROFILE_CACHE: dict[tuple[str, str], FeatureBlocks] = {}
-
-
-def _profile_lighttpd(feature: str) -> FeatureBlocks:
-    if feature != "dav-write":
-        raise FleetAppError(f"minilight has no feature recipe for {feature!r}")
-    kernel = Kernel()
-    proc = stage_lighttpd(kernel)
-    tracer = BlockTracer(kernel, proc).attach()
-    client = HttpClient(kernel, LIGHTTPD_PORT)
-    client.get("/")
-    client.get("/missing.html")
-    client.head("/")
-    client.options("/")
-    client.post("/echo", "abcd")
-    wanted = tracer.nudge_dump()
-    client.put("/probe.txt", "x")
-    client.delete("/probe.txt")
-    undesired = tracer.finish()
-    return TraceDiff(httpd_lighttpd.LIGHTTPD_BINARY).feature_blocks(
-        feature, [wanted], [undesired]
-    )
-
-
-# ----------------------------------------------------------------------
-# mininginx (master + worker tree)
-
-
-def _nginx_configure(fs, port: int) -> None:
-    config = httpd_nginx.DEFAULT_CONFIG.replace(
-        f"listen {NGINX_PORT}", f"listen {port}"
-    )
-    fs.write_file(httpd_nginx.NGINX_CONFIG_PATH, config)
-    fs.write_file(f"{httpd_nginx.DOCROOT}/index.html", "<h1>fleet</h1>")
-
-
-def _nginx_stage(kernel: Kernel, port: int) -> Process:
-    _nginx_configure(kernel.fs, port)
-    from ..apps import libc_image, nginx_image
-
-    kernel.register_binary(libc_image())
-    kernel.register_binary(nginx_image())
-    master = kernel.spawn(httpd_nginx.NGINX_BINARY)
-
-    def worker_running() -> bool:
-        return any(
-            httpd_nginx.WORKER_LINE in p.stdout_text()
-            for p in kernel.processes.values()
-            if p.ppid == master.pid
-        )
-
-    ready = kernel.run_until(
-        lambda: httpd_nginx.READY_LINE in master.stdout_text() and worker_running(),
-        max_instructions=10_000_000,
-    )
-    if not ready:
-        raise FleetAppError(f"mininginx on port {port} never became ready")
-    return master
-
-
-def _profile_nginx(feature: str) -> FeatureBlocks:
-    if feature != "dav-write":
-        raise FleetAppError(f"mininginx has no feature recipe for {feature!r}")
-    kernel = Kernel()
-    master = stage_nginx(kernel)
-    worker = nginx_worker(kernel, master)
-    tracer_m = BlockTracer(kernel, master).attach()
-    tracer_w = BlockTracer(kernel, worker).attach()
-    client = HttpClient(kernel, NGINX_PORT)
-    client.get("/")
-    client.get("/missing.html")
-    client.head("/")
-    client.options("/")
-    client.post("/echo", "abcd")
-    wanted = merge_traces([tracer_m.nudge_dump(), tracer_w.nudge_dump()])
-    client.put("/probe.txt", "x")
-    client.delete("/probe.txt")
-    undesired = merge_traces([tracer_m.finish(), tracer_w.finish()])
-    return TraceDiff(httpd_nginx.NGINX_BINARY).feature_blocks(
-        feature, [wanted], [undesired]
-    )
-
-
 # ----------------------------------------------------------------------
 # miniredis (single-process kv store)
-
-
-def _redis_configure(fs, port: int) -> None:
-    config = kvstore.DEFAULT_CONFIG.replace(
-        f"port {REDIS_PORT}", f"port {port}"
-    )
-    fs.write_file(kvstore.REDIS_CONFIG_PATH, config)
-
-
-def _redis_stage(kernel: Kernel, port: int) -> Process:
-    _redis_configure(kernel.fs, port)
-    from ..apps import libc_image, redis_image
-
-    kernel.register_binary(libc_image())
-    kernel.register_binary(redis_image())
-    proc = kernel.spawn(kvstore.REDIS_BINARY)
-    ready = kernel.run_until(
-        lambda: kvstore.READY_LINE in proc.stdout_text(),
-        max_instructions=6_000_000,
-    )
-    if not ready:
-        raise FleetAppError(f"miniredis on port {port} never became ready")
-    return proc
 
 
 def _redis_wanted(kernel: Kernel, port: int) -> bool:
@@ -251,23 +116,6 @@ def _redis_feature(kernel: Kernel, port: int, feature: str) -> bool:
         client.close()
 
 
-def _profile_redis(feature: str) -> FeatureBlocks:
-    if feature != "SET":
-        raise FleetAppError(f"miniredis has no feature recipe for {feature!r}")
-    kernel = Kernel()
-    proc = stage_redis(kernel)
-    tracer = BlockTracer(kernel, proc).attach()
-    client = RedisClient(kernel, REDIS_PORT)
-    for cmd in ("PING", "GET a", "DEL a", "EXISTS a", "DBSIZE"):
-        client.command(cmd)
-    wanted = tracer.nudge_dump()
-    client.command("SET a 1")
-    undesired = tracer.finish()
-    return TraceDiff(kvstore.REDIS_BINARY).feature_blocks(
-        feature, [wanted], [undesired]
-    )
-
-
 # ----------------------------------------------------------------------
 # registry
 
@@ -276,12 +124,12 @@ LIGHTTPD_APP = FleetApp(
     binary=httpd_lighttpd.LIGHTTPD_BINARY,
     default_port=9000,
     redirect_symbol=httpd_lighttpd.FORBIDDEN_SYMBOL,
-    configure=_lighttpd_configure,
-    stage=_lighttpd_stage,
+    stage=lambda kernel, port: stage_lighttpd(
+        kernel, port=port, index_body=FLEET_INDEX
+    ),
     wanted_request=_http_wanted,
     feature_request=_http_dav_request,
-    features=("dav-write",),
-    profile=_profile_lighttpd,
+    corpora=(CORPORA["fleet-lighttpd"],),
 )
 
 NGINX_APP = FleetApp(
@@ -289,12 +137,12 @@ NGINX_APP = FleetApp(
     binary=httpd_nginx.NGINX_BINARY,
     default_port=9300,
     redirect_symbol=httpd_nginx.FORBIDDEN_SYMBOL,
-    configure=_nginx_configure,
-    stage=_nginx_stage,
+    stage=lambda kernel, port: stage_nginx(
+        kernel, port=port, index_body=FLEET_INDEX
+    ),
     wanted_request=_http_wanted,
     feature_request=_http_dav_request,
-    features=("dav-write",),
-    profile=_profile_nginx,
+    corpora=(CORPORA["fleet-nginx"],),
 )
 
 REDIS_APP = FleetApp(
@@ -302,12 +150,10 @@ REDIS_APP = FleetApp(
     binary=kvstore.REDIS_BINARY,
     default_port=9600,
     redirect_symbol="redis_unknown_cmd",
-    configure=_redis_configure,
-    stage=_redis_stage,
+    stage=lambda kernel, port: stage_redis(kernel, port=port),
     wanted_request=_redis_wanted,
     feature_request=_redis_feature,
-    features=("SET",),
-    profile=_profile_redis,
+    corpora=(CORPORA["fleet-redis"],),
 )
 
 FLEET_APPS: dict[str, FleetApp] = {
@@ -324,6 +170,9 @@ def get_app(name: str) -> FleetApp:
     return app
 
 
+_PROFILE_CACHE: dict[tuple[str, str], FeatureBlocks] = {}
+
+
 def profile_feature(app: FleetApp, feature: str) -> FeatureBlocks:
     """Memoized feature profile (one scratch-kernel run per process)."""
     key = (app.name, feature)
@@ -331,9 +180,10 @@ def profile_feature(app: FleetApp, feature: str) -> FeatureBlocks:
     if cached is None:
         if feature not in app.features:
             raise FleetAppError(
-                f"app {app.name!r} has no profiling recipe for feature "
+                f"app {app.name!r} has no profiling corpus for feature "
                 f"{feature!r}; known: {', '.join(app.features)}"
             )
-        cached = app.profile(feature)
+        corpus = app.corpora[app.features.index(feature)]
+        cached = profile(corpus).feature
         _PROFILE_CACHE[key] = cached
     return cached

@@ -497,9 +497,40 @@ class AddressSpace:
         self.decode_cache = dict(old.decode_cache)
         self.block_cache = dict(old.block_cache)
         ours, theirs = self.executable_pages, old.executable_pages
-        for index in ours.keys() | theirs.keys():
-            if ours.get(index) != theirs.get(index):
-                self._evict_decodes(index << PAGE_SHIFT, (index + 1) << PAGE_SHIFT)
+        pages = {
+            index for index in ours.keys() | theirs.keys()
+            if ours.get(index) != theirs.get(index)
+        }
+        if not pages:
+            return
+        # one pass over each cache evicts what ``_evict_decodes`` would
+        # over each changed page: a decode at ``a`` may read pages
+        # ``a >> PAGE_SHIFT`` and ``(a + MAX_INSTRUCTION - 1) >> PAGE_SHIFT``;
+        # a block ``[a, end)`` never straddles a page, so it meets the
+        # range of pages ``a >> PAGE_SHIFT`` and ``(end + MAX_INSTRUCTION
+        # - 2) >> PAGE_SHIFT``.  Entries outside the window spanning every
+        # changed page skip the set lookups.
+        reach = MAX_INSTRUCTION - 1
+        low = (min(pages) << PAGE_SHIFT) - reach
+        high = (max(pages) + 1) << PAGE_SHIFT
+        cache = self.decode_cache
+        for address in [
+            address for address in cache
+            if low <= address < high and (
+                address >> PAGE_SHIFT in pages
+                or (address + reach) >> PAGE_SHIFT in pages
+            )
+        ]:
+            del cache[address]
+        blocks = self.block_cache
+        for address in [
+            address for address, block in blocks.items()
+            if address < high and low < block[2] and (
+                address >> PAGE_SHIFT in pages
+                or (block[2] + reach - 1) >> PAGE_SHIFT in pages
+            )
+        ]:
+            del blocks[address]
 
     def clone(self) -> "AddressSpace":
         """Deep copy (fork)."""

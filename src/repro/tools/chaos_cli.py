@@ -31,73 +31,23 @@ import sys
 from functools import partial
 from random import Random
 
-from ..apps import LIGHTTPD_PORT, REDIS_PORT, stage_lighttpd, stage_redis
-from ..apps.httpd_lighttpd import LIGHTTPD_BINARY
-from ..apps.kvstore import REDIS_BINARY
-from ..core import (
-    BlockMode,
-    CustomizationAborted,
-    DynaCut,
-    TraceDiff,
-    TrapPolicy,
-)
+from ..core import BlockMode, CustomizationAborted, DynaCut, TrapPolicy
 from ..faults import KNOWN_SITES, FaultPlan
-from ..kernel import Kernel
 from ..telemetry import TelemetryHub
-from ..tracing import BlockTracer
-from ..workloads import HttpClient, RedisClient
+from ..workloads.corpus import CORPORA, profile
 
 #: sites a campaign run may arm (all of them — the recipe visits each)
 CAMPAIGN_SITES = sorted(KNOWN_SITES)
 KINDS = ("transient", "permanent")
+#: applications a campaign runs against, each profiled by ``chaos-<app>``
+APPS = ("lighttpd", "redis")
 
 
-def _stage_redis_world():
-    kernel = Kernel()
-    proc = stage_redis(kernel)
-    tracer = BlockTracer(kernel, proc).attach()
-    client = RedisClient(kernel, REDIS_PORT)
-    for cmd in ("PING", "GET a", "DEL a", "EXISTS a"):
-        client.command(cmd)
-    wanted = tracer.nudge_dump()
-    client.command("SET a 1")
-    undesired = tracer.finish()
-    feature = TraceDiff(REDIS_BINARY).feature_blocks(
-        "SET", [wanted], [undesired]
-    )
-
-    def serves() -> bool:
+def _serves(app: str, client) -> bool:
+    """Whether the survivor still serves the wanted workload."""
+    if app == "redis":
         return client.ping() and client.get("chaos-missing") is None
-
-    return kernel, proc, feature, REDIS_BINARY, serves
-
-
-def _stage_lighttpd_world():
-    kernel = Kernel()
-    proc = stage_lighttpd(kernel)
-    tracer = BlockTracer(kernel, proc).attach()
-    client = HttpClient(kernel, LIGHTTPD_PORT)
-    client.get("/")
-    client.head("/")
-    client.options("/")
-    wanted = tracer.nudge_dump()
-    client.put("/chaos.txt", "x")
-    client.delete("/chaos.txt")
-    undesired = tracer.finish()
-    feature = TraceDiff(LIGHTTPD_BINARY).feature_blocks(
-        "dav-write", [wanted], [undesired]
-    )
-
-    def serves() -> bool:
-        return client.get("/").status == 200
-
-    return kernel, proc, feature, LIGHTTPD_BINARY, serves
-
-
-_STAGERS = {
-    "redis": _stage_redis_world,
-    "lighttpd": _stage_lighttpd_world,
-}
+    return client.get("/").status == 200
 
 
 def _module_base(proc, module: str) -> int:
@@ -116,11 +66,12 @@ def run_campaign(app: str, runs: int, seed_base: int, hub: TelemetryHub) -> dict
         site = rng.choice(CAMPAIGN_SITES)
         kind = rng.choice(KINDS)
 
-        kernel, proc, feature, module, serves = _STAGERS[app]()
+        profiled = profile(CORPORA[f"chaos-{app}"])
+        kernel, proc, feature = profiled.kernel, profiled.root, profiled.feature
         # each run stages a fresh kernel; follow its virtual clock
         hub.bind_clock(lambda kernel=kernel: kernel.clock_ns)
         pid = proc.pid
-        base = _module_base(proc, module)
+        base = _module_base(proc, profiled.binary)
         offsets = [base + block.offset for block in feature.blocks]
         before = {off: proc.memory.read_raw(off, 1) for off in offsets}
 
@@ -142,7 +93,7 @@ def run_campaign(app: str, runs: int, seed_base: int, hub: TelemetryHub) -> dict
 
         survivor = kernel.processes.get(pid)
         alive = survivor is not None and survivor.alive
-        serving = bool(alive and serves())
+        serving = bool(alive and _serves(app, profiled.client))
         after = (
             {off: survivor.memory.read_raw(off, 1) for off in offsets}
             if alive else {}
@@ -192,7 +143,7 @@ def flags(parser: argparse.ArgumentParser) -> None:
                         help="seeded runs per application (default 10)")
     parser.add_argument("--seed-base", type=int, default=1000,
                         help="first seed; run i uses seed-base + i")
-    parser.add_argument("--app", choices=sorted(_STAGERS), action="append",
+    parser.add_argument("--app", choices=APPS, action="append",
                         help="restrict to one application (repeatable); "
                              "default: all")
 
@@ -200,7 +151,7 @@ def flags(parser: argparse.ArgumentParser) -> None:
 def runs(args: argparse.Namespace) -> list:
     return [
         (f"chaos-{app}", partial(run_campaign, app, args.runs, args.seed_base))
-        for app in args.app or sorted(_STAGERS)
+        for app in args.app or APPS
     ]
 
 

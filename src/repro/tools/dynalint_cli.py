@@ -30,17 +30,17 @@ import argparse
 import json
 import pathlib
 import sys
-from dataclasses import dataclass
-from typing import Callable
 
 from ..analysis.lint import lint_checkpoint
 from ..criu.images import CheckpointImage
 from ..kernel import Kernel
+from ..workloads import HttpResponse
+from ..workloads.corpus import CORPORA, DYNALINT_SPEC, Profile, profile, send
 
 #: server guests measured by ``analyze`` (feature-removal profiles)
 SERVER_GUESTS = ("redis", "lighttpd", "nginx")
 #: SPEC guests measured by ``analyze`` (init-code removal profiles)
-SPEC_GUESTS = ("600.perlbench_s", "605.mcf_s", "625.x264_s")
+SPEC_GUESTS = DYNALINT_SPEC
 #: symbol inside each server's command/request dispatch function
 DISPATCHERS = {
     "redis": "dispatch",
@@ -48,8 +48,15 @@ DISPATCHERS = {
     "nginx": "ngx_handle_request",
 }
 #: server guests whose refined removal also runs end-to-end under the
-#: verifier, attributing every trap-restore to a classification bucket
-VERIFY_GUESTS = ("redis", "lighttpd")
+#: verifier, attributing every trap-restore to a classification bucket,
+#: and the wanted requests each is kept for, sent after the rewrite.
+#: miniredis's PING, ECHO and GET all dispatch *before* the trapped
+#: SET…APPEND chain arms, so no designated entry needs to heal
+VERIFY_GUESTS = {
+    "redis": ("PING", "ECHO hi", "GET greeting"),
+    "lighttpd": ("GET /", "GET /about.html", "GET /missing.html", "HEAD /",
+                 "POST /echo abcd"),
+}
 
 
 class _HostFS:
@@ -86,29 +93,14 @@ def _emit_json(payload: object) -> None:
 
 def run_demo(export: pathlib.Path | None, as_json: bool = False) -> int:
     """The quickstart rewrite with the lint wired in."""
-    from ..apps import REDIS_PORT, stage_redis
-    from ..apps.kvstore import REDIS_BINARY
-    from ..core import DynaCut, TraceDiff, TrapPolicy
-    from ..tracing import BlockTracer
-    from ..workloads import RedisClient
+    from ..core import DynaCut, TrapPolicy
 
-    kernel = Kernel()
-    server = stage_redis(kernel)
-    client = RedisClient(kernel, REDIS_PORT)
-
-    tracer = BlockTracer(kernel, server).attach()
-    for command in ("PING", "GET greeting", "DEL greeting", "DBSIZE"):
-        client.command(command)
-    wanted = tracer.nudge_dump()
-    client.command("SET greeting hello")
-    undesired = tracer.finish()
-    feature = TraceDiff(REDIS_BINARY).feature_blocks(
-        "SET", wanted=[wanted], undesired=[undesired]
-    )
-
+    profiled = profile(CORPORA["demo-redis"])
+    kernel, client, feature = profiled.kernel, profiled.client, profiled.feature
+    assert client is not None and feature is not None
     dynacut = DynaCut(kernel, lint_mode="always")
     report = dynacut.disable_feature(
-        server.pid, feature,
+        profiled.root.pid, feature,
         policy=TrapPolicy.REDIRECT,
         redirect_symbol="redis_unknown_cmd",
     )
@@ -151,177 +143,19 @@ def run_lint(directory: pathlib.Path, app: str, as_json: bool = False) -> int:
 # the DynaFlow refinement study (the ``analyze`` subcommand)
 
 
-@dataclass
-class GuestProfile:
-    """One traced guest ready for removal-set classification."""
-
-    name: str
-    kind: str                       # server-feature | spec-init
-    kernel: Kernel
-    root: object                    # root Process
-    binary: str
-    blocks: list                    # removal set (BlockRecords)
-    entries: list | None            # designated trap entries, if any
-    feature: object | None = None   # FeatureBlocks for server guests
-    exercise: Callable[[], object] | None = None
-
-
-def _profile_redis_thin() -> GuestProfile:
-    """Thin wanted profile (PING+GET) vs a SET/APPEND write feature."""
-    from ..apps import REDIS_PORT, stage_redis
-    from ..apps.kvstore import READY_LINE, REDIS_BINARY
-    from ..core import TraceDiff
-    from ..tracing import BlockTracer
-    from ..workloads import RedisClient
-
-    kernel = Kernel()
-    proc = stage_redis(kernel, run_to_ready=False)
-    tracer = BlockTracer(kernel, proc).attach()
-    kernel.run_until(lambda: READY_LINE in proc.stdout_text(),
-                     max_instructions=5_000_000)
-    tracer.nudge_dump()
-    client = RedisClient(kernel, REDIS_PORT)
-    client.command("PING")
-    client.command("GET greeting")
-    wanted = tracer.nudge_dump()
-    client.command("SET greeting hello")
-    client.command("APPEND greeting x")
-    undesired = tracer.finish()
-    feature = TraceDiff(REDIS_BINARY).feature_blocks(
-        "set-write", [wanted], [undesired]
-    )
-
-    def exercise() -> object:
-        # the wanted workload the customized server is kept for: PING,
-        # ECHO, and GET all dispatch *before* the trapped SET…APPEND
-        # chain arms, so no designated entry needs to heal
-        again = RedisClient(kernel, REDIS_PORT)
-        return [again.command("PING"), again.command("ECHO hi"),
-                again.command("GET greeting")]
-
-    return GuestProfile(
-        "redis", "server-feature", kernel, proc, REDIS_BINARY,
-        list(feature.blocks), None, feature, exercise,
-    )
-
-
-def _profile_lighttpd_thin() -> GuestProfile:
-    """Thin wanted profile (two GETs) vs the PUT/DELETE DAV feature."""
-    from ..apps import LIGHTTPD_PORT, stage_lighttpd
-    from ..apps.httpd_lighttpd import LIGHTTPD_BINARY, READY_LINE
-    from ..core import TraceDiff
-    from ..tracing import BlockTracer
-    from ..workloads import HttpClient
-
-    kernel = Kernel()
-    proc = stage_lighttpd(kernel, run_to_ready=False)
-    tracer = BlockTracer(kernel, proc).attach()
-    kernel.run_until(lambda: READY_LINE in proc.stdout_text(),
-                     max_instructions=5_000_000)
-    tracer.nudge_dump()
-    client = HttpClient(kernel, LIGHTTPD_PORT)
-    kernel.fs.write_file("/var/www/about.html", "<p>about</p>")
-    client.get("/")
-    client.get("/about.html")
-    wanted = tracer.nudge_dump()
-    client.put("/probe.txt", "x")
-    client.delete("/probe.txt")
-    undesired = tracer.finish()
-    feature = TraceDiff(LIGHTTPD_BINARY).feature_blocks(
-        "dav-write", [wanted], [undesired]
-    )
-
-    def exercise() -> object:
-        again = HttpClient(kernel, LIGHTTPD_PORT)
-        return [again.get("/").status, again.get("/about.html").status,
-                again.get("/missing.html").status, again.head("/").status,
-                again.post("/echo", "abcd").status]
-
-    return GuestProfile(
-        "lighttpd", "server-feature", kernel, proc, LIGHTTPD_BINARY,
-        list(feature.blocks), None, feature, exercise,
-    )
-
-
-def _profile_nginx_thin() -> GuestProfile:
-    """Thin wanted profile against nginx's DAV feature (master+worker)."""
-    from ..apps import NGINX_PORT, nginx_worker, stage_nginx
-    from ..apps.httpd_nginx import NGINX_BINARY, READY_LINE, WORKER_LINE
-    from ..core import TraceDiff
-    from ..tracing import BlockTracer, merge_traces
-    from ..workloads import HttpClient
-
-    kernel = Kernel()
-    master = stage_nginx(kernel, run_to_ready=False)
-    tracer_m = BlockTracer(kernel, master).attach()
-    kernel.run_until(lambda: READY_LINE in master.stdout_text(),
-                     max_instructions=8_000_000)
-    worker = nginx_worker(kernel, master)
-    tracer_w = BlockTracer(kernel, worker).attach()
-    kernel.run_until(lambda: WORKER_LINE in worker.stdout_text(),
-                     max_instructions=2_000_000)
-    merge_traces([tracer_m.nudge_dump(), tracer_w.nudge_dump()])
-    client = HttpClient(kernel, NGINX_PORT)
-    kernel.fs.write_file("/var/www/about.html", "<p>about</p>")
-    client.get("/")
-    client.get("/about.html")
-    wanted = merge_traces([tracer_m.nudge_dump(), tracer_w.nudge_dump()])
-    client.put("/probe.txt", "x")
-    client.delete("/probe.txt")
-    undesired = merge_traces([tracer_m.finish(), tracer_w.finish()])
-    feature = TraceDiff(NGINX_BINARY).feature_blocks(
-        "dav-write", [wanted], [undesired]
-    )
-    return GuestProfile(
-        "nginx", "server-feature", kernel, master, NGINX_BINARY,
-        list(feature.blocks), None, feature, None,
-    )
-
-
-def _profile_spec_init(name: str) -> GuestProfile:
-    """Init-only removal set of one SPEC-like guest."""
-    from ..apps import get_benchmark, stage_spec
-    from ..apps.spec import INIT_DONE_LINE
-    from ..core import init_only_blocks
-    from ..tracing import BlockTracer
-
-    bench = get_benchmark(name)
-    kernel = Kernel()
-    proc = stage_spec(kernel, name, iterations=2, run_to_init=False)
-    tracer = BlockTracer(kernel, proc).attach()
-    kernel.run_until(lambda: INIT_DONE_LINE in proc.stdout_text(),
-                     max_instructions=20_000_000)
-    init_trace = tracer.nudge_dump(quiesce=False)
-    kernel.run(max_instructions=1_500_000)
-    serving = tracer.finish(quiesce=False)
-    report = init_only_blocks(init_trace, serving, bench.binary)
-    return GuestProfile(
-        name, "spec-init", kernel, proc, bench.binary,
-        list(report.init_only), None, None, None,
-    )
-
-
-_PROFILERS: dict[str, Callable[[], GuestProfile]] = {
-    "redis": _profile_redis_thin,
-    "lighttpd": _profile_lighttpd_thin,
-    "nginx": _profile_nginx_thin,
-    **{name: (lambda n=name: _profile_spec_init(n)) for name in SPEC_GUESTS},
-}
-
-
-def _dispatcher_entries(profile: GuestProfile) -> list | None:
+def _dispatcher_entries(profiled: Profile) -> list | None:
     """The feature's blocks inside the app's dispatch function."""
     from ..core.dynacut import enclosing_function
 
-    dispatcher = DISPATCHERS.get(profile.name)
+    dispatcher = DISPATCHERS.get(profiled.corpus.app)
     if dispatcher is None:
         return None
-    binary = profile.kernel.binaries[profile.binary]
+    binary = profiled.kernel.binaries[profiled.binary]
     dispatcher_fn = enclosing_function(
         binary, binary.symbol_address(dispatcher)
     )
     entries = [
-        block for block in profile.blocks
+        block for block in profiled.blocks
         if enclosing_function(binary, block.offset) == dispatcher_fn
     ]
     return entries or None
@@ -346,7 +180,7 @@ def _flow_summary(image) -> dict:
     }
 
 
-def _verify_attribution(profile: GuestProfile) -> dict:
+def _verify_attribution(profiled: Profile) -> dict:
     """Refined prove-mode WIPE under the verifier, restores attributed.
 
     Every address the verifier heals is matched against the
@@ -356,16 +190,23 @@ def _verify_attribution(profile: GuestProfile) -> dict:
     from ..core import BlockMode, DynaCut, TrapPolicy
     from ..core.verifier import read_verifier_log
 
-    dynacut = DynaCut(profile.kernel)
+    kernel, client, app = profiled.kernel, profiled.client, profiled.corpus.app
+    assert client is not None and profiled.feature is not None
+    dynacut = DynaCut(kernel)
     report = dynacut.disable_feature(
-        profile.root.pid, profile.feature,  # type: ignore[arg-type]
+        profiled.root.pid, profiled.feature,
         policy=TrapPolicy.VERIFY, mode=BlockMode.WIPE,
         refine=True, prove=True,
-        dispatcher_symbol=DISPATCHERS[profile.name],
+        dispatcher_symbol=DISPATCHERS[app],
     )
-    proc = dynacut.restored_process(profile.root.pid)
-    responses = profile.exercise() if profile.exercise else None
-    log = read_verifier_log(profile.kernel, proc)
+    proc = dynacut.restored_process(profiled.root.pid)
+    # a fresh client, so redis serves the workload on a new connection
+    fresh = type(client)(kernel, client.port)
+    replies = [send(fresh, request) for request in VERIFY_GUESTS[app]]
+    responses = [
+        r.status if isinstance(r, HttpResponse) else r for r in replies
+    ]
+    log = read_verifier_log(kernel, proc)
     refinement = report.refinement
     assert refinement is not None
     trapped = set(log.trapped_addresses)
@@ -383,20 +224,20 @@ def analyze_guest(name: str) -> dict:
     """Legacy-vs-prove refinement comparison for one guest."""
     from ..analysis.reachability import refine_removal_set
 
-    profiler = _PROFILERS.get(name)
-    if profiler is None:
-        known = ", ".join(sorted(_PROFILERS))
+    if name not in SERVER_GUESTS + SPEC_GUESTS:
+        known = ", ".join(sorted(SERVER_GUESTS + SPEC_GUESTS))
         raise SystemExit(f"unknown guest {name!r} (known: {known})")
-    profile = profiler()
-    binary = profile.kernel.binaries[profile.binary]
-    entries = _dispatcher_entries(profile)
-    legacy = refine_removal_set(binary, profile.blocks, entries)
-    prove = refine_removal_set(binary, profile.blocks, entries, prove=True)
+    profiled = profile(CORPORA[f"dynalint-{name}"])
+    binary = profiled.kernel.binaries[profiled.binary]
+    blocks = profiled.blocks
+    entries = _dispatcher_entries(profiled)
+    legacy = refine_removal_set(binary, blocks, entries)
+    prove = refine_removal_set(binary, blocks, entries, prove=True)
     upgraded = legacy.counts["suspect"] - prove.counts["suspect"]
     row = {
         "guest": name,
-        "kind": profile.kind,
-        "removal_set": len(profile.blocks),
+        "kind": "spec-init" if profiled.feature is None else "server-feature",
+        "removal_set": len(blocks),
         "legacy": dict(sorted(legacy.counts.items())),
         "prove": dict(sorted(prove.counts.items())),
         "mode": prove.mode,
@@ -405,8 +246,8 @@ def analyze_guest(name: str) -> dict:
         "wipe_safe": len(prove.wipe_safe),
         "flow": _flow_summary(binary),
     }
-    if profile.kind == "server-feature" and name in VERIFY_GUESTS:
-        row["verify"] = _verify_attribution(profile)
+    if name in VERIFY_GUESTS:
+        row["verify"] = _verify_attribution(profiled)
     return row
 
 

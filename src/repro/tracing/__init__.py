@@ -1,7 +1,7 @@
 """Basic-block coverage tracing (the DynamoRIO drcov + nudge analogue)."""
 
 from .drcov import BlockRecord, CoverageTrace, ModuleEntry, merge_traces
-from .tracer import BlockTracer, trace_run
+from .tracer import BlockTracer
 
 __all__ = [
     "BlockRecord",
@@ -9,5 +9,4 @@ __all__ = [
     "CoverageTrace",
     "ModuleEntry",
     "merge_traces",
-    "trace_run",
 ]

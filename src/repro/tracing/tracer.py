@@ -115,17 +115,3 @@ class BlockTracer:
     def __exit__(self, *exc) -> None:
         self.detach()
 
-
-def trace_run(
-    kernel: "Kernel",
-    proc: "Process",
-    until,
-    max_instructions: int = 20_000_000,
-) -> CoverageTrace:
-    """Trace ``proc`` while running the kernel until ``until`` fires."""
-    tracer = BlockTracer(kernel, proc).attach()
-    try:
-        kernel.run_until(until, max_instructions=max_instructions)
-    finally:
-        tracer.detach()
-    return tracer.trace

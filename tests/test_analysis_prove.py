@@ -195,12 +195,10 @@ class TestDeterministicSerialization:
 
 class TestServerProfile:
     def test_redis_thin_profile_upgrades_suspects(self):
-        from repro.tools.dynalint_cli import (
-            _dispatcher_entries,
-            _profile_redis_thin,
-        )
+        from repro.tools.dynalint_cli import _dispatcher_entries
+        from repro.workloads import corpus
 
-        profile = _profile_redis_thin()
+        profile = corpus.profile(corpus.CORPORA["dynalint-redis"])
         binary = profile.kernel.binaries[profile.binary]
         entries = _dispatcher_entries(profile)
         legacy = refine_removal_set(binary, profile.blocks, entries)

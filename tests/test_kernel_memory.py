@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
 from repro.kernel import VMA, AddressSpace, FileBacking, MemoryFault, PAGE_SIZE
-from repro.kernel.memory import MAX_INSTRUCTION
+from repro.kernel.memory import MAX_INSTRUCTION, PAGE_SHIFT
 
 BASE = 0x400000
 
@@ -212,6 +212,64 @@ class TestCodeEpoch:
         assert space.find_vma(BASE).perms == "rw-"
         assert space.find_vma(BASE + PAGE_SIZE).perms == "r--"
         assert space.find_vma(BASE + 2 * PAGE_SIZE).perms == "rw-"
+
+
+#: an offset inside a page, biased to the page's first and last bytes,
+#: where eviction windows start and end
+_OFFSETS = st.one_of(
+    st.integers(0, 15),
+    st.integers(PAGE_SIZE - 16, PAGE_SIZE - 1),
+    st.integers(0, PAGE_SIZE - 1),
+)
+
+
+class TestAdoptDecodes:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        decodes=st.lists(st.tuples(st.integers(-1, 6), _OFFSETS), max_size=40),
+        blocks=st.lists(
+            st.tuples(st.integers(-1, 6), _OFFSETS, st.integers(1, 64)),
+            max_size=20,
+        ),
+        patched=st.sets(st.integers(0, 5)),
+        unexec=st.sets(st.integers(0, 5)),
+        grow=st.booleans(),
+    )
+    def test_one_pass_drops_what_the_per_page_loop_drops(
+        self, decodes, blocks, patched, unexec, grow
+    ):
+        old = AddressSpace()
+        old.mmap(BASE, 6 * PAGE_SIZE, "r-x")
+        new = old.clone()
+        for page in patched:
+            new.write_raw(BASE + page * PAGE_SIZE + 7, b"\xcc")
+        for page in unexec:
+            new.mprotect(BASE + page * PAGE_SIZE, PAGE_SIZE, "r--")
+        if grow:
+            new.mmap(BASE + 6 * PAGE_SIZE, PAGE_SIZE, "r-x")
+        old.decode_cache = {
+            BASE + page * PAGE_SIZE + offset: page for page, offset in decodes
+        }
+        old.block_cache = {
+            # a block ends at the latest at the end of its page
+            BASE + page * PAGE_SIZE + offset: (
+                None, 1, BASE + page * PAGE_SIZE + min(offset + size, PAGE_SIZE)
+            )
+            for page, offset, size in blocks
+        }
+        # the reference: one eviction per changed executable page
+        reference = new.clone()
+        reference.decode_cache = dict(old.decode_cache)
+        reference.block_cache = dict(old.block_cache)
+        ours, theirs = new.executable_pages, old.executable_pages
+        for index in ours.keys() | theirs.keys():
+            if ours.get(index) != theirs.get(index):
+                reference._evict_decodes(
+                    index << PAGE_SHIFT, (index + 1) << PAGE_SHIFT
+                )
+        new.adopt_decodes(old)
+        assert new.decode_cache == reference.decode_cache
+        assert new.block_cache == reference.block_cache
 
 
 class TestClone:

@@ -7,10 +7,12 @@ must agree with it.
 """
 
 import dataclasses
+import fnmatch
 import json
 import pathlib
 import re
 from argparse import Namespace
+from collections import Counter
 from collections.abc import Callable
 
 import pytest
@@ -150,6 +152,24 @@ def committed_campaigns() -> dict[str, tuple[str, ...]]:
     }
 
 
+def committed_results() -> set[str]:
+    """Every file in ``results/`` that ``.gitignore`` does not exclude."""
+    patterns = (ROOT / ".gitignore").read_text().split()
+    return {
+        f"results/{path.name}"
+        for path in (ROOT / "results").iterdir()
+        if path.is_file()
+        and not any(
+            fnmatch.fnmatch(f"results/{path.name}", pattern) for pattern in patterns
+        )
+    }
+
+
+def ci_campaign_entries() -> list[dict]:
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "ci.yml").read_text())
+    return workflow["jobs"]["campaigns"]["strategy"]["matrix"]["include"]
+
+
 class TestRegistryIsTheOneList:
     def test_fleet_drift_report_is_ignored_and_its_own(self):
         assert CAMPAIGNS["fleet-drift"].files == ("results/fleet_drift.json",)
@@ -167,11 +187,8 @@ class TestRegistryIsTheOneList:
         assert rows == committed_campaigns()
 
     def test_ci_matrix_matches_registry(self):
-        workflow = yaml.safe_load(
-            (ROOT / ".github" / "workflows" / "ci.yml").read_text()
-        )
         entries = {}
-        for entry in workflow["jobs"]["campaigns"]["strategy"]["matrix"]["include"]:
+        for entry in ci_campaign_entries():
             lines = entry["run"].replace("\\\n", " ").strip().splitlines()
             names = COMMAND.findall(entry["run"])
             if not names:
@@ -183,3 +200,22 @@ class TestRegistryIsTheOneList:
             assert diffed[:4] == ["git", "diff", "--exit-code", "--"], entry["name"]
             entries[names[0]] = tuple(diffed[4:])
         assert entries == committed_campaigns()
+
+    def test_every_committed_result_is_documented_and_diffed_once(self):
+        documented = Counter(
+            path
+            for line in (ROOT / "docs" / "observability.md").read_text().splitlines()
+            if line.startswith("| `results/")
+            for path in re.findall(r"`(results/[^`]+)`", line.split(" | ")[0])
+        )
+        diffed = Counter()
+        for entry in ci_campaign_entries():
+            for line in entry["run"].replace("\\\n", " ").splitlines():
+                words = line.split()
+                if words[:4] == ["git", "diff", "--exit-code", "--"]:
+                    diffed.update(words[4:])
+        committed = committed_results()
+        assert committed
+        for where, named in (("docs table", documented), ("CI diff lines", diffed)):
+            assert set(named) == committed, where
+            assert set(named.values()) == {1}, where
