@@ -2,10 +2,10 @@
 
 Mirrors CRIU's restore pipeline:
 
-* recreate each address space from the mm image — the dumped pages
-  from the pagemap/pages images are written in, and the file-backed
-  pages that were not dumped are populated from the named binary (the
-  page-fault-handler reconstruction vanilla CRIU relies on), so
+* recreate each address space from the mm image, building each page
+  once: a dumped page from the pagemap/pages images, a file-backed page
+  that was not dumped from the named binary (the page-fault-handler
+  reconstruction vanilla CRIU relies on), any other page zeroed — so
   DynaCut's patched code pages win over the pristine binary content;
 * reinstall registers and sigactions from the core image;
 * rebuild the fd table: regular files reopen at their saved offsets,
@@ -28,18 +28,20 @@ host-side state only, so no virtual-time result depends on them.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .. import faults
 from ..binfmt.self_format import SelfImage
 from ..kernel.filesystem import O_CREAT, O_TRUNC
 from ..kernel.kernel import Kernel
-from ..kernel.memory import AddressSpace, FileBacking, PAGE_SIZE
+from ..kernel.memory import PAGE_SIZE, VMA, AddressSpace, FileBacking, MemoryFault
 from ..kernel.network import Endpoint, NetworkError, SocketDescriptor
 from ..kernel.process import LoadedModule, Process, ProcessState
 from ..kernel.signals import SigAction, Signal
 from .costmodel import CriuCostModel, DEFAULT_COST_MODEL
-from .images import CheckpointImage, ProcessImage
+from .images import CheckpointImage, ProcessImage, VmaEntry
 
 
 class RestoreError(RuntimeError):
@@ -163,79 +165,97 @@ def _restore_process(
 
 
 def _restore_memory(kernel: Kernel, image: ProcessImage) -> AddressSpace:
+    """The address space of ``image``, each page built once: from the
+    dump, else from the backing binary, else zeroed."""
     faults.trip("restore.memory", detail=f"pid={image.pid}")
+    data = image.pages.data
     claimed = sum(entry.size for entry in image.pagemap.entries)
-    if claimed != len(image.pages.data):
+    if claimed != len(data):
         raise RestoreError(
             f"pid {image.pid}: pagemap claims {claimed} bytes of pages but "
-            f"the pages image holds {len(image.pages.data)} (corrupt dump?)"
+            f"the pages image holds {len(data)} (corrupt dump?)"
         )
-    # a dumped page is written once, from the dump, never first from
-    # the binary as well
+    # a dumped page is built from the dump, never from the binary as well
     dumped = {
         index
         for entry in image.pagemap.entries
         for index in range(entry.vaddr // PAGE_SIZE, entry.end // PAGE_SIZE)
     }
-    memory = AddressSpace()
-    for vma in image.mm.vmas:
-        backing = None
-        if vma.file_path:
-            backing = FileBacking(vma.file_path, vma.file_offset)
-        memory.mmap(vma.start, vma.size, vma.perms, backing=backing, tag=vma.tag)
+    vmas: list[VMA] = []
+    pages: dict[int, bytearray] = {}
+    for entry in image.mm.vmas:
+        vma = _map(vmas, entry)
+        backing, binary = vma.backing, None
         if backing is not None:
-            _populate_from_binary(
-                kernel, memory, vma.start, vma.size, backing, dumped
-            )
-    # the dumped pages (patched code pages included), written from
-    # views of the pages buffer rather than from copies of it
-    with memoryview(image.pages.data) as pages:
-        cursor = 0
-        for entry in image.pagemap.entries:
-            run = pages[cursor:cursor + entry.size]
-            cursor += entry.size
-            try:
-                memory.write_raw(entry.vaddr, run)
-            finally:
-                # a failed write must not leave the buffer exported: the
-                # traceback still holds ``run``, and an exported buffer
-                # cannot grow (``add_pages``)
-                run.release()
-    return memory
+            binary = kernel.binaries.get(backing.path)
+            if binary is None:
+                raise RestoreError(f"backing binary {backing.path!r} not registered")
+        for address in range(vma.start, vma.end, PAGE_SIZE):
+            index = address // PAGE_SIZE
+            if index in dumped:
+                pages[index] = _DUMPED
+            elif binary is None:
+                pages[index] = bytearray(PAGE_SIZE)
+            else:
+                pages[index] = _binary_page(
+                    binary, backing.offset + address - vma.start
+                )
+    # the dumped runs (patched code pages included), a whole page as one
+    # slice of the pages buffer: a copy, so the buffer is never exported
+    cursor = 0
+    for entry in image.pagemap.entries:
+        address = entry.vaddr
+        while address < entry.end:
+            index = address // PAGE_SIZE
+            page = pages.get(index)
+            if page is None:
+                raise MemoryFault(address, "write", "page not present")
+            offset = address % PAGE_SIZE
+            take = min(entry.end - address, PAGE_SIZE - offset)
+            if take == PAGE_SIZE:
+                pages[index] = data[cursor:cursor + take]
+            else:
+                if page is _DUMPED:
+                    page = pages[index] = bytearray(PAGE_SIZE)
+                page[offset:offset + take] = data[cursor:cursor + take]
+            address += take
+            cursor += take
+    return AddressSpace(pages=pages, vmas=vmas)
 
 
-def _populate_from_binary(
-    kernel: Kernel,
-    memory: AddressSpace,
-    start: int,
-    size: int,
-    backing: FileBacking,
-    dumped: set[int],
-) -> None:
-    """Fill the pages of ``[start, start+size)`` that are not in
-    ``dumped`` (page numbers) from the backing binary."""
-    binary = kernel.binaries.get(backing.path)
-    if binary is None:
-        raise RestoreError(f"backing binary {backing.path!r} not registered")
-    for page_offset in range(0, size, PAGE_SIZE):
-        if (start + page_offset) // PAGE_SIZE in dumped:
-            continue
-        file_offset = backing.offset + page_offset
-        data = _read_image_page(binary, file_offset)
-        if data is not None:
-            memory.write_raw(start + page_offset, data)
+#: stands in for a dumped page until its run is read
+_DUMPED = bytearray()
 
 
-def _read_image_page(binary: SelfImage, vaddr: int) -> bytes | None:
-    """One page of file content at link-relative ``vaddr`` (None if hole)."""
+def _map(vmas: list[VMA], entry: VmaEntry) -> VMA:
+    """The VMA of ``entry``, refused as :meth:`AddressSpace.mmap` would
+    refuse mapping it beside ``vmas``; inserted into ``vmas`` (kept
+    sorted by start)."""
+    if entry.start % PAGE_SIZE:
+        raise ValueError(f"mmap start {entry.start:#x} not page aligned")
+    end = entry.start + -(-entry.size // PAGE_SIZE) * PAGE_SIZE
+    for vma in vmas:
+        if vma.overlaps(entry.start, end):
+            raise MemoryFault(entry.start, "map", f"overlaps {vma.describe()}")
+    backing = None
+    if entry.file_path:
+        backing = FileBacking(entry.file_path, entry.file_offset)
+    vma = VMA(entry.start, end, entry.perms, backing, entry.tag)
+    insort(vmas, vma, key=attrgetter("start"))
+    return vma
+
+
+def _binary_page(binary: SelfImage, vaddr: int) -> bytearray:
+    """The page of file content at link-relative ``vaddr``, zero-padded
+    (zeroed if it is a hole)."""
+    page = bytearray(PAGE_SIZE)
     for seg in binary.segments:
         if seg.vaddr <= vaddr < seg.vaddr + max(len(seg.data), 1):
             offset = vaddr - seg.vaddr
             chunk = seg.data[offset:offset + PAGE_SIZE]
-            if not chunk:
-                return None
-            return chunk + b"\x00" * (PAGE_SIZE - len(chunk))
-    return None
+            page[:len(chunk)] = chunk
+            break
+    return page
 
 
 def _restore_modules(kernel: Kernel, image: ProcessImage) -> list[LoadedModule]:

@@ -14,14 +14,14 @@ unaffected.
 from __future__ import annotations
 
 import json
+from argparse import Namespace
 
-from repro.apps import LIGHTTPD_PORT
-from repro.core import BlockMode, DynaCut, TrapPolicy
-from repro.core.verifier import read_verifier_log
-from repro.workloads import HttpClient
-from repro.workloads.corpus import CORPORA, profile, send
-
-from conftest import print_table
+from ..apps import LIGHTTPD_PORT
+from ..core import BlockMode, DynaCut, TrapPolicy
+from ..core.verifier import read_verifier_log
+from ..workloads import HttpClient
+from ..workloads.corpus import CORPORA, profile, send
+from . import Pass, claims
 
 DISPATCHER = "lh_handle_request"
 
@@ -71,41 +71,27 @@ def _redirect_run():
     }
 
 
-def test_dynalint_refinement(benchmark, results_dir):
-    def run():
-        return {
-            "unrefined": _verify_run(refine=False),
-            "refined": _verify_run(refine=True),
-            "redirect": _redirect_run(),
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def run(args: Namespace) -> Pass:
+    results = {
+        "unrefined": _verify_run(refine=False),
+        "refined": _verify_run(refine=True),
+        "redirect": _redirect_run(),
+    }
     unrefined, refined = results["unrefined"], results["refined"]
 
-    rows = [
-        ["unrefined", unrefined["removal_set"], unrefined["blocks_patched"],
-         unrefined["trap_restores"], unrefined["lint_clean"]],
-        ["refined", refined["removal_set"], refined["blocks_patched"],
-         refined["trap_restores"], refined["lint_clean"]],
-    ]
-    print_table(
-        "DynaLint refinement: Lighttpd PUT/DELETE, thin wanted profile",
-        ["variant", "removal set", "patched", "trap-restores", "lint clean"],
-        rows,
-    )
-    (results_dir / "dynalint_refinement.json").write_text(
-        json.dumps(results, indent=2)
-    )
+    def shape() -> None:
+        # behaviour identical; trap-restores strictly reduced
+        assert refined["statuses"] == unrefined["statuses"]
+        assert refined["trap_restores"] < unrefined["trap_restores"]
+        assert refined["blocks_patched"] < unrefined["blocks_patched"]
+        # refinement really classified: suspects dropped, some blocks proven
+        counts = refined["classification"]
+        assert counts["suspect"] >= 1 and counts["provably_dead"] >= 1
+        assert sum(counts.values()) == refined["removal_set"]
+        # lint ran under the verify policy and found nothing
+        assert refined["lint_clean"] is True and unrefined["lint_clean"] is True
+        # the redirect policy is untouched by all of this
+        assert results["redirect"] == {"put_status": 403, "get_status": 200}
 
-    # behaviour identical; trap-restores strictly reduced
-    assert refined["statuses"] == unrefined["statuses"]
-    assert refined["trap_restores"] < unrefined["trap_restores"]
-    assert refined["blocks_patched"] < unrefined["blocks_patched"]
-    # refinement really classified: suspects dropped, some blocks proven
-    counts = refined["classification"]
-    assert counts["suspect"] >= 1 and counts["provably_dead"] >= 1
-    assert sum(counts.values()) == refined["removal_set"]
-    # lint ran under the verify policy and found nothing
-    assert refined["lint_clean"] is True and unrefined["lint_clean"] is True
-    # the redirect policy is untouched by all of this
-    assert results["redirect"] == {"put_status": 403, "get_status": 200}
+    return Pass({args.output: json.dumps(results, indent=2)},
+                failed=claims(shape))

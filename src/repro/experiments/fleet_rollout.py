@@ -1,7 +1,7 @@
 """DynaFleet: canary/rolling customization of a fleet under live traffic.
 
 The single-process experiments (Figure 8) show one server surviving a
-rewrite; this benchmark scales the claim to an 8-instance fleet behind
+rewrite; this record scales the claim to an 8-instance fleet behind
 the balancer.  A closed-loop client hammers the frontend port for the
 whole run while the rollout executor drains, customizes, health-gates
 and rejoins instances between timeline buckets:
@@ -16,13 +16,13 @@ and rejoins instances between timeline buckets:
 from __future__ import annotations
 
 import json
+from argparse import Namespace
 
-from repro.faults import FaultPlan
-from repro.fleet import FleetController, FleetPolicy, RolloutExecutor
-from repro.kernel import Kernel
-from repro.workloads import SECOND_NS, TimelineEvent, run_request_timeline
-
-from conftest import print_table
+from ..faults import FaultPlan
+from ..fleet import FleetController, FleetPolicy, RolloutExecutor
+from ..kernel import Kernel
+from ..workloads import SECOND_NS, TimelineEvent, run_request_timeline
+from . import Pass, claims
 
 FLEET_SIZE = 8
 DURATION_S = 40
@@ -93,61 +93,45 @@ def _rollout_under_traffic(controller: FleetController, plan=None) -> dict:
     }
 
 
-def test_fleet_rollout_under_traffic(benchmark, results_dir):
-    def run():
-        canary = _rollout_under_traffic(_spawn("canary"))
-        rolling = _rollout_under_traffic(_spawn("rolling"))
-        fault = _rollout_under_traffic(
+
+
+def run(args: Namespace) -> Pass:
+    results = {
+        "canary": _rollout_under_traffic(_spawn("canary")),
+        "rolling": _rollout_under_traffic(_spawn("rolling")),
+        "canary-fault": _rollout_under_traffic(
             _spawn("canary"),
             plan=FaultPlan(seed=1234).arm(
                 "restore.memory", "permanent", on_call=1, times=10
             ),
-        )
-        return {"canary": canary, "rolling": rolling, "canary-fault": fault}
+        ),
+    }
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    def shape() -> None:
+        for name in ("canary", "rolling"):
+            row = results[name]
+            # the whole fleet got customized without a single failed request
+            assert row["rollout"]["state"] == "completed"
+            assert len(row["rollout"]["customized"]) == FLEET_SIZE
+            assert not row["pristine"]
+            assert row["workload"]["failed_requests"] == 0
+            assert row["workload"]["errors"] == 0
+            # a batch costs virtual time (dips, possibly empty buckets) but
+            # throughput is fully recovered by the end of the window
+            assert row["workload"]["throughput"][-1][1] > 0
+            assert len(row["in_service"]) == FLEET_SIZE
+            # the drain budget held: never more than max_unavailable out
+            assert row["rollout"]["max_drained_seen"] <= 2
 
-    print_table(
-        f"DynaFleet rollout, {FLEET_SIZE}x minilight under closed-loop "
-        "traffic",
-        ["scenario", "state", "customized", "rolled back", "max drained",
-         "requests", "failed"],
-        [
-            [name, row["rollout"]["state"],
-             len(row["rollout"]["customized"]),
-             len(row["rollout"]["rolled_back"]),
-             row["rollout"]["max_drained_seen"],
-             row["workload"]["total_requests"],
-             row["workload"]["failed_requests"]]
-            for name, row in results.items()
-        ],
-    )
-    # the fleet-rollout campaign owns results/fleet_rollout.json
-    (results_dir / "fleet_rollout_bench.json").write_text(
-        json.dumps(results, indent=2) + "\n"
-    )
+        fault = results["canary-fault"]
+        # the injected canary fault aborted everything back to pristine...
+        assert fault["rollout"]["state"] == "aborted"
+        assert fault["rollout"]["customized"] == []
+        assert fault["pristine"]
+        # ...with the whole fleet alive, serving, and back in rotation
+        assert fault["all_serving"]
+        assert len(fault["in_service"]) == FLEET_SIZE
+        assert fault["workload"]["failed_requests"] == 0
 
-    for name in ("canary", "rolling"):
-        row = results[name]
-        # the whole fleet got customized without a single failed request
-        assert row["rollout"]["state"] == "completed"
-        assert len(row["rollout"]["customized"]) == FLEET_SIZE
-        assert not row["pristine"]
-        assert row["workload"]["failed_requests"] == 0
-        assert row["workload"]["errors"] == 0
-        # a batch costs virtual time (dips, possibly empty buckets) but
-        # throughput is fully recovered by the end of the window
-        assert row["workload"]["throughput"][-1][1] > 0
-        assert len(row["in_service"]) == FLEET_SIZE
-        # the drain budget held: never more than max_unavailable out
-        assert row["rollout"]["max_drained_seen"] <= 2
-
-    fault = results["canary-fault"]
-    # the injected canary fault aborted everything back to pristine...
-    assert fault["rollout"]["state"] == "aborted"
-    assert fault["rollout"]["customized"] == []
-    assert fault["pristine"]
-    # ...with the whole fleet alive, serving, and back in rotation
-    assert fault["all_serving"]
-    assert len(fault["in_service"]) == FLEET_SIZE
-    assert fault["workload"]["failed_requests"] == 0
+    return Pass({args.output: json.dumps(results, indent=2) + "\n"},
+                failed=claims(shape))

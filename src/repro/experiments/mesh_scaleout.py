@@ -21,14 +21,13 @@ asserted on its own:
 from __future__ import annotations
 
 import json
+import math
+from argparse import Namespace
 
-import pytest
-
-from repro.fleet import FleetPolicy
-from repro.mesh import MeshController
-from repro.workloads import SECOND_NS
-
-from conftest import print_table
+from ..fleet import FleetPolicy
+from ..mesh import MeshController
+from ..workloads import SECOND_NS
+from . import Pass, claims
 
 SHARD_COUNTS = (1, 2, 4)
 SIZE_PER_SHARD = 1
@@ -77,7 +76,7 @@ def _throughput(shards: int) -> dict:
     }
 
 
-def test_mesh_scaleout(results_dir):
+def run(args: Namespace) -> Pass:
     rows = [_throughput(shards) for shards in SHARD_COUNTS]
     by_shards = {row["shards"]: row for row in rows}
     speedup = {
@@ -95,65 +94,42 @@ def test_mesh_scaleout(results_dir):
         shards: total_busy[1] / total_busy[shards] for shards in SHARD_COUNTS
     }
 
-    print_table(
-        "DynaMesh scale-out (keyed GET, hash frontend)",
-        ["shards", "requests", "elapsed (virt ms)", "throughput (req/s)",
-         "speedup vs 1", "parallel", "per-GET cost", "ms per GET"],
-        [
-            [
-                row["shards"],
-                row["requests"],
-                f"{row['elapsed_ns'] / 1e6:.2f}",
-                f"{row['throughput_rps']:.0f}",
-                f"{speedup[row['shards']]:.2f}x",
-                f"{parallel[row['shards']]:.2f}",
-                f"{per_get_cost[row['shards']]:.2f}",
-                " ".join(f"{ns / 1e6:.0f}" for ns in row["ns_per_get"].values()),
-            ]
-            for row in rows
-        ],
-    )
+    def shape() -> None:
+        # every shard actually served a slice of the keyspace
+        for row in rows:
+            assert all(count > 0 for count in row["dispatched"].values()), row
 
-    # every shard actually served a slice of the keyspace
-    for row in rows:
-        assert all(count > 0 for count in row["dispatched"].values()), row
-
-    # qualitative scale-out shape: each doubling helps, 4 shards at
-    # least doubles one (ring imbalance forbids asserting exactly Nx)
-    assert speedup[2] >= 1.3, f"2 shards gained only {speedup[2]:.2f}x"
-    assert speedup[4] / speedup[2] >= 1.2, (
-        f"4 shards over 2 gained only {speedup[4] / speedup[2]:.2f}x"
-    )
-    assert speedup[4] >= 2.0, f"4 shards gained only {speedup[4]:.2f}x"
-
-    # the speedup is exactly the parallel factor times the per-GET cost
-    # factor; the first is bounded by the shard count and grows with
-    # it, the second comes from fewer keys per shard
-    for shards in SHARD_COUNTS:
-        assert parallel[shards] * per_get_cost[shards] == pytest.approx(
-            speedup[shards]
+        # qualitative scale-out shape: each doubling helps, 4 shards at
+        # least doubles one (ring imbalance forbids asserting exactly Nx)
+        assert speedup[2] >= 1.3, f"2 shards gained only {speedup[2]:.2f}x"
+        assert speedup[4] / speedup[2] >= 1.2, (
+            f"4 shards over 2 gained only {speedup[4] / speedup[2]:.2f}x"
         )
-        assert parallel[shards] <= shards
-    assert parallel[1] < parallel[2] < parallel[4]
-    assert per_get_cost[2] > 1 and per_get_cost[4] > 1
+        assert speedup[4] >= 2.0, f"4 shards gained only {speedup[4]:.2f}x"
 
-    (results_dir / "mesh_scaleout.json").write_text(
-        json.dumps(
-            {
-                "workload": {
-                    "requests": REQUESTS,
-                    "keyspace": KEYSPACE,
-                    "size_per_shard": SIZE_PER_SHARD,
-                    "routing": "hash",
-                },
-                "points": rows,
-                "speedup": {str(k): v for k, v in speedup.items()},
-                "parallel_factor": {str(k): v for k, v in parallel.items()},
-                "per_get_cost_factor": {
-                    str(k): v for k, v in per_get_cost.items()
-                },
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+        # the speedup is exactly the parallel factor times the per-GET cost
+        # factor; the first is bounded by the shard count and grows with
+        # it, the second comes from fewer keys per shard
+        for shards in SHARD_COUNTS:
+            assert math.isclose(
+                parallel[shards] * per_get_cost[shards], speedup[shards],
+                rel_tol=1e-6, abs_tol=1e-12,
+            )
+            assert parallel[shards] <= shards
+        assert parallel[1] < parallel[2] < parallel[4]
+        assert per_get_cost[2] > 1 and per_get_cost[4] > 1
+
+    results = {
+        "workload": {
+            "requests": REQUESTS,
+            "keyspace": KEYSPACE,
+            "size_per_shard": SIZE_PER_SHARD,
+            "routing": "hash",
+        },
+        "points": rows,
+        "speedup": {str(k): v for k, v in speedup.items()},
+        "parallel_factor": {str(k): v for k, v in parallel.items()},
+        "per_get_cost_factor": {str(k): v for k, v in per_get_cost.items()},
+    }
+    return Pass({args.output: json.dumps(results, indent=2) + "\n"},
+                failed=claims(shape))

@@ -1,6 +1,6 @@
 """DynaGuard: an 8-instance fleet healing itself under live traffic.
 
-The rollout benchmark shows the fleet *changing* without dropping
+The rollout record shows the fleet *changing* without dropping
 requests; this one shows it *breaking* without dropping them.  A
 closed-loop client hammers the frontend for the whole window while
 seeded chaos kills two instances mid-run (between heartbeats, so the
@@ -20,19 +20,20 @@ a trap storm hammers one instance's removed feature:
 from __future__ import annotations
 
 import json
+from argparse import Namespace
 
-from repro.faults import FaultPlan
-from repro.fleet import (
+from ..faults import FaultPlan
+from ..fleet import (
     FleetController,
     FleetPolicy,
     FleetSupervisor,
     HealthState,
     RolloutExecutor,
+    inject_chaos,
 )
-from repro.kernel import Kernel
-from repro.workloads import SECOND_NS, TimelineEvent, run_request_timeline
-
-from conftest import print_table
+from ..kernel import Kernel
+from ..workloads import SECOND_NS, TimelineEvent, run_request_timeline
+from . import Pass, claims
 
 FLEET_SIZE = 8
 DURATION_S = 24
@@ -74,8 +75,6 @@ def _run_supervised() -> dict:
         .arm("fleet.instance_crash", "transient", on_call=3, times=1)
         .arm("fleet.instance_crash", "transient", on_call=20, times=1)
     )
-    from repro.fleet import inject_chaos
-
     crashed: list[str] = []
 
     def chaos() -> None:
@@ -145,62 +144,47 @@ def _run_supervised() -> dict:
     }
 
 
-def test_supervisor_recovery_under_traffic(benchmark, results_dir):
-    results = benchmark.pedantic(_run_supervised, rounds=1, iterations=1)
+def run(args: Namespace) -> Pass:
+    results = _run_supervised()
 
-    print_table(
-        f"DynaGuard: {FLEET_SIZE}x minilight, 2 seeded crashes + trap "
-        "storm under closed-loop traffic",
-        ["metric", "value"],
-        [
-            ["instances crashed", ", ".join(results["crashed"])],
-            ["recoveries", len(results["recoveries"])],
-            ["demotions", len(results["demotions"])],
-            ["requests", results["workload"]["total_requests"]],
-            ["served", results["workload"]["served"]],
-            ["failed over", results["workload"]["failed_over_requests"]],
-            ["failed", results["workload"]["failed_requests"]],
-            ["settled", results["settled"]],
-        ],
-    )
-    (results_dir / "supervisor_recovery.json").write_text(
-        json.dumps(results, indent=2) + "\n"
-    )
+    def shape() -> None:
+        # exactly the two planned instances crashed, and both recovered
+        # from their committed checkpoints — removal set intact
+        assert sorted(results["crashed"]) == ["lighttpd-2", "lighttpd-3"]
+        assert len(results["recoveries"]) == 2
+        for recovery in results["recoveries"]:
+            assert recovery["succeeded"]
+            assert recovery["source"] == "checkpoint"
+        for name in ("lighttpd-2", "lighttpd-3"):
+            entry = results["instances"][name]
+            assert entry["alive"] and entry["in_service"]
+            assert entry["customized"] == ["dav-write"]
+            assert not entry["degraded"]
 
-    # exactly the two planned instances crashed, and both recovered
-    # from their committed checkpoints — removal set intact
-    assert sorted(results["crashed"]) == ["lighttpd-2", "lighttpd-3"]
-    assert len(results["recoveries"]) == 2
-    for recovery in results["recoveries"]:
-        assert recovery["succeeded"]
-        assert recovery["source"] == "checkpoint"
-    for name in ("lighttpd-2", "lighttpd-3"):
-        entry = results["instances"][name]
-        assert entry["alive"] and entry["in_service"]
-        assert entry["customized"] == ["dav-write"]
-        assert not entry["degraded"]
+        # zero unaccounted request losses: every request was served,
+        # failed over (and served), or logged as failed
+        workload = results["workload"]
+        assert workload["total_requests"] == (
+            workload["served"] + workload["failed_requests"]
+        )
+        # the stale-view windows after each crash really exercised failover
+        assert workload["failed_over_requests"] >= 1
+        # traffic kept flowing to the end of the window
+        assert workload["throughput"][-1][1] > 0
 
-    # zero unaccounted request losses: every request was served,
-    # failed over (and served), or logged as failed
-    workload = results["workload"]
-    assert workload["total_requests"] == (
-        workload["served"] + workload["failed_requests"]
-    )
-    # the stale-view windows after each crash really exercised failover
-    assert workload["failed_over_requests"] >= 1
-    # traffic kept flowing to the end of the window
-    assert workload["throughput"][-1][1] > 0
+        # the trap storm demoted exactly one instance, locally
+        assert len(results["demotions"]) == 1
+        assert results["demotions"][0]["instance"] == f"lighttpd-{STORM_VICTIM}"
+        victim = results["instances"][f"lighttpd-{STORM_VICTIM}"]
+        assert victim["degraded"] and victim["customized"] == []
+        assert victim["in_service"]
+        for name, entry in results["instances"].items():
+            if name != f"lighttpd-{STORM_VICTIM}":
+                assert entry["customized"] == ["dav-write"], name
 
-    # the trap storm demoted exactly one instance, locally
-    assert len(results["demotions"]) == 1
-    assert results["demotions"][0]["instance"] == f"lighttpd-{STORM_VICTIM}"
-    victim = results["instances"][f"lighttpd-{STORM_VICTIM}"]
-    assert victim["degraded"] and victim["customized"] == []
-    assert victim["in_service"]
-    for name, entry in results["instances"].items():
-        if name != f"lighttpd-{STORM_VICTIM}":
-            assert entry["customized"] == ["dav-write"], name
+        # the fleet settled: nothing stuck outside HEALTHY/QUARANTINED
+        assert results["settled"]
+        assert set(results["states"].values()) == {HealthState.HEALTHY.value}
 
-    # the fleet settled: nothing stuck outside HEALTHY/QUARANTINED
-    assert results["settled"]
-    assert set(results["states"].values()) == {HealthState.HEALTHY.value}
+    return Pass({args.output: json.dumps(results, indent=2) + "\n"},
+                failed=claims(shape))

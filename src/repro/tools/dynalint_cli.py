@@ -10,9 +10,12 @@ Three workflows::
     python -m repro.tools.dynalint_cli lint DIR [--app redis] [--json]
 
     # run the DynaFlow refinement study over the server/SPEC guests
-    # and emit the dynaflow_refinement.json results payload
-    python -m repro.tools.dynalint_cli analyze [--out FILE] [--json]
-                                               [--guest NAME ...]
+    # and print a line per guest, or the payload as JSON
+    python -m repro.tools.dynalint_cli analyze [--json] [--guest NAME ...]
+
+The committed ``results/dynaflow_refinement.json`` is the same study
+over every guest, written by its campaign record
+(``python -m repro.tools.campaign dynaflow-refinement``).
 
 The linter needs the pristine binaries the image was built from, so
 ``lint`` boots the named application's kernel (staging registers the
@@ -278,39 +281,37 @@ def collect_refinement(guests: tuple[str, ...] | None = None) -> dict:
     }
 
 
-def run_analyze(
-    out: pathlib.Path | None,
-    as_json: bool = False,
-    guests: tuple[str, ...] | None = None,
-) -> int:
+def summary(payload: dict) -> str:
+    """A line per guest and one over the totals of a study payload."""
+    lines = []
+    for row in payload["guests"]:
+        verify = row.get("verify")
+        tail = (
+            f"  restores={verify['trap_restores']} "
+            f"(dead={verify['provably_dead_restores']})"
+            if verify else ""
+        )
+        lines.append(
+            f"{row['guest']:>16}  removal={row['removal_set']:>3}  "
+            f"suspects {row['legacy']['suspect']:>3} -> "
+            f"{row['prove']['suspect']:>3}  mode={row['mode']}{tail}"
+        )
+    totals = payload["totals"]
+    lines.append(
+        f"total suspects {totals['legacy_suspects']} -> "
+        f"{totals['prove_suspects']} "
+        f"({totals['suspect_shrinkage_pct']}% upgraded), "
+        f"{totals['provably_dead_restores']} provably-dead restores"
+    )
+    return "\n".join(lines)
+
+
+def run_analyze(as_json: bool = False, guests: tuple[str, ...] | None = None) -> int:
     payload = collect_refinement(guests)
-    if out is not None:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True))
     if as_json:
         _emit_json(payload)
     else:
-        for row in payload["guests"]:
-            verify = row.get("verify")
-            tail = (
-                f"  restores={verify['trap_restores']} "
-                f"(dead={verify['provably_dead_restores']})"
-                if verify else ""
-            )
-            print(
-                f"{row['guest']:>16}  removal={row['removal_set']:>3}  "
-                f"suspects {row['legacy']['suspect']:>3} -> "
-                f"{row['prove']['suspect']:>3}  mode={row['mode']}{tail}"
-            )
-        totals = payload["totals"]
-        print(
-            f"total suspects {totals['legacy_suspects']} -> "
-            f"{totals['prove_suspects']} "
-            f"({totals['suspect_shrinkage_pct']}% upgraded), "
-            f"{totals['provably_dead_restores']} provably-dead restores"
-        )
-        if out is not None:
-            print(f"wrote {out}")
+        print(summary(payload))
     clean = all(r["mode"] == "prove" for r in payload["guests"])
     return 0 if clean and payload["totals"]["provably_dead_restores"] == 0 else 1
 
@@ -332,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze", help="DynaFlow refinement study over the guests"
     )
-    analyze.add_argument("--out", type=pathlib.Path, default=None,
-                         help="also write the JSON payload here")
     analyze.add_argument("--json", action="store_true",
                          help="print the payload as JSON")
     analyze.add_argument("--guest", action="append", default=None,
@@ -347,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         return run_demo(args.export, args.json)
     if args.command == "analyze":
         guests = tuple(args.guest) if args.guest else None
-        return run_analyze(args.out, args.json, guests)
+        return run_analyze(args.json, guests)
     return run_lint(args.directory, args.app, args.json)
 
 

@@ -4,9 +4,11 @@ Usage::
 
     python -m repro.tools.report [results_dir] > report.md
 
-The benchmarks write one JSON artifact per experiment; this renderer
-turns whatever subset exists into tables, so partial benchmark runs
-still produce a useful report.
+The campaign records write one JSON artifact per experiment; this
+renderer turns whatever subset exists into tables, so a partial set of
+runs still produces a useful report.  A record whose result has a
+section here prints it, and EXPERIMENTS.md holds each section's
+rendering of the committed results.
 """
 
 from __future__ import annotations
@@ -133,16 +135,17 @@ def _sec(data: dict) -> str:
             + _table(["attack", "vanilla", "w/ DynaCut"], attack_rows))
 
 
-_SECTIONS = (
-    ("fig2_footprint", _fig2),
-    ("fig6_feature_removal", _fig6),
-    ("fig7_init_removal", _fig7),
-    ("fig8_timeline", _fig8),
-    ("fig9_removed_blocks", _fig9),
-    ("fig10_live_blocks", _fig10),
-    ("table1_cves", _table1),
-    ("sec_plt_attacks", _sec),
-)
+#: the renderer of each result that has a section, by file stem
+SECTIONS = {
+    "fig2_footprint": _fig2,
+    "fig6_feature_removal": _fig6,
+    "fig7_init_removal": _fig7,
+    "fig8_timeline": _fig8,
+    "fig9_removed_blocks": _fig9,
+    "fig10_live_blocks": _fig10,
+    "table1_cves": _table1,
+    "sec_plt_attacks": _sec,
+}
 
 
 def render(directory: pathlib.Path) -> str:
@@ -150,7 +153,7 @@ def render(directory: pathlib.Path) -> str:
     parts = ["# DynaCut reproduction — experiment report",
              f"\nsource: `{directory}`\n"]
     rendered = 0
-    for name, formatter in _SECTIONS:
+    for name, formatter in SECTIONS.items():
         data = _load(directory, name)
         if data is None:
             continue
@@ -158,7 +161,7 @@ def render(directory: pathlib.Path) -> str:
         rendered += 1
     extras = sorted(
         p.stem for p in directory.glob("*.json")
-        if p.stem not in {name for name, __ in _SECTIONS}
+        if p.stem not in SECTIONS
     )
     if extras:
         parts.append("## Additional artifacts\n\n" + "\n".join(
@@ -166,7 +169,8 @@ def render(directory: pathlib.Path) -> str:
         ))
     if rendered == 0:
         parts.append("*(no experiment artifacts found — run "
-                     "`pytest benchmarks/ --benchmark-only` first)*")
+                     "`python -m repro.tools.campaign NAME` first; "
+                     "`--help` lists every record)*")
     return "\n\n".join(parts) + "\n"
 
 

@@ -240,8 +240,8 @@ def _verify_reconstruction(live: dict, recon: dict) -> dict:
     }
 
 
-def charts(results: Results, paths: list[pathlib.Path]) -> None:
-    """Throughput / traps / rewrite-cost figures, to ``paths``."""
+def charts(results: Results, output: pathlib.Path) -> dict[pathlib.Path, str]:
+    """Throughput / traps / rewrite-cost figures, beside ``output``."""
     (hub,) = results.hubs.values()
     throughput = LineChart(
         "Balanced fleet throughput under rollout + chaos",
@@ -249,7 +249,6 @@ def charts(results: Results, paths: list[pathlib.Path]) -> None:
     )
     for series in hub.registry.series_matching("throughput_rps"):
         throughput.add_series("frontend", series.points(1 / SECOND_NS))
-    throughput.save(paths[0])
 
     traps = LineChart(
         "Per-instance verifier traps (high-water)",
@@ -258,7 +257,6 @@ def charts(results: Results, paths: list[pathlib.Path]) -> None:
     for series in hub.registry.series_matching("traps_seen"):
         label = dict(series.labels).get("instance", "?")
         traps.add_series(label, series.points(1 / SECOND_NS))
-    traps.save(paths[1])
 
     costs = BarChart(
         "Rewrite cost per instance (committed transactions)",
@@ -267,7 +265,11 @@ def charts(results: Results, paths: list[pathlib.Path]) -> None:
     rewrites = results.payload["campaigns"][0]["reconstructed"]["rewrites"]
     for name, summary in sorted(rewrites.items()):
         costs.add_bar(name or "?", summary["total_ns"] / 1_000_000)
-    costs.save(paths[2])
+    return {
+        output.with_name("telemetry_rollout_timeline.svg"): throughput.to_svg(),
+        output.with_name("telemetry_rollout_traps.svg"): traps.to_svg(),
+        output.with_name("telemetry_rollout_costs.svg"): costs.to_svg(),
+    }
 
 
 def flags(parser: argparse.ArgumentParser) -> None:

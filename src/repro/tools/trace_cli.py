@@ -271,8 +271,10 @@ def p99_timeline(records: list[dict], walls: list[int]) -> list[dict]:
     ]
 
 
-def render_figures(results: Results, paths: list[pathlib.Path]) -> None:
-    """The first seed's latency waterfall and p99 timeline, to ``paths``."""
+def render_figures(
+    results: Results, output: pathlib.Path
+) -> dict[pathlib.Path, str]:
+    """The first seed's latency waterfall and p99 timeline, beside ``output``."""
     campaign = results.payload["campaigns"][0]
     waterfall = StackedBarChart(
         title=(
@@ -294,7 +296,6 @@ def render_figures(results: Results, paths: list[pathlib.Path]) -> None:
                 for phase, ns in record["phases"].items()
             },
         )
-    waterfall.save(paths[0])
 
     timeline = LineChart(
         title=f"Per-second p99 request wall time (seed {campaign['seed']})",
@@ -308,7 +309,10 @@ def render_figures(results: Results, paths: list[pathlib.Path]) -> None:
             for point in campaign["p99_timeline"]
         ],
     )
-    timeline.save(paths[1])
+    return {
+        output.with_name("trace_latency_waterfall.svg"): waterfall.to_svg(),
+        output.with_name("trace_p99_timeline.svg"): timeline.to_svg(),
+    }
 
 
 def describe(campaign: dict) -> str:

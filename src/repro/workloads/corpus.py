@@ -276,8 +276,8 @@ CORPORA: dict[str, Corpus] = {
                          wanted=("PING", "GET greeting", "DEL greeting", "DBSIZE"),
                          feature="SET", feature_requests=("SET greeting hello",)),
     # the dynalint refinement study: thin wanted profiles that
-    # over-claim the feature (``dynalint_cli analyze``, and
-    # benchmarks/test_dynalint_refinement.py for lighttpd)
+    # over-claim the feature (``dynalint_cli analyze``, and the
+    # dynalint-refinement record for lighttpd)
     "dynalint-redis": Corpus("redis", trace_init=True,
                              wanted=("PING", "GET greeting"),
                              feature="set-write",
@@ -297,7 +297,7 @@ CORPORA: dict[str, Corpus] = {
                              feature="dav-write",
                              feature_requests=("PUT /chaos.txt x",
                                                "DELETE /chaos.txt")),
-    # the paper figures, tables and ablations (benchmarks/)
+    # the paper figures, tables and ablations (repro.experiments)
     "figures-redis": _FIGURES_REDIS,
     "figures-redis-set": _FIGURES_REDIS.against("SET probe v"),
     **{f"figures-{app}{suffix}": Corpus(app, trace_init=True, files=ABOUT_PAGE,
@@ -310,7 +310,7 @@ CORPORA: dict[str, Corpus] = {
        for name, iterations in SPEC_ITERATIONS.items()},
     **{f"figures-{name}-exit": Corpus(name, trace_init=True, iterations=iterations)
        for name, iterations in SPEC_ITERATIONS.items()},
-    # benchmarks/test_transaction_overhead.py
+    # the transaction-overhead record
     "transaction-redis": Corpus("redis", wanted=("PING", "GET a", "DEL a"),
                                 feature="SET", feature_requests=("SET a 1",)),
 }

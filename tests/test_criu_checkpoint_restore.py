@@ -210,3 +210,104 @@ class TestLifecycleEdges:
             for stem in ("core", "mm", "pagemap", "pages", "files")
         } | {"/tmp/criu/files/inventory.img"}
         assert expected <= set(names)
+
+
+def _image_page(binary, vaddr):
+    """One page of file content at link-relative ``vaddr`` (None if hole)."""
+    from repro.kernel.memory import PAGE_SIZE
+
+    for seg in binary.segments:
+        if seg.vaddr <= vaddr < seg.vaddr + max(len(seg.data), 1):
+            chunk = seg.data[vaddr - seg.vaddr:vaddr - seg.vaddr + PAGE_SIZE]
+            return chunk + b"\x00" * (PAGE_SIZE - len(chunk)) if chunk else None
+    return None
+
+
+def _mmap_then_write_raw(kernel, image):
+    """The address space restore built before it built each page once:
+    map every VMA zeroed, fill the undumped file-backed pages from the
+    binary, then write every dumped run over them."""
+    from repro.kernel.memory import PAGE_SIZE, AddressSpace, FileBacking
+
+    dumped = {
+        index
+        for entry in image.pagemap.entries
+        for index in range(entry.vaddr // PAGE_SIZE, entry.end // PAGE_SIZE)
+    }
+    memory = AddressSpace()
+    for vma in image.mm.vmas:
+        backing = None
+        if vma.file_path:
+            backing = FileBacking(vma.file_path, vma.file_offset)
+        memory.mmap(vma.start, vma.size, vma.perms, backing=backing, tag=vma.tag)
+        if backing is None:
+            continue
+        binary = kernel.binaries[backing.path]
+        for page_offset in range(0, vma.size, PAGE_SIZE):
+            data = _image_page(binary, backing.offset + page_offset)
+            if (vma.start + page_offset) // PAGE_SIZE not in dumped and data:
+                memory.write_raw(vma.start + page_offset, data)
+    cursor = 0
+    for entry in image.pagemap.entries:
+        memory.write_raw(entry.vaddr, image.pages.data[cursor:cursor + entry.size])
+        cursor += entry.size
+    return memory
+
+
+class TestRestoreBuildsEachPageOnce:
+    """A restored space equals the map-zeroed-then-overwrite construction."""
+
+    @staticmethod
+    def _assert_same_space(kernel, image):
+        from repro.criu.restore import _restore_memory
+
+        built = _restore_memory(kernel, image)
+        reference = _mmap_then_write_raw(kernel, image)
+        assert built.pages == reference.pages
+        assert built.vmas == reference.vmas
+        for index, page in built.pages.items():
+            assert len(page) == 4096, index
+        assert built.readable_pages.keys() == reference.readable_pages.keys()
+        assert built.executable_pages.keys() == reference.executable_pages.keys()
+        assert built.store_pages.keys() == reference.store_pages.keys()
+
+    def test_staged_and_rewritten_images(self, redis_server):
+        from repro.core import BlockMode, DynaCut, TrapPolicy
+        from repro.fleet import get_app
+        from repro.fleet.apps import profile_feature
+
+        kernel, proc, __ = redis_server
+        for image in checkpoint_tree(kernel, proc.pid, leave_running=True).processes:
+            self._assert_same_space(kernel, image)
+        # a rewritten image: int3-patched code pages and an injected library
+        dynacut = DynaCut(kernel)
+        dynacut.disable_feature(
+            proc.pid, profile_feature(get_app("redis"), "SET"),
+            policy=TrapPolicy.VERIFY, mode=BlockMode.ALL,
+        )
+        checkpoint = CheckpointImage.load(kernel.fs, dynacut.image_dir)
+        for image in checkpoint.processes:
+            self._assert_same_space(kernel, image)
+
+    def test_multi_process_tree(self):
+        kernel = Kernel()
+        master = stage_nginx(kernel)
+        checkpoint = checkpoint_tree(kernel, master.pid, leave_running=True)
+        assert len(checkpoint.processes) == 2
+        for image in checkpoint.processes:
+            self._assert_same_space(kernel, image)
+
+    def test_unaligned_runs_overlay_like_writes(self, redis_server):
+        from repro.criu import PagemapEntry
+
+        kernel, proc, __ = redis_server
+        (image,) = checkpoint_tree(
+            kernel, proc.pid, leave_running=True, dump_exec_pages=False
+        ).processes
+        text = next(v for v in image.mm.vmas if v.file_path and "x" in v.perms)
+        # the text is not dumped, so its pages come from the binary; a run
+        # starting and ending mid-page overlays a zeroed first page and a
+        # second page filled from the binary
+        image.pagemap.entries.append(PagemapEntry(text.start + 0x800, 1))
+        image.pages.data += bytes(range(256)) * 16
+        self._assert_same_space(kernel, image)

@@ -1,16 +1,19 @@
 """The campaign registry and runner (``repro.tools.campaign``).
 
-The runner replays every campaign before it writes anything, so a body
-whose output depends on process state must fail loudly; the registry is
-the one list of campaigns, so the docs results table and the CI matrix
-must agree with it.
+The runner replays every campaign before it writes anything, so a pass
+whose files depend on process state must fail loudly; the registry is
+the one list of campaigns behind every committed result, so the docs
+results table and the CI matrix must agree with it.
 """
 
 import dataclasses
 import fnmatch
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from argparse import Namespace
 from collections import Counter
 from collections.abc import Callable
@@ -19,6 +22,7 @@ import pytest
 import yaml
 
 from repro import telemetry
+from repro.experiments import Pass, claims
 from repro.fleet import apps
 from repro.telemetry import (
     TelemetryHub,
@@ -30,6 +34,7 @@ from repro.tools.campaign import (
     CAMPAIGNS,
     Campaign,
     finish,
+    recorded,
     registry,
     run_seeded,
 )
@@ -57,10 +62,22 @@ def _steady_body(hub: TelemetryHub) -> dict:
 def _probe(body) -> Campaign:
     return Campaign(
         "probe", ("probe.json",),
-        runs=lambda args: [("probe-1", body)],
-        describe=lambda record: f"probe: {record['calls']} calls",
-        flags=lambda parser: None,
+        recorded(
+            runs=lambda args: [("probe-1", body)],
+            describe=lambda record: f"probe: {record['calls']} calls",
+        ),
     )
+
+
+def _drawn(figure: Callable[[], str]) -> Campaign:
+    """A probe whose report is steady and whose figure is ``figure()``."""
+    def one_pass(args: Namespace) -> Pass:
+        return Pass({
+            args.output: "{}\n",
+            args.output.with_name("probe.svg"): figure(),
+        })
+
+    return Campaign("probe", ("probe.json", "probe.svg"), one_pass)
 
 
 class TestRunner:
@@ -88,8 +105,51 @@ class TestRunner:
         samples = parse_prometheus(output.with_suffix(".prom").read_text())
         assert samples == {'dynacut_probe_total{app="probe",run="probe-1"}': 1.0}
         printed = capsys.readouterr().out
-        assert "determinism: byte-identical re-export (2 events)" in printed
+        assert "determinism: byte-identical re-export of 3 files" in printed
         assert "probe: 1 calls" in printed
+
+    def test_figure_divergence_exits_1_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        drawn = iter(("<svg>1</svg>", "<svg>2</svg>"))
+        output = tmp_path / "probe.json"
+        assert finish(_drawn(lambda: next(drawn)), Namespace(output=output)) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert "diverged in probe.svg" in capsys.readouterr().out
+
+    def test_failed_claim_writes_then_exits_1(self, tmp_path, capsys):
+        def one_pass(args: Namespace) -> Pass:
+            return Pass({args.output: "{}\n"}, failed=claims(lambda: _claim(1)))
+
+        def _claim(count: int) -> None:
+            assert count == 2, "two of them"
+
+        output = tmp_path / "probe.json"
+        probe = Campaign("probe", ("probe.json",), one_pass)
+        assert finish(probe, Namespace(output=output)) == 1
+        assert output.read_text() == "{}\n"
+        printed = capsys.readouterr().out
+        assert "VIOLATED: test_tools_campaign.py" in printed
+        assert 'assert count == 2, "two of them" (two of them)' in printed
+
+    def test_claims_fail_when_python_strips_asserts(self):
+        # under -O no assert runs, so a record may not call itself clean
+        done = subprocess.run(
+            [sys.executable, "-O", "-c",
+             "from repro.experiments import claims; print(claims(lambda: None))"],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "python -O removes" in done.stdout
+
+    def test_fig10_reproduces_its_committed_files(self, tmp_path):
+        output = tmp_path / "fig10_live_blocks.json"
+        assert finish(CAMPAIGNS["fig10"], Namespace(output=output)) == 0
+        for name in ("fig10_live_blocks.json", "fig10_live_blocks.svg"):
+            assert (tmp_path / name).read_bytes() == (
+                ROOT / "results" / name
+            ).read_bytes(), name
 
     def test_multi_run_sidecar_is_one_exposition_keeping_every_run(
         self, tmp_path
@@ -187,19 +247,24 @@ class TestRegistryIsTheOneList:
         assert rows == committed_campaigns()
 
     def test_ci_matrix_matches_registry(self):
-        entries = {}
+        # an entry may run several records; its last line diffs exactly
+        # the union of their files, and each committed record runs in
+        # exactly one entry
+        ran = Counter()
         for entry in ci_campaign_entries():
             lines = entry["run"].replace("\\\n", " ").strip().splitlines()
             names = COMMAND.findall(entry["run"])
             if not names:
                 continue
-            assert len(names) == 1, entry["name"]
-            assert names[0] not in entries, f"two entries run {names[0]}"
+            ran.update(names)
             *__, last = lines
             diffed = last.split()
             assert diffed[:4] == ["git", "diff", "--exit-code", "--"], entry["name"]
-            entries[names[0]] = tuple(diffed[4:])
-        assert entries == committed_campaigns()
+            assert sorted(diffed[4:]) == sorted(
+                path for name in names for path in CAMPAIGNS[name].files
+            ), entry["name"]
+        assert set(ran) == set(committed_campaigns())
+        assert set(ran.values()) == {1}
 
     def test_every_committed_result_is_documented_and_diffed_once(self):
         documented = Counter(

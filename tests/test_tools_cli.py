@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -171,19 +175,15 @@ class TestDynalintJson:
         assert payload["ok"] is True
         assert payload["diagnostics"] == []
 
-    def test_analyze_single_guest_writes_report(self, tmp_path, capsys):
+    def test_analyze_single_guest_prints_payload(self, capsys):
         from repro.tools import dynalint_cli
 
-        out_path = tmp_path / "refine.json"
-        code = dynalint_cli.main([
-            "analyze", "--guest", "605.mcf_s",
-            "--out", str(out_path), "--json",
-        ])
+        code = dynalint_cli.main(["analyze", "--guest", "605.mcf_s", "--json"])
         stdout = capsys.readouterr().out
         assert code == 0
-        payload = json.loads(out_path.read_text())
-        # stdout and --out carry the identical deterministic payload
-        assert json.loads(stdout) == payload
+        payload = json.loads(stdout)
+        # the deterministic payload, serialised as the committed study is
+        assert stdout == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         (row,) = payload["guests"]
         assert row["guest"] == "605.mcf_s"
         assert row["kind"] == "spec-init"
@@ -296,3 +296,24 @@ class TestTraceCli:
         printed = capsys.readouterr().out
         assert "determinism: byte-identical re-export" in printed
         assert json.loads(output.read_text())["clean"] is True
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module,args", [
+        ("report", ["{tmp}"]),
+        ("crit_cli", ["--help"]),
+        ("tracediff_cli", ["--help"]),
+    ])
+    def test_runs_without_a_runpy_warning(self, module, args, tmp_path):
+        # the tools package imports none of its submodules, so running
+        # one with ``-m`` finds it not yet loaded
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             f"repro.tools.{module}",
+             *(arg.format(tmp=tmp_path) for arg in args)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "RuntimeWarning" not in done.stderr

@@ -58,3 +58,14 @@ class TestReportRenderer:
         })
         assert report.main([str(tmp_path)]) == 0
         assert "Figure 2" in capsys.readouterr().out
+
+
+class TestExperimentsDocument:
+    def test_every_section_appears_verbatim_in_experiments_md(self):
+        # EXPERIMENTS.md holds the renderer's tables of the committed
+        # results, so its numbers cannot drift from what the code writes
+        root = pathlib.Path(__file__).resolve().parent.parent
+        document = (root / "EXPERIMENTS.md").read_text()
+        for name in report.SECTIONS:
+            data = json.loads((root / "results" / f"{name}.json").read_text())
+            assert report.SECTIONS[name](data) in document, name
