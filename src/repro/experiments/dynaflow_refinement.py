@@ -20,6 +20,7 @@ analyze`` runs the same study and prints it.
 from __future__ import annotations
 
 import json
+import pathlib
 from argparse import Namespace
 
 from ..tools.dynalint_cli import (
@@ -30,10 +31,14 @@ from ..tools.dynalint_cli import (
 )
 from . import Pass, claims
 
+#: the baseline: the dynalint-refinement record's committed file, under
+#: the repository root that every campaign runs from, wherever this
+#: record writes
+BASELINE = pathlib.Path("results/dynalint_refinement.json")
+
 
 def run(args: Namespace) -> Pass:
     results = collect_refinement(SERVER_GUESTS + SPEC_GUESTS)
-    baseline_path = args.output.with_name("dynalint_refinement.json")
 
     def shape() -> None:
         totals = results["totals"]
@@ -56,15 +61,12 @@ def run(args: Namespace) -> Pass:
             flow = row["flow"]
             assert flow["resolved_external"] > 0
             assert flow["unresolved"] <= 1
-        # comparison against the baseline artifact, when present: the
-        # prove-mode refined sets must shrink the suspect pool it reported
-        if baseline_path.exists():
-            baseline = json.loads(baseline_path.read_text())
-            legacy_counts = baseline["refined"]["classification"]
-            lighttpd = next(
-                r for r in results["guests"] if r["guest"] == "lighttpd"
-            )
-            assert lighttpd["prove"]["suspect"] < legacy_counts["suspect"]
+        # the prove-mode refined sets must shrink the suspect pool the
+        # baseline reported; without the baseline the claim fails
+        assert BASELINE.exists(), f"no baseline at {BASELINE}"
+        legacy_counts = json.loads(BASELINE.read_text())["refined"]["classification"]
+        lighttpd = next(r for r in results["guests"] if r["guest"] == "lighttpd")
+        assert lighttpd["prove"]["suspect"] < legacy_counts["suspect"]
 
     return Pass(
         {args.output: json.dumps(results, indent=2, sort_keys=True)},

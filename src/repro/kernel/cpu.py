@@ -31,6 +31,14 @@ instruction through the single-instruction handler its decode-cache
 entry names.  Both charge the clock and the retired count themselves;
 both leave early only through :class:`~.jit.BlockExit`, which
 :meth:`CPU._leave` turns into the exact state stepping would reach.
+
+A call may span many quanta (the kernel's horizon for a process that
+runs alone, see :meth:`~.kernel.Kernel.run`).  Blocks cross the quantum
+boundaries inside it until a *kernel-visible exit*: a syscall, an
+``int3``, a posted fault (a faulting block exit among them) or a
+signal delivery, each of which bumps :attr:`CPU.exits`.  The call then
+ends at the next quantum boundary, where the kernel checks what the
+exit may have changed.
 """
 
 from __future__ import annotations
@@ -73,6 +81,10 @@ class CPU:
         #: every address space this CPU runs, so respawns, forks and
         #: restores of the same code reuse the compiled block
         self._translations: dict[tuple[int, bytes], tuple] = {}
+        #: kernel-visible exits so far (syscalls, traps, posted faults,
+        #: signal deliveries); :meth:`run_quantum` stops at the next
+        #: quantum boundary after one
+        self.exits = 0
 
     # ------------------------------------------------------------------
     # stepping
@@ -121,13 +133,23 @@ class CPU:
         after an instruction that ends a translation unit, after a whole
         block, or after a signal delivery) it runs the block's
         translation, translating it first if every instruction of the
-        unit is already decoded.  A block runs only if it fits the rest
-        of the budget, so the quantum ends with single steps exactly
-        where stepping would end it; the next quantum then steps to the
-        end of that unit.  Everywhere else it runs one instruction, and
-        calls :meth:`step` only on a decode-cache miss.
+        unit is already decoded.  Everywhere else it runs one
+        instruction, and calls :meth:`step` only on a decode-cache miss.
+
+        The call stops at ``budget``, or at the first multiple of the
+        kernel's quantum, counted from its start, that follows a
+        kernel-visible exit (see :attr:`exits`): the boundary where a
+        quantum at a time would next let the kernel see that exit.  A
+        block runs only if it fits the rest of that limit, so blocks
+        cross the quantum boundaries before the exit and the last
+        quantum ends with single steps exactly where stepping would end
+        it; the next call then steps to the end of that unit.  With
+        ``budget`` one quantum it runs exactly that quantum.
         """
         executed = 0
+        limit = budget
+        quantum = self.kernel.config.quantum
+        exits = self.exits
         regs = proc.regs
         memory = proc.memory
         cache = memory.decode_cache
@@ -136,7 +158,13 @@ class CPU:
         # a quantum may resume mid-unit: it translates nothing until
         # the next entry, but runs a translation that starts here
         entry = regs.rip in blocks
-        while executed < budget and proc.state is runnable:
+        while executed < limit and proc.state is runnable:
+            if self.exits != exits:
+                # the kernel has something new to check: stop at the
+                # next quantum boundary
+                exits = self.exits
+                limit = min(limit, -(-executed // quantum) * quantum)
+                continue
             if proc.pending_signals:
                 self._deliver_signal(proc)
                 executed += 1
@@ -145,7 +173,7 @@ class CPU:
             rip = regs.rip
             if entry:
                 block = blocks.get(rip) or self._translate(memory, rip)
-                if block is not None and block[1] <= budget - executed:
+                if block is not None and block[1] <= limit - executed:
                     run, size, __ = block
                     try:
                         run(self, proc)
@@ -207,7 +235,13 @@ class CPU:
         A fault retires the faulting instruction (its clock and retired
         count stay charged) with ``rip`` at it and every register as
         before it, then posts SIGSEGV; an executable-page store retires
-        nothing, so that instruction runs next, alone.
+        nothing, so that instruction runs next, alone.  That store is
+        not a kernel-visible exit (it changes only guest memory), so
+        :attr:`exits` stays as it is and the same :meth:`run_quantum`
+        call runs the store before it can stop: a stop between the two
+        would leave open a trace block that stepping has not opened
+        yet, and the block at ``rip`` would leave again without
+        retiring anything.
         """
         retired = exit.index + (exit.fault is not None)
         if retired < charged:
@@ -236,14 +270,17 @@ class CPU:
 
     def _fault(self, proc: Process, signal: Signal, address: int) -> None:
         """Post a synchronous fault; ``rip`` stays at the faulting site."""
+        self.exits += 1
         self._emit_block(proc, proc.regs.rip)
         proc.pending_signals.append(PendingSignal(signal, address))
 
     def _trap(self, proc: Process, address: int) -> None:
         """int3: rip has advanced past the trap; post SIGTRAP."""
+        self.exits += 1
         proc.pending_signals.append(PendingSignal(Signal.SIGTRAP, address))
 
     def _deliver_signal(self, proc: Process) -> None:
+        self.exits += 1
         pending = proc.pending_signals.popleft()
         signal = pending.signal
         action = proc.sigactions.get(signal)
@@ -290,6 +327,7 @@ class CPU:
     # system
 
     def _syscall(self, proc: Process, rip: int) -> None:
+        self.exits += 1
         self.kernel.clock_ns += self.kernel.config.syscall_cost_ns
         result = self.kernel.syscalls.dispatch(proc)
         if result is None:

@@ -9,8 +9,8 @@ templates:
 
 * one **single-instruction handler** per mnemonic (:data:`HANDLERS`),
   with the operands, ``rip`` and ``end`` as arguments.  The decode cache
-  stores it, and the CPU runs it for a decode miss, a quantum tail and
-  a resume;
+  stores it, and the CPU runs it for a decode miss and for the tail and
+  resume around a kernel check;
 * one **translation** per hot basic block (:func:`translate`): the
   templates of its instructions in a row, with every operand and
   address an integer literal, so register operations run inline.

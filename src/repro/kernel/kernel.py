@@ -314,49 +314,84 @@ class Kernel:
         self,
         max_instructions: int = 5_000_000,
         until: Callable[[], bool] | None = None,
-        until_clock_ns: int | None = None,
     ) -> int:
-        """Round-robin schedule until a condition or budget is reached.
+        """Round-robin schedule until ``until()`` holds or the budget is
+        spent (a pass ends at a quantum boundary, so it may overshoot).
 
         Returns the number of instructions executed.  Stops early when
         no process can make progress (all exited, frozen, or blocked on
-        host input).
+        host input); when every process sleeps, the clock jumps to the
+        earliest deadline.
+
+        The kernel checks ``until`` and wakes blocked processes at
+        quantum boundaries.  With two or more runnable processes each
+        runs one quantum in turn.  A process that runs alone runs to
+        its :meth:`_horizon`, and :meth:`CPU.run_quantum` stops it at
+        the first boundary after a syscall, trap, fault or signal
+        delivery; the boundaries it skips are those at which
+        nothing the kernel checks can have changed.  That is exact as
+        long as ``until`` reads only what those exits change: process
+        output, socket buffers and peer state, process liveness and the
+        process table, the security log, and tracer state set in
+        ``on_syscall``.  It must not read registers, guest memory, the
+        clock or a retired count, which change between boundaries.
         """
         executed = 0
-        quantum = self.config.quantum
         while executed < max_instructions:
             if until is not None and until():
                 break
-            if until_clock_ns is not None and self.clock_ns >= until_clock_ns:
-                break
-            for proc in list(self.processes.values()):
-                proc.maybe_wake()
-            runnable = self.runnable_processes()
+            runnable = self._wake()
             if not runnable:
-                if not self._advance_clock_to_deadline(until_clock_ns):
+                if not self._advance_clock_to_deadline():
                     break
                 continue
+            budget = self._slice(runnable, max_instructions - executed)
             for proc in runnable:
-                executed += self.cpu.run_quantum(proc, quantum)
+                executed += self.cpu.run_quantum(proc, budget)
                 if until is not None and until():
-                    return executed
-                if until_clock_ns is not None and self.clock_ns >= until_clock_ns:
                     return executed
         return executed
 
-    def _advance_clock_to_deadline(self, until_clock_ns: int | None) -> bool:
-        """Fast-forward to the earliest sleep deadline; False if none."""
+    def _wake(self) -> list[Process]:
+        """Wake every blocked process whose predicate holds; the
+        runnable processes."""
+        for proc in list(self.processes.values()):
+            proc.maybe_wake()
+        return self.runnable_processes()
+
+    def _slice(self, runnable: list[Process], remaining: int) -> int:
+        """The budget of each of ``runnable`` in this scheduler pass."""
+        if len(runnable) == 1:
+            return self._horizon(remaining)
+        return self.config.quantum
+
+    def _horizon(self, remaining: int) -> int:
+        """The steps the only runnable process may take before the
+        kernel must check again: ``remaining`` rounded up to whole
+        quanta, cut at the quantum boundary at which the earliest
+        sleeper's deadline has passed.  Every other wake predicate
+        changes only at an exit, where :meth:`CPU.run_quantum` stops."""
+        config = self.config
+        quantum = config.quantum
+        quanta = -(-remaining // quantum)
+        deadline = self._earliest_deadline()
+        if deadline is not None and config.instruction_cost_ns:
+            ns = quantum * config.instruction_cost_ns
+            quanta = min(quanta, max(1, -(-(deadline - self.clock_ns) // ns)))
+        return quanta * quantum
+
+    def _earliest_deadline(self) -> int | None:
         deadlines = [
             p.wake_deadline
             for p in self.processes.values()
             if p.state is ProcessState.BLOCKED and p.wake_deadline is not None
         ]
-        if not deadlines:
-            return False
-        target = min(deadlines)
-        if until_clock_ns is not None:
-            target = min(target, until_clock_ns)
-        if target <= self.clock_ns:
+        return min(deadlines) if deadlines else None
+
+    def _advance_clock_to_deadline(self) -> bool:
+        """Fast-forward to the earliest sleep deadline; False if none."""
+        target = self._earliest_deadline()
+        if target is None or target <= self.clock_ns:
             return False
         self.clock_ns = target
         return True
@@ -377,23 +412,14 @@ class Kernel:
         trailing blocks to the wrong phase.
         """
         executed = 0
-        quantum = self.config.quantum
         while executed < max_instructions:
-            for proc in list(self.processes.values()):
-                proc.maybe_wake()
-            runnable = self.runnable_processes()
+            runnable = self._wake()
             if not runnable:
                 return True
+            budget = self._slice(runnable, max_instructions - executed)
             for proc in runnable:
-                executed += self.cpu.run_quantum(proc, quantum)
+                executed += self.cpu.run_quantum(proc, budget)
         return not self.runnable_processes()
-
-    def run_for(self, virtual_ns: int, max_instructions: int = 50_000_000) -> None:
-        """Advance the virtual clock by ``virtual_ns``."""
-        self.run(
-            max_instructions=max_instructions,
-            until_clock_ns=self.clock_ns + virtual_ns,
-        )
 
     # ------------------------------------------------------------------
 

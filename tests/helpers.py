@@ -18,6 +18,14 @@ def c_divmod(dividend: int, divisor: int) -> tuple[int, int]:
     return quotient, dividend - quotient * divisor
 
 
+class OneQuantumKernel(Kernel):
+    """Runs a process that runs alone one quantum at a time, checking
+    at every boundary: the reference for coalesced scheduling."""
+
+    def _horizon(self, remaining: int) -> int:
+        return self.config.quantum
+
+
 def build_minic(source: str, name: str = "prog", with_libc: bool = True) -> SelfImage:
     """Compile a MiniC program into an executable."""
     module = compile_source(source, name + ".o")

@@ -22,7 +22,7 @@ import pytest
 import yaml
 
 from repro import telemetry
-from repro.experiments import Pass, claims
+from repro.experiments import Pass, claims, dynaflow_refinement
 from repro.fleet import apps
 from repro.telemetry import (
     TelemetryHub,
@@ -200,6 +200,59 @@ class TestRunner:
             apps.profile_feature(apps.get_app(app_name), feature)
         assert hub.events == []
         assert prometheus_snapshot(hub.registry) == ""
+
+
+def _refinement(prove_suspects: int) -> dict:
+    """A DynaFlow study payload whose every claim but the baseline
+    comparison holds; lighttpd keeps ``prove_suspects`` suspects."""
+    def row(guest: str, suspects: int) -> dict:
+        return {
+            "guest": guest, "mode": "prove", "removal_set": 70,
+            "legacy": {"suspect": 60}, "prove": {"suspect": suspects},
+            "flow": {"resolved_external": 3, "unresolved": 0},
+            "verify": {"responses": ["200"], "trap_restores": 1,
+                       "provably_dead_restores": 0},
+        }
+
+    return {
+        "guests": [row("redis", 5), row("lighttpd", prove_suspects)],
+        "totals": {"legacy_suspects": 120, "prove_suspects": 5 + prove_suspects,
+                   "suspect_shrinkage_pct": 50.0, "provably_dead_restores": 0},
+    }
+
+
+class TestDynaflowBaseline:
+    """The record compares lighttpd's prove-mode suspects with the
+    committed DynaLint baseline, wherever it writes."""
+
+    @pytest.mark.parametrize("prove_suspects,clean", [(37, True), (57, False)])
+    def test_verdict_does_not_depend_on_the_output_directory(
+        self, prove_suspects, clean, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(ROOT)
+        monkeypatch.setattr(dynaflow_refinement, "collect_refinement",
+                            lambda guests: _refinement(prove_suspects))
+        # a stale baseline beside one output reports no suspects at all
+        beside, bare = tmp_path / "beside", tmp_path / "bare"
+        beside.mkdir()
+        (beside / "dynalint_refinement.json").write_text(
+            json.dumps({"refined": {"classification": {"suspect": 0}}}))
+        verdicts = [
+            dynaflow_refinement.run(
+                Namespace(output=directory / "dynaflow_refinement.json")).failed
+            for directory in (beside, bare)
+        ]
+        assert verdicts[0] == verdicts[1]
+        # the committed baseline keeps 57 lighttpd suspects
+        assert (verdicts[0] is None) is clean
+
+    def test_missing_baseline_fails_the_claim(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(dynaflow_refinement, "collect_refinement",
+                            lambda guests: _refinement(37))
+        verdict = dynaflow_refinement.run(
+            Namespace(output=tmp_path / "dynaflow_refinement.json")).failed
+        assert "no baseline at results/dynalint_refinement.json" in verdict
 
 
 def committed_campaigns() -> dict[str, tuple[str, ...]]:
