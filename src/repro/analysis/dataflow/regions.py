@@ -62,15 +62,6 @@ class RegionMap:
             if seg.name in ("text", "plt") and seg.data
         ]
         self.regions: list[FunctionRegion] = self._partition()
-        self._by_block: dict[int, FunctionRegion] = {}
-        for region in self.regions:
-            for block in region.blocks:
-                self._by_block[block] = region
-
-    # ------------------------------------------------------------------
-
-    def region_of(self, block_start: int) -> FunctionRegion | None:
-        return self._by_block.get(block_start)
 
     def decode_block(self, start: int) -> list[DecodedInstruction]:
         """Decoded instructions of the block starting at ``start``."""

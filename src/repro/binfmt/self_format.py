@@ -116,9 +116,6 @@ class SelfImage:
                 return seg
         raise KeyError(f"{self.name}: no segment {name!r}")
 
-    def has_segment(self, name: str) -> bool:
-        return any(seg.name == name for seg in self.segments)
-
     def text_range(self) -> tuple[int, int]:
         """[start, end) of the text segment (link-base relative)."""
         seg = self.segment("text")

@@ -43,10 +43,6 @@ class DebloatResult:
         return len(self.kept_starts)
 
     @property
-    def removed_count(self) -> int:
-        return len(self.removed_starts)
-
-    @property
     def live_fraction(self) -> float:
         """Fraction of static blocks still reachable — flat over time."""
         if self.total_blocks == 0:

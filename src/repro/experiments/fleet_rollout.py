@@ -1,16 +1,21 @@
 """DynaFleet: canary/rolling customization of a fleet under live traffic.
 
 The single-process experiments (Figure 8) show one server surviving a
-rewrite; this record scales the claim to an 8-instance fleet behind
+rewrite; this scenario scales the claim to an 8-instance fleet behind
 the balancer.  A closed-loop client hammers the frontend port for the
 whole run while the rollout executor drains, customizes, health-gates
-and rejoins instances between timeline buckets:
+and rejoins instances between timeline buckets
+(:func:`rollout_under_traffic`).  Two records run it:
 
-* **canary** and **rolling** rollouts must complete with *zero* failed
-  balanced requests — drains show up as throughput dips, never errors;
-* a seeded permanent fault injected into the canary's restore must
-  abort the whole rollout with every instance rolled back to pristine
-  and still serving.
+* ``fleet-rollout`` (:func:`run`) records the canary rollout under its
+  own telemetry hub: ``results/fleet_rollout.json`` and its sidecars;
+* ``fleet-rollout-bench`` (:func:`run_bench`) checks the claims in
+  ``results/fleet_rollout_bench.json``.  **canary** and **rolling**
+  rollouts must complete with *zero* failed balanced requests — drains
+  show up as throughput dips, never errors — and a seeded permanent
+  fault injected into the canary's restore must abort the whole
+  rollout with every instance rolled back to pristine and still
+  serving.
 """
 
 from __future__ import annotations
@@ -21,31 +26,48 @@ from argparse import Namespace
 from ..faults import FaultPlan
 from ..fleet import FleetController, FleetPolicy, RolloutExecutor
 from ..kernel import Kernel
-from ..workloads import SECOND_NS, TimelineEvent, run_request_timeline
-from . import Pass, claims
+from ..telemetry import TelemetryHub
+from ..workloads import (
+    SECOND_NS,
+    TimelineEvent,
+    TimelineResult,
+    run_request_timeline,
+)
+from . import Pass, claims, recorded
 
 FLEET_SIZE = 8
+MAX_UNAVAILABLE = 2
+PROBE_REQUESTS = 4
 DURATION_S = 40
 FIRST_STEP_S = 2
 STEP_EVERY_S = 3
 
 
-def _spawn(strategy: str, max_unavailable: int = 2) -> FleetController:
+def spawn(
+    strategy: str,
+    size: int = FLEET_SIZE,
+    max_unavailable: int = MAX_UNAVAILABLE,
+    probe_requests: int = PROBE_REQUESTS,
+) -> FleetController:
+    """A spawned lighttpd fleet whose policy removes ``dav-write``."""
     policy = FleetPolicy(
         features=("dav-write",),
         strategy=strategy,
         max_unavailable=max_unavailable,
-        probe_requests=4,
+        probe_requests=probe_requests,
     )
-    controller = FleetController(
-        Kernel(), "lighttpd", policy, size=FLEET_SIZE
-    )
+    controller = FleetController(Kernel(), "lighttpd", policy, size=size)
     controller.spawn_fleet()
     return controller
 
 
-def _rollout_under_traffic(controller: FleetController, plan=None) -> dict:
-    """Drive the rollout from inside a continuous balanced workload."""
+def rollout_under_traffic(
+    controller: FleetController,
+    plan: FaultPlan | None = None,
+    duration_s: int = DURATION_S,
+) -> tuple[RolloutExecutor, TimelineResult]:
+    """Drive the rollout from inside a continuous balanced workload,
+    one batch per step; ``plan`` is armed for the canary batch."""
     executor = RolloutExecutor(controller)
     kernel, app = controller.kernel, controller.app
 
@@ -63,15 +85,72 @@ def _rollout_under_traffic(controller: FleetController, plan=None) -> dict:
             at_ns=(FIRST_STEP_S + STEP_EVERY_S * i) * SECOND_NS,
             label=f"rollout-step-{i}", action=step,
         )
-        for i in range(FLEET_SIZE + 2)
+        for i in range(len(controller.instances) + 2)
     ]
     timeline = run_request_timeline(
         kernel,
         lambda: app.wanted_request(kernel, controller.frontend_port),
-        duration_ns=DURATION_S * SECOND_NS,
+        duration_ns=duration_s * SECOND_NS,
         events=events,
     )
+    return executor, timeline
+
+
+def canary_record(
+    hub: TelemetryHub,
+    size: int = FLEET_SIZE,
+    max_unavailable: int = MAX_UNAVAILABLE,
+    probe_requests: int = PROBE_REQUESTS,
+    duration_s: int = DURATION_S,
+) -> dict:
+    """The ``fleet-rollout`` run: a canary rollout under traffic, ok
+    when it completed without a failed request."""
+    controller = spawn("canary", size, max_unavailable, probe_requests)
+    hub.bind_clock(lambda: controller.kernel.clock_ns)
+    executor, timeline = rollout_under_traffic(controller, duration_s=duration_s)
+    report = executor.report
+    return {
+        "mode": "rollout",
+        "ok": (
+            report.completed
+            and timeline.failed_requests == 0
+            and not timeline.errors
+            and all(i.customized for i in controller.instances)
+        ),
+        "fault": None,
+        "rollout": report.to_dict(),
+        "workload": {
+            "total_requests": timeline.total_requests,
+            "failed_requests": timeline.failed_requests,
+            "errors": len(timeline.errors),
+            "throughput": timeline.throughput_series(SECOND_NS),
+        },
+        "fleet": controller.status(),
+    }
+
+
+def describe(record: dict) -> str:
+    rollout, workload = record["rollout"], record["workload"]
+    return (
+        f"{record['fleet']['app']} x{record['fleet']['size']} "
+        f"{rollout['strategy']}: {rollout['state']}"
+        f" ({len(rollout['customized'])} customized,"
+        f" {len(rollout['rolled_back'])} rolled back,"
+        f" max drained {rollout['max_drained_seen']});"
+        f" workload {workload['total_requests']} reqs,"
+        f" {workload['failed_requests']} failed"
+    )
+
+
+def run(args: Namespace) -> Pass:
+    return recorded(args.output, [("fleet-rollout", canary_record)], describe)
+
+
+def _bench_row(strategy: str, plan: FaultPlan | None = None) -> dict:
+    controller = spawn(strategy)
+    executor, timeline = rollout_under_traffic(controller, plan)
     assert executor.done, "rollout must finish within the workload window"
+    kernel, app = controller.kernel, controller.app
     all_serving = all(
         controller.alive(i) and app.wanted_request(kernel, i.port)
         for i in controller.instances
@@ -93,14 +172,12 @@ def _rollout_under_traffic(controller: FleetController, plan=None) -> dict:
     }
 
 
-
-
-def run(args: Namespace) -> Pass:
+def run_bench(args: Namespace) -> Pass:
     results = {
-        "canary": _rollout_under_traffic(_spawn("canary")),
-        "rolling": _rollout_under_traffic(_spawn("rolling")),
-        "canary-fault": _rollout_under_traffic(
-            _spawn("canary"),
+        "canary": _bench_row("canary"),
+        "rolling": _bench_row("rolling"),
+        "canary-fault": _bench_row(
+            "canary",
             plan=FaultPlan(seed=1234).arm(
                 "restore.memory", "permanent", on_call=1, times=10
             ),
@@ -121,7 +198,7 @@ def run(args: Namespace) -> Pass:
             assert row["workload"]["throughput"][-1][1] > 0
             assert len(row["in_service"]) == FLEET_SIZE
             # the drain budget held: never more than max_unavailable out
-            assert row["rollout"]["max_drained_seen"] <= 2
+            assert row["rollout"]["max_drained_seen"] <= MAX_UNAVAILABLE
 
         fault = results["canary-fault"]
         # the injected canary fault aborted everything back to pristine...

@@ -27,17 +27,15 @@ import json
 from argparse import Namespace
 
 from ..telemetry import TelemetryHub
-from ..tools.shelve_cli import SCENARIOS, run_scenario
 from . import Pass, claims
+from .shelve_campaign import RETENTION_FLOOR_PCT, SCENARIOS, run_scenario
 
 SEED = 902
-RETENTION_FLOOR_PCT = 60.0
 
 
 def run(args: Namespace) -> Pass:
-    flags = Namespace(size=2, put_mix=0.35, retention_floor=RETENTION_FLOOR_PCT)
     results = {
-        action: run_scenario(flags, SEED, action, TelemetryHub())
+        action: run_scenario(SEED, action, TelemetryHub())
         for action in SCENARIOS
     }
 

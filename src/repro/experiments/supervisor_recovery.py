@@ -108,7 +108,6 @@ def _run_supervised() -> dict:
             events=events,
             failover_meter=lambda: pool.total_failovers,
         )
-    served = sum(point.completed for point in timeline.points)
     return {
         "crashed": crashed,
         "recoveries": [
@@ -125,7 +124,7 @@ def _run_supervised() -> dict:
         "settled": supervisor.settled,
         "workload": {
             "total_requests": timeline.total_requests,
-            "served": served,
+            "served": timeline.served,
             "failed_requests": timeline.failed_requests,
             "failed_over_requests": timeline.failed_over_requests,
             "failover_events": timeline.failover_events,

@@ -328,8 +328,10 @@ MNEMONICS = {handler: mnemonic for mnemonic, handler in HANDLERS.items()}
 
 def translate(instructions) -> Callable:
     """Compile a block: ``instructions`` are ``(mnemonic, operands, rip,
-    end)`` in address order; the result is ``block(cpu, proc)``."""
-    return _compile(_source("block", "cpu, proc", [
+    end)`` in address order; the result is ``block_<start>(cpu, proc)``,
+    named after its start address in hex, so that a host profile, which
+    keys functions by file, line and name, keeps each block apart."""
+    return _compile(_source(f"block_{instructions[0][2]:x}", "cpu, proc", [
         (mnemonic, dict(zip("abc", operands), rip=rip, end=end, k=index))
         for index, (mnemonic, operands, rip, end) in enumerate(instructions)
     ]), _BLOCK_GLOBALS)

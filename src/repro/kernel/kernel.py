@@ -425,7 +425,3 @@ class Kernel:
 
     def stdout_of(self, pid: int) -> str:
         return self.processes[pid].stdout_text()
-
-    def process_alive(self, pid: int) -> bool:
-        proc = self.processes.get(pid)
-        return proc is not None and proc.alive

@@ -113,10 +113,6 @@ class VMA:
     def executable(self) -> bool:
         return "x" in self.perms
 
-    @property
-    def is_file_private(self) -> bool:
-        return self.backing is not None and self.backing.private
-
     def contains(self, address: int) -> bool:
         return self.start <= address < self.end
 
@@ -539,9 +535,6 @@ class AddressSpace:
             vmas=[replace(vma) for vma in self.vmas],
             code_epoch=self.code_epoch,
         )
-
-    def total_mapped(self) -> int:
-        return sum(vma.size for vma in self.vmas)
 
     def describe_maps(self) -> str:
         """A ``/proc/pid/maps``-style listing."""

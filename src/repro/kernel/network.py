@@ -160,9 +160,6 @@ class BackendPool(MemberPool):
             labels={"port": port}, frontend=self.frontend_port,
         )
 
-    def record_failover(self, port: int) -> None:
-        self.note_failover(port)
-
     def note_failover(self, port: int) -> None:
         super().note_failover(port)
         telemetry.count("failover_total", port=port)

@@ -16,7 +16,8 @@ and puts a cross-kernel frontend in front:
 * :class:`MeshRollout` — shard-by-shard rollouts where a whole-host
   failure aborts only the affected shard.
 
-See ``docs/fleet.md`` (Mesh section) and ``tools/mesh_cli.py``.
+See ``docs/fleet.md`` (Mesh section) and the ``mesh`` campaign record
+(``repro.experiments.mesh_rollout``).
 """
 
 from .controller import MeshClock, MeshController, inject_host_chaos

@@ -1,51 +1,38 @@
 """The campaign registry and the one runner behind every committed result.
 
 Each campaign is one :class:`Campaign` record in :data:`CAMPAIGNS`:
-its name, the files it writes, one pass, and its own flags.
-``python -m repro.tools.campaign NAME [FLAGS]`` runs any of them; with
-no flags it writes exactly the campaign's committed files, the first
-at ``--output`` and the rest beside it.  The
-``python -m repro.tools.<x>_cli`` commands are aliases that forward
-their flags here.
+its name, the files it writes and one pass.  Every record's pass is
+the ``run(args)`` of a :mod:`repro.experiments` module, whose
+parameters are that module's constants.
+``python -m repro.tools.campaign NAME`` runs any of them and writes
+exactly the record's committed files; ``--output``, the one flag, moves
+the first file, and the rest are written beside it.
 
 * One pass returns a :class:`~repro.experiments.Pass`: the text of
   every file it writes, by path (report, figures and sidecars), what
-  it prints, and the claim that failed, if any.  The records of
-  :mod:`repro.experiments` compute their result and check its shape
-  claims; the telemetry campaigns' passes come from :func:`recorded`.
+  it prints, and the claim that failed, if any.  A record computes its
+  result and checks its shape claims; the telemetry campaigns' passes
+  come from :func:`~repro.experiments.recorded`, which records each
+  run under its own hub and adds the event, metric and span sidecars.
 * :func:`finish` runs **two** passes in one process and compares every
   file: when the replay diverges it exits 1 and writes nothing;
   otherwise it writes every file, and exits 1 when a claim failed.
   Nothing is warmed first, so what a pass returns may not depend on
   process-wide cache state.
-* A recorded run's body runs under its **own fresh**
-  :class:`~repro.telemetry.TelemetryHub` (so runs cannot bleed metrics
-  into each other) and binds the hub to its kernel's clock.  The
-  committed JSON report keeps summaries and per-run digests only; the
-  full event streams go to an uncommitted ``<output>.jsonl`` sidecar,
-  from which :func:`~repro.telemetry.summarize_events` can rebuild
-  every reported number, every hub's Prometheus metrics to
-  ``<output>.prom`` (one exposition: each family once, each sample
-  labelled with its run), and the request spans a run returns as
-  ``_spans`` to ``<output>.spans.jsonl``.  Other ``_`` keys of a run
-  record are in-memory only too (e.g. trace's per-request records for
-  its figures).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
-from .. import telemetry
 from ..experiments import (
     Pass,
     ablation,
+    chaos_campaign,
     dynaflow_refinement,
     dynalint_refinement,
     ext_rerandomization,
@@ -57,27 +44,20 @@ from ..experiments import (
     fig9_removed_blocks,
     fig10_live_blocks,
     fleet_rollout,
+    mesh_rollout,
     mesh_scaleout,
     sec_plt_and_attacks,
+    shelve_campaign,
     shelve_debloat_retention,
+    supervisor_chaos,
     supervisor_recovery,
     table1_cve_mitigation,
+    telemetry_rollout,
+    trace_attribution,
     trace_overhead,
     transaction_overhead,
 )
-from ..telemetry import TelemetryHub, prometheus_runs, to_jsonl
-from . import (
-    chaos_cli,
-    fleet_cli,
-    mesh_cli,
-    shelve_cli,
-    supervisor_cli,
-    telemetry_cli,
-    trace_cli,
-)
 
-#: one recorded run: its hub label and its body
-Run = tuple[str, Callable[[TelemetryHub], dict]]
 Args = argparse.Namespace
 
 
@@ -89,120 +69,8 @@ class Campaign:
     #: every committed file it writes: the report first (the default
     #: ``--output``), then the files written beside it
     files: tuple[str, ...]
-    #: one pass for the parsed flags
+    #: one pass, writing its report at ``args.output``
     run: Callable[[Args], Pass]
-    #: adds the campaign's own flags to its parser
-    flags: Callable[[argparse.ArgumentParser], None] = lambda parser: None
-    #: why the parsed flags cannot make a valid campaign, or None
-    usage: Callable[[Args], str | None] | None = None
-
-
-def per_seed(prefix: str, body: Callable) -> Callable[[Args], list[Run]]:
-    """Runs of ``body(args, seed, hub)``, one per ``--seeds`` seed."""
-    return lambda args: [
-        (f"{prefix}-{seed}", partial(body, args, seed))
-        for seed in range(args.seed_base, args.seed_base + args.seeds)
-    ]
-
-
-def single(label: str, body: Callable) -> Callable[[Args], list[Run]]:
-    """One run of ``body(args, hub)``."""
-    return lambda args: [(label, partial(body, args))]
-
-
-@dataclass
-class Results:
-    """One pass over a campaign's runs."""
-
-    payload: dict
-    #: each run's hub, by run label
-    hubs: dict[str, TelemetryHub]
-
-    def exports(self, output: pathlib.Path) -> dict[pathlib.Path, str]:
-        """The report and its sidecars, by path: what a replay must match."""
-        campaigns = self.payload["campaigns"]
-        committed = {**self.payload, "campaigns": [
-            {k: v for k, v in campaign.items() if not k.startswith("_")}
-            for campaign in campaigns
-        ]}
-        exports = {
-            output: json.dumps(committed, indent=2) + "\n",
-            output.with_suffix(".jsonl"): "".join(
-                to_jsonl(hub) for hub in self.hubs.values()
-            ),
-            output.with_suffix(".prom"): prometheus_runs(
-                {label: hub.registry for label, hub in self.hubs.items()}
-            ),
-        }
-        spans = "".join(campaign.get("_spans", "") for campaign in campaigns)
-        if spans:
-            exports[output.with_suffix(".spans.jsonl")] = spans
-        return exports
-
-
-def run_seeded(header: dict, runs: Iterable[Run]) -> Results:
-    """Record every run under its own hub.
-
-    A run's record gets a telemetry digest, and its hub a ``campaign``
-    digest event.  The report is ``header``, then the verdict over the
-    runs' ``ok`` flags, then the run records in order.
-    """
-    campaigns = []
-    hubs = {}
-    for label, body in runs:
-        hub = hubs[label] = TelemetryHub()
-        with telemetry.recording(hub):
-            record = body(hub)
-        hub.emit("campaign", label, events=len(hub.events),
-                 ok=bool(record["ok"]))
-        record["telemetry"] = {
-            "events": len(hub.events),
-            "counters": {
-                "dispatch": hub.registry.sum_counters("dispatch_total"),
-                "failover": hub.registry.sum_counters("failover_total"),
-                "journal_phases": hub.registry.sum_counters(
-                    "journal_phase_total"
-                ),
-                "supervisor_events": hub.registry.sum_counters(
-                    "supervisor_events_total"
-                ),
-            },
-        }
-        campaigns.append(record)
-    payload = {
-        **header,
-        "clean": all(campaign["ok"] for campaign in campaigns),
-        "campaigns_total": len(campaigns),
-        "campaigns_ok": sum(1 for campaign in campaigns if campaign["ok"]),
-        "campaigns": campaigns,
-    }
-    return Results(payload, hubs)
-
-
-def recorded(
-    runs: Callable[[Args], Iterable[Run]],
-    describe: Callable[[dict], str],
-    header: Callable[[Args], dict] | None = None,
-    figures: Callable[[Results, pathlib.Path], dict[pathlib.Path, str]] | None = None,
-) -> Callable[[Args], Pass]:
-    """The pass of a telemetry campaign: its runs, each recorded under
-    its own hub, then the report, sidecars and ``figures`` drawn from
-    them, a line per run from ``describe``, and the runs' verdict."""
-
-    def one_pass(args: Args) -> Pass:
-        results = run_seeded(header(args) if header else {}, runs(args))
-        files = results.exports(args.output)
-        if figures is not None:
-            files.update(figures(results, args.output))
-        payload = results.payload
-        total, ok = payload["campaigns_total"], payload["campaigns_ok"]
-        return Pass(
-            files,
-            "\n".join(describe(record) for record in payload["campaigns"]),
-            None if ok == total else f"{total - ok} of {total} runs violated",
-        )
-
-    return one_pass
 
 
 def finish(campaign: Campaign, args: Args) -> int:
@@ -252,70 +120,18 @@ def registry(*campaigns: Campaign) -> dict[str, Campaign]:
 
 
 CAMPAIGNS = registry(
-    Campaign(
-        "chaos", ("results/chaos_campaign.json",),
-        recorded(chaos_cli.runs, chaos_cli.describe), chaos_cli.flags,
-    ),
-    Campaign(
-        "fleet-rollout", ("results/fleet_rollout.json",),
-        recorded(single("fleet-rollout", fleet_cli.run_rollout),
-                 fleet_cli.describe_rollout),
-        fleet_cli.rollout_flags,
-    ),
-    Campaign(
-        "fleet-drift", ("results/fleet_drift.json",),
-        recorded(single("fleet-drift", fleet_cli.run_drift),
-                 fleet_cli.describe_drift),
-        fleet_cli.drift_flags,
-    ),
-    Campaign(
-        "supervisor", ("results/supervisor_chaos.json",),
-        recorded(
-            per_seed("supervisor", supervisor_cli.run_campaign),
-            supervisor_cli.describe,
-            header=lambda args: {
-                "app": args.app, "size": args.size, "duration_s": args.duration,
-            },
-        ),
-        supervisor_cli.flags,
-    ),
-    Campaign(
-        "shelve", ("results/shelve_campaign.json",),
-        recorded(shelve_cli.runs, shelve_cli.describe, shelve_cli.header),
-        shelve_cli.flags, shelve_cli.usage,
-    ),
-    Campaign(
-        "telemetry",
-        (
-            "results/telemetry_rollout.json",
-            "results/telemetry_rollout_timeline.svg",
-            "results/telemetry_rollout_traps.svg",
-            "results/telemetry_rollout_costs.svg",
-        ),
-        recorded(telemetry_cli.runs, telemetry_cli.describe,
-                 telemetry_cli.header, telemetry_cli.charts),
-        telemetry_cli.flags, telemetry_cli.usage,
-    ),
-    Campaign(
-        "trace",
-        (
-            "results/trace_attribution.json",
-            "results/trace_latency_waterfall.svg",
-            "results/trace_p99_timeline.svg",
-        ),
-        recorded(
-            per_seed("trace", trace_cli.run_campaign), trace_cli.describe,
-            lambda args: {**mesh_cli.header(args), "trap_policy": "verify"},
-            trace_cli.render_figures,
-        ),
-        partial(mesh_cli.flags, seeds=2, seed_base=900), mesh_cli.usage,
-    ),
-    Campaign(
-        "mesh", ("results/mesh_rollout.json",),
-        recorded(per_seed("mesh", mesh_cli.run_campaign), mesh_cli.describe,
-                 mesh_cli.header),
-        partial(mesh_cli.flags, seeds=3, seed_base=700), mesh_cli.usage,
-    ),
+    Campaign("chaos", ("results/chaos_campaign.json",), chaos_campaign.run),
+    Campaign("fleet-rollout", ("results/fleet_rollout.json",), fleet_rollout.run),
+    Campaign("supervisor", ("results/supervisor_chaos.json",), supervisor_chaos.run),
+    Campaign("shelve", ("results/shelve_campaign.json",), shelve_campaign.run),
+    Campaign("telemetry", ("results/telemetry_rollout.json",
+                           "results/telemetry_rollout_timeline.svg",
+                           "results/telemetry_rollout_traps.svg",
+                           "results/telemetry_rollout_costs.svg"), telemetry_rollout.run),
+    Campaign("trace", ("results/trace_attribution.json",
+                       "results/trace_latency_waterfall.svg",
+                       "results/trace_p99_timeline.svg"), trace_attribution.run),
+    Campaign("mesh", ("results/mesh_rollout.json",), mesh_rollout.run),
     Campaign("fig2", ("results/fig2_footprint.json", "results/fig2_605_mcf_s.svg",
                       "results/fig2_Lighttpd.svg"), fig2_footprint.run),
     Campaign("fig6", ("results/fig6_feature_removal.json",), fig6_feature_removal.run),
@@ -337,7 +153,8 @@ CAMPAIGNS = registry(
     Campaign("transaction-overhead", ("results/transaction_overhead.json",),
              transaction_overhead.run),
     Campaign("trace-overhead", ("results/trace_overhead.json",), trace_overhead.run),
-    Campaign("fleet-rollout-bench", ("results/fleet_rollout_bench.json",), fleet_rollout.run),
+    Campaign("fleet-rollout-bench", ("results/fleet_rollout_bench.json",),
+             fleet_rollout.run_bench),
     Campaign("supervisor-recovery", ("results/supervisor_recovery.json",),
              supervisor_recovery.run),
     Campaign("shelve-retention", ("results/shelve_retention.json",),
@@ -357,24 +174,12 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="campaign", required=True,
                                 metavar="CAMPAIGN")
     for campaign in CAMPAIGNS.values():
-        flags = sub.add_parser(
+        sub.add_parser(
             campaign.name, help=f"writes {', '.join(campaign.files)}"
-        )
-        flags.add_argument("--output", type=pathlib.Path,
-                           default=pathlib.Path(campaign.files[0]))
-        campaign.flags(flags)
+        ).add_argument("--output", type=pathlib.Path,
+                       default=pathlib.Path(campaign.files[0]))
     args = parser.parse_args(argv)
-    campaign = CAMPAIGNS[args.campaign]
-    reason = campaign.usage(args) if campaign.usage else None
-    if reason is not None:
-        print(f"{campaign.name}: {reason}")
-        return 2
-    return finish(campaign, args)
-
-
-def alias(name: str, argv: list[str] | None) -> int:
-    """An old ``<x>_cli`` entry point: campaign ``name`` with its flags."""
-    return main([name, *(sys.argv[1:] if argv is None else argv)])
+    return finish(CAMPAIGNS[args.campaign], args)
 
 
 if __name__ == "__main__":

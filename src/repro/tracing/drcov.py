@@ -61,9 +61,6 @@ class CoverageTrace:
     def module_blocks(self, module: str) -> set[BlockRecord]:
         return {b for b in self.blocks if b.module == module}
 
-    def module_names(self) -> list[str]:
-        return sorted({b.module for b in self.blocks})
-
     def merged_with(self, *others: "CoverageTrace") -> "CoverageTrace":
         """Union of several traces (merging multiple request logs)."""
         merged = CoverageTrace(modules=list(self.modules))

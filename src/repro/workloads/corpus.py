@@ -275,8 +275,8 @@ CORPORA: dict[str, Corpus] = {
     "demo-redis": Corpus("redis",
                          wanted=("PING", "GET greeting", "DEL greeting", "DBSIZE"),
                          feature="SET", feature_requests=("SET greeting hello",)),
-    # the dynalint refinement study: thin wanted profiles that
-    # over-claim the feature (``dynalint_cli analyze``, and the
+    # the refinement studies: thin wanted profiles that over-claim the
+    # feature (the dynaflow-refinement record, and the
     # dynalint-refinement record for lighttpd)
     "dynalint-redis": Corpus("redis", trace_init=True,
                              wanted=("PING", "GET greeting"),

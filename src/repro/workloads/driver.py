@@ -75,6 +75,16 @@ class TimelineResult:
     #: (offset ns, failover count) per request that observed failovers
     failover_events: list[tuple[int, int]] = field(default_factory=list)
 
+    @property
+    def served(self) -> int:
+        """Requests that succeeded, over every bucket."""
+        return sum(point.completed for point in self.points)
+
+    @property
+    def accounted(self) -> bool:
+        """The accounting identity: every request was served or failed."""
+        return self.total_requests == self.served + self.failed_requests
+
     def throughput_series(self, bucket_ns: int) -> list[tuple[float, float]]:
         """(bucket start seconds, requests/second) pairs."""
         scale = SECOND_NS / bucket_ns

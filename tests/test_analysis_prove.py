@@ -195,7 +195,7 @@ class TestDeterministicSerialization:
 
 class TestServerProfile:
     def test_redis_thin_profile_upgrades_suspects(self):
-        from repro.tools.dynalint_cli import _dispatcher_entries
+        from repro.experiments.dynaflow_refinement import _dispatcher_entries
         from repro.workloads import corpus
 
         profile = corpus.profile(corpus.CORPORA["dynalint-redis"])

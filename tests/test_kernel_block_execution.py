@@ -33,6 +33,8 @@ an ``rwx`` page, some of it on a stack that is not 8-byte aligned.
 
 from __future__ import annotations
 
+import cProfile
+import pstats
 import zlib
 
 import pytest
@@ -58,6 +60,7 @@ from repro.isa.encoding import DecodeError, decode, instruction_length_at
 from repro.isa.instructions import BLOCK_TERMINATORS
 from repro.kernel import Kernel, PAGE_SIZE, ProcessState, Signal
 from repro.kernel.cpu import CPU
+from repro.kernel.jit import translate
 from repro.kernel.memory import AddressSpace, MemoryFault
 from repro.kernel.process import Process, SP
 from repro.kernel.signals import FRAME_RIP, SigAction
@@ -670,6 +673,32 @@ class TestTranslationPolicy:
         # the loop head (after the taken jl) and the exit code after it
         assert set(proc.memory.block_cache) <= {CODE, CODE + len(loop)}
         assert CODE in proc.memory.block_cache
+
+    def test_each_translation_is_named_after_its_start(self):
+        # every translation is compiled at <dynajit>:1, so its name is
+        # all a host profile, keyed by (file, line, name), can tell apart
+        first, second = (
+            translate([("addi", (4, 1), start, start + 6)])
+            for start in (CODE, CODE + 0x40)
+        )
+        assert first.__code__.co_name == f"block_{CODE:x}"
+        assert second.__code__.co_name == f"block_{CODE + 0x40:x}"
+
+    def test_a_host_profile_lists_each_translation(self):
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            kernel = Kernel()
+            stage_redis(kernel)
+            client = RedisClient(kernel, REDIS_PORT)
+            assert client.set("k", "v") and client.get("k") == "v"
+        finally:
+            profiler.disable()
+        blocks = [
+            name for file, __, name in pstats.Stats(profiler).stats
+            if file == "<dynajit>" and name.startswith("block")
+        ]
+        assert len(blocks) > 1
 
 
 # ----------------------------------------------------------------------

@@ -219,13 +219,3 @@ class TestTelemetryCli:
         path = tmp_path / "empty.prom"
         path.write_text("")
         assert telemetry_cli.main(["check", str(path)]) == 1
-
-    def test_run_mode_rejects_short_duration(self, tmp_path, capsys):
-        # unusable flags go through the campaign's usage hook, like
-        # every other campaign's: a message on stdout, exit 2, no files
-        output = tmp_path / "out.json"
-        assert telemetry_cli.main(
-            ["run", "--duration", "10", "--output", str(output)]
-        ) == 2
-        assert "--duration must be >= 24" in capsys.readouterr().out
-        assert not output.exists()

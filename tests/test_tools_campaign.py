@@ -22,7 +22,13 @@ import pytest
 import yaml
 
 from repro import telemetry
-from repro.experiments import Pass, claims, dynaflow_refinement
+from repro.experiments import (
+    Pass,
+    claims,
+    dynaflow_refinement,
+    recorded,
+    run_seeded,
+)
 from repro.fleet import apps
 from repro.telemetry import (
     TelemetryHub,
@@ -30,14 +36,7 @@ from repro.telemetry import (
     prometheus_snapshot,
     read_jsonl,
 )
-from repro.tools.campaign import (
-    CAMPAIGNS,
-    Campaign,
-    finish,
-    recorded,
-    registry,
-    run_seeded,
-)
+from repro.tools.campaign import CAMPAIGNS, Campaign, finish, main, registry
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 COMMAND = re.compile(r"python -m repro\.tools\.campaign ([\w-]+)")
@@ -62,8 +61,8 @@ def _steady_body(hub: TelemetryHub) -> dict:
 def _probe(body) -> Campaign:
     return Campaign(
         "probe", ("probe.json",),
-        recorded(
-            runs=lambda args: [("probe-1", body)],
+        lambda args: recorded(
+            args.output, [("probe-1", body)],
             describe=lambda record: f"probe: {record['calls']} calls",
         ),
     )
@@ -284,9 +283,18 @@ def ci_campaign_entries() -> list[dict]:
 
 
 class TestRegistryIsTheOneList:
-    def test_fleet_drift_report_is_ignored_and_its_own(self):
-        assert CAMPAIGNS["fleet-drift"].files == ("results/fleet_drift.json",)
-        assert "fleet-drift" not in committed_campaigns()
+    def test_every_record_takes_only_output(self, capsys):
+        # a record's parameters are its module's constants: the one
+        # flag moves its report
+        flags = {}
+        for name in CAMPAIGNS:
+            with pytest.raises(SystemExit) as done:
+                main([name, "--help"])
+            assert done.value.code == 0, name
+            flags[name] = re.findall(
+                r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE
+            )
+        assert flags == {name: ["--output"] for name in CAMPAIGNS}
 
     def test_docs_results_table_matches_registry(self):
         rows = {}

@@ -1,4 +1,6 @@
-"""Tests for the tracediff and crit command-line tools."""
+"""The command-line tools (tracediff, crit, dynalint, telemetry), the
+DynaFlow study's guest rows, and small runs of the fleet-rollout and
+trace scenarios through the campaign runner."""
 
 from __future__ import annotations
 
@@ -7,6 +9,8 @@ import os
 import pathlib
 import subprocess
 import sys
+from argparse import Namespace
+from functools import partial
 
 import pytest
 
@@ -17,7 +21,9 @@ from repro.criu.images import (
     SigactionEntry,
     VmaEntry,
 )
+from repro.experiments import dynaflow_refinement, recorded
 from repro.tools import crit_cli, tracediff_cli
+from repro.tools.campaign import CAMPAIGNS, Campaign, finish
 from repro.tracing import BlockRecord, CoverageTrace, ModuleEntry
 
 
@@ -175,43 +181,53 @@ class TestDynalintJson:
         assert payload["ok"] is True
         assert payload["diagnostics"] == []
 
-    def test_analyze_single_guest_prints_payload(self, capsys):
-        from repro.tools import dynalint_cli
-
-        code = dynalint_cli.main(["analyze", "--guest", "605.mcf_s", "--json"])
-        stdout = capsys.readouterr().out
-        assert code == 0
-        payload = json.loads(stdout)
-        # the deterministic payload, serialised as the committed study is
-        assert stdout == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        (row,) = payload["guests"]
+    # the DynaFlow study's row for one guest, as the dynaflow-refinement
+    # record computes it
+    def test_analyze_single_guest_prints_payload(self):
+        row = dynaflow_refinement.analyze_guest("605.mcf_s")
+        # the deterministic row, serialised as the committed study is
+        text = json.dumps(row, indent=2, sort_keys=True)
+        assert json.loads(text) == row
         assert row["guest"] == "605.mcf_s"
         assert row["kind"] == "spec-init"
         assert row["mode"] == "prove"
         assert row["flow"]["resolved_external"] > 0
+        # a SPEC guest runs under no verifier, so it restores nothing
+        assert "verify" not in row
+
+    def test_analyze_table_output(self):
+        payload = dynaflow_refinement.collect_refinement(("605.mcf_s",))
         assert payload["totals"]["provably_dead_restores"] == 0
-
-    def test_analyze_table_output(self, capsys):
-        from repro.tools import dynalint_cli
-
-        code = dynalint_cli.main(["analyze", "--guest", "605.mcf_s"])
-        out = capsys.readouterr().out
-        assert code == 0
+        out = dynaflow_refinement.summary(payload)
         assert "605.mcf_s" in out
         assert "mode=prove" in out
         assert "total suspects" in out
 
 
-class TestFleetCli:
-    def test_rollout_writes_clean_report(self, tmp_path, capsys):
-        from repro.tools import fleet_cli
+def _small(name: str, runs: list, describe, figures=None) -> Campaign:
+    """Record ``name`` over its small ``runs``, writing its files."""
+    return Campaign(
+        name, CAMPAIGNS[name].files,
+        lambda args: recorded(args.output, runs, describe, figures=figures),
+    )
 
+
+class TestFleetCli:
+    """The fleet-rollout record's scenario, small, through the runner."""
+
+    def test_rollout_writes_clean_report(self, tmp_path, capsys):
+        from repro.experiments import fleet_rollout
+
+        small = partial(
+            fleet_rollout.canary_record, size=2, max_unavailable=1,
+            probe_requests=2, duration_s=20,
+        )
         out = tmp_path / "fleet.json"
-        code = fleet_cli.main([
-            "rollout", "--size", "2", "--max-unavailable", "1",
-            "--duration", "20", "--probe-requests", "2",
-            "--output", str(out),
-        ])
+        code = finish(
+            _small("fleet-rollout", [("fleet-rollout", small)],
+                   fleet_rollout.describe),
+            Namespace(output=out),
+        )
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["clean"]
@@ -220,79 +236,26 @@ class TestFleetCli:
         assert record["workload"]["failed_requests"] == 0
         assert "CLEAN" in capsys.readouterr().out
 
-    def test_rollout_with_fault_expects_abort(self, tmp_path, capsys):
-        from repro.tools import fleet_cli
-
-        out = tmp_path / "fleet.json"
-        code = fleet_cli.main([
-            "rollout", "--size", "2", "--duration", "20",
-            "--probe-requests", "2",
-            "--fault", "restore.memory:permanent",
-            "--output", str(out),
-        ])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["campaigns"][0]["rollout"]["state"] == "aborted"
-        assert payload["clean"]
-
-    def test_drift_mode_reenables(self, tmp_path, capsys, monkeypatch):
-        from repro.tools import fleet_cli
-
-        # the default output: drift must not overwrite the rollout report
-        monkeypatch.chdir(tmp_path)
-        code = fleet_cli.main([
-            "drift", "--size", "2", "--duration", "8",
-            "--probe-requests", "2",
-        ])
-        assert code == 0
-        assert not (tmp_path / "results" / "fleet_rollout.json").exists()
-        payload = json.loads(
-            (tmp_path / "results" / "fleet_drift.json").read_text()
-        )
-        record = payload["campaigns"][0]
-        assert record["drift"]["triggered"]
-        assert record["feature_served_after_reenable"]
-
-    def test_unknown_fault_site_rejected(self, tmp_path):
-        from repro.tools import fleet_cli
-
-        with pytest.raises(SystemExit):
-            fleet_cli.main([
-                "rollout", "--size", "2", "--fault", "bogus.site",
-                "--output", str(tmp_path / "x.json"),
-            ])
-
-
-class TestShelveCli:
-    # the full campaign runs as its own CI job (shelve-chaos); here we
-    # only pin the argument contract
-    def test_single_instance_fleet_rejected(self, capsys):
-        from repro.tools import shelve_cli
-
-        assert shelve_cli.main(["--size", "1"]) == 2
-        assert "--size must be >= 2" in capsys.readouterr().out
-
-    def test_put_mix_bounds_rejected(self, capsys):
-        from repro.tools import shelve_cli
-
-        assert shelve_cli.main(["--put-mix", "0"]) == 2
-        assert shelve_cli.main(["--put-mix", "1.5"]) == 2
-
 
 class TestTraceCli:
+    """The trace record's scenario, small, through the runner."""
+
     def test_check_replays_identically_from_cleared_caches(
         self, tmp_path, capsys
     ):
         from repro.analysis.cfg import _CFG_CACHE
         from repro.analysis.dataflow.valueset import _FLOW_CACHE
-        from repro.tools import trace_cli
+        from repro.experiments import trace_attribution
 
         _CFG_CACHE.clear()
         _FLOW_CACHE.clear()
         output = tmp_path / "trace.json"
-        assert trace_cli.main([
-            "--shards", "2", "--seeds", "1", "--output", str(output),
-        ]) == 0
+        small = partial(trace_attribution.run_seed, 900, shards=2)
+        assert finish(
+            _small("trace", [("trace-900", small)], trace_attribution.describe,
+                   trace_attribution.figures),
+            Namespace(output=output),
+        ) == 0
         printed = capsys.readouterr().out
         assert "determinism: byte-identical re-export" in printed
         assert json.loads(output.read_text())["clean"] is True
@@ -303,6 +266,8 @@ class TestModuleEntryPoints:
         ("report", ["{tmp}"]),
         ("crit_cli", ["--help"]),
         ("tracediff_cli", ["--help"]),
+        ("dynalint_cli", ["--help"]),
+        ("telemetry_cli", ["--help"]),
     ])
     def test_runs_without_a_runpy_warning(self, module, args, tmp_path):
         # the tools package imports none of its submodules, so running

@@ -141,6 +141,31 @@ class TestTimelineErrorPaths:
         assert offset >= 1 * SECOND_NS
         assert "refused" in text
 
+    def test_served_and_accounted_equal_the_explicit_sums(self, redis_server):
+        kernel, proc, client = redis_server
+        client.set("hot", "1")
+
+        def fail_listener() -> None:
+            kernel.net.release_port(REDIS_PORT)
+            client.close()
+
+        result = run_request_timeline(
+            kernel, lambda: client.get("hot") == "1",
+            duration_ns=3 * SECOND_NS,
+            events=[TimelineEvent(1 * SECOND_NS, "down", fail_listener)],
+            max_requests=2000,
+        )
+        assert result.failed_requests > 0
+        served = sum(p.completed for p in result.points)
+        assert result.served == served
+        assert result.accounted
+        assert result.accounted == (
+            result.total_requests == served + result.failed_requests
+        )
+        # a request neither served nor failed breaks the identity
+        result.total_requests += 1
+        assert not result.accounted
+
     def test_drained_balancer_pool_shows_dip_not_crash(self, redis_server):
         kernel, proc, client = redis_server
         client.set("hot", "1")
