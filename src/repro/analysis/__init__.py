@@ -17,7 +17,6 @@ from .dominators import (
     collectively_dominated,
     compute_dominators,
 )
-from .callgraph import CallGraph, CallSite, FunctionNode, build_callgraph, owned_functions
 from .reachability import (
     BlockClass,
     RemovalClassification,
@@ -29,18 +28,14 @@ from .lint import ImageLinter, LintDiagnostic, LintReport, lint_checkpoint
 __all__ = [
     "BasicBlock",
     "BlockClass",
-    "CallGraph",
-    "CallSite",
     "CfgBuilder",
     "ControlFlowGraph",
     "DominatorTree",
-    "FunctionNode",
     "ImageLinter",
     "LintDiagnostic",
     "LintReport",
     "RemovalClassification",
     "VIRTUAL_ROOT",
-    "build_callgraph",
     "build_cfg",
     "cached_cfg",
     "classify_block_starts",
@@ -49,7 +44,6 @@ __all__ = [
     "compute_dominators",
     "executed_plt_entries",
     "lint_checkpoint",
-    "owned_functions",
     "plt_entries_in_blocks",
     "plt_entry_at",
     "refine_removal_set",

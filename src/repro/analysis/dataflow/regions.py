@@ -19,6 +19,7 @@ regions for orphan blocks — and derives the **intra-region** edge map:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ...binfmt.linker import PLT_STUB_SIZE
 from ...binfmt.self_format import SelfImage
@@ -83,39 +84,35 @@ class RegionMap:
     # ------------------------------------------------------------------
 
     def _partition(self) -> list[FunctionRegion]:
-        extents: list[tuple[int, int, str]] = []
-        functions = sorted(
-            (sym.vaddr, name)
-            for name, sym in self.image.functions().items()
-        )
-        text_end = max((b.end for b in self.cfg.blocks), default=0)
-        for (start, name), nxt in zip(
-            functions, functions[1:] + [(text_end, "")]
-        ):
-            extents.append((start, max(nxt[0], start), name))
-        for name, stub in sorted(self.image.plt_entries.items()):
-            extents.append((stub, stub + PLT_STUB_SIZE, f"plt:{name}"))
-
-        regions: list[FunctionRegion] = []
-        claimed: set[int] = set()
+        blocks = sorted(self.cfg.blocks)
         # PLT stubs claim their blocks first: the trailing function's
         # symbol extent runs to the end of code and would swallow them
-        ordered = sorted(extents, key=lambda e: (not e[2].startswith("plt:"), e[0]))
-        for start, end, name in ordered:
-            members = sorted(
-                b.start for b in self.cfg.blocks
-                if start <= b.start < end and b.start not in claimed
-            )
-            if not members:
-                continue
-            claimed.update(members)
-            regions.append(FunctionRegion(name, start, end, members))
+        extents = [
+            (f"plt:{name}", stub, stub + PLT_STUB_SIZE,
+             [b for b in blocks if stub <= b.start < stub + PLT_STUB_SIZE])
+            for name, stub in sorted(self.image.plt_entries.items())
+        ]
+        table = self.image.function_table
+        text_end = max((b.end for b in blocks), default=0)
+        for index, (start, name) in enumerate(table):
+            end = table[index + 1][0] if index + 1 < len(table) else text_end
+            if start < end:  # else an alias of the next symbol, or no code
+                inside = self.image.blocks_in_function(
+                    name, blocks, attrgetter("start")
+                )
+                extents.append((name, start, end, inside))
+        regions: list[FunctionRegion] = []
+        claimed: set[int] = set()
+        for name, start, end, inside in extents:
+            members = [b.start for b in inside if b.start not in claimed]
+            if members:
+                claimed.update(members)
+                regions.append(FunctionRegion(name, start, end, members))
         regions.sort(key=lambda r: r.start)
-        for block in sorted(self.cfg.block_starts() - claimed):
-            extent = next(b for b in self.cfg.blocks if b.start == block)
-            regions.append(
-                FunctionRegion(f"orphan:{block:#x}", block, extent.end, [block])
-            )
+        regions += [
+            FunctionRegion(f"orphan:{b.start:#x}", b.start, b.end, [b.start])
+            for b in blocks if b.start not in claimed
+        ]
         for region in regions:
             self._wire(region)
         return regions

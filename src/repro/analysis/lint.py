@@ -349,16 +349,10 @@ class ImageLinter:
     # ------------------------------------------------------------------
     # DL2xx: injected-library VMA checks
 
-    def _handler_library(self) -> SelfImage | None:
-        libc = self.kernel.binaries.get("libc.so")
-        if libc is None:
-            return None
-        from ..core.sighandler import build_handler_library
-
-        return build_handler_library(libc)
-
     def _lint_injected_vmas(self, image: ProcessImage) -> None:
-        library = self._handler_library()
+        from ..core.rewriter import handler_library
+
+        library = handler_library(self.kernel)
         seg_perms = (
             {seg.name: seg.perms for seg in library.segments}
             if library is not None else {}
@@ -418,7 +412,9 @@ class ImageLinter:
         return None
 
     def _lint_handler_got(self, image: ProcessImage) -> None:
-        library = self._handler_library()
+        from ..core.rewriter import handler_library
+
+        library = handler_library(self.kernel)
         if library is None:
             return
         base = self._injected_base(image, library)

@@ -22,9 +22,13 @@ the way the paper uses pyelftools.
 from __future__ import annotations
 
 import hashlib
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, TypeVar
 
 from .serde import ByteReader, ByteWriter
 
@@ -34,6 +38,8 @@ PAGE_SIZE = 4096
 
 #: Default link base for executables (mirrors the classic x86-64 base).
 DEFAULT_EXEC_BASE = 0x400000
+
+T = TypeVar("T")
 
 
 class ImageKind(Enum):
@@ -93,7 +99,8 @@ class SelfImage:
 
     An image is never mutated after it is built: the linker,
     :meth:`from_bytes` and the static-debloating baseline each build a
-    new one.  That is what lets :attr:`digest` be computed once.
+    new one.  That is what lets :attr:`digest` and
+    :attr:`function_table` be computed once.
     """
 
     name: str
@@ -147,6 +154,36 @@ class SelfImage:
         """:func:`content_digest` of this image, computed on first use and
         kept for the object's life (an image is never mutated)."""
         return content_digest(self)
+
+    @cached_property
+    def function_table(self) -> tuple[tuple[int, str], ...]:
+        """Function symbols as ``(vaddr, name)``, sorted, built once.
+
+        Each function's extent runs from its symbol to the next
+        function's; the last one's is open-ended.
+        """
+        return tuple(sorted((s.vaddr, n) for n, s in self.functions().items()))
+
+    def function_at(self, vaddr: int) -> str | None:
+        """The function whose extent contains ``vaddr`` (None before the
+        first function)."""
+        index = bisect_right(self.function_table, vaddr, key=itemgetter(0))
+        return self.function_table[index - 1][1] if index else None
+
+    def blocks_in_function(
+        self,
+        symbol: str,
+        blocks: Iterable[T],
+        start: Callable[[T], int] = attrgetter("offset"),
+    ) -> list[T]:
+        """The members of ``blocks`` that start inside the function
+        containing ``symbol``, in their given order."""
+        table = self.function_table
+        vaddr = self.symbol_address(symbol)
+        index = bisect_right(table, vaddr, key=itemgetter(0))
+        low = table[index - 1][0] if index else -math.inf
+        high = table[index][0] if index < len(table) else math.inf
+        return [block for block in blocks if low <= start(block) < high]
 
     def read_bytes(self, vaddr: int, size: int) -> bytes:
         """Read image bytes by (link-base-relative) virtual address."""

@@ -38,9 +38,9 @@ from ..kernel.kernel import Kernel
 from ..kernel.process import Process
 from ..tracing.drcov import BlockRecord
 from ..criu.checkpoint import checkpoint_tree
-from ..criu.costmodel import CriuCostModel, DEFAULT_COST_MODEL
+from ..criu.costmodel import DEFAULT_COST_MODEL
 from ..criu.images import CheckpointImage
-from ..criu.restore import restore_tree
+from ..criu.restore import MAX_ATTEMPTS, restore_tree, restore_with_retry
 from .rewriter import ImageRewriter, RewriteError, RewriteStats
 from .sighandler import POLICY_REDIRECT, POLICY_VERIFY
 from .tracediff import FeatureBlocks
@@ -59,24 +59,6 @@ from .transaction import (
     RollbackFailed,
     TxJournal,
 )
-
-
-def enclosing_function(binary: SelfImage, offset: int) -> str | None:
-    """Name of the function whose extent contains ``offset``.
-
-    Function extents are derived from the sorted function-symbol
-    addresses: each function runs until the next function starts.
-    """
-    functions = sorted(
-        (sym.vaddr, name) for name, sym in binary.functions().items()
-    )
-    best: str | None = None
-    for vaddr, name in functions:
-        if vaddr <= offset:
-            best = name
-        else:
-            break
-    return best
 
 
 class TrapPolicy(Enum):
@@ -162,6 +144,69 @@ class ShelvedBlock:
     shelved_ns: int
 
 
+@dataclass(frozen=True)
+class _PatchPlan:
+    """What one removal session writes into the image (§3.2)."""
+
+    policy: TrapPolicy
+    #: wipe whole blocks; a wipe traps only its frontier
+    wipe: bool
+    wiped: list[BlockRecord]
+    #: blocks whose first byte becomes ``int3``
+    trapped: list[BlockRecord]
+    #: blocks with a verifier original-byte entry
+    healed: list[BlockRecord]
+    #: blocks with a redirect-table entry
+    redirected: list[BlockRecord]
+    #: the removal set the session commits
+    removed: list[BlockRecord]
+
+
+def _plan_patches(
+    blocks: list[BlockRecord],
+    refinement: RemovalClassification | None,
+    wipe: bool,
+    policy: TrapPolicy,
+    arms: list[BlockRecord] | None = None,
+) -> _PatchPlan:
+    """Map a removal set to the blocks each kind of patch covers.
+
+    Without ``refinement`` every block is wiped or trapped.  With it,
+    only its removable blocks are patched, and a wipe removes just the
+    provably-dead ones while the trap entries guard them and keep
+    their original tails.  Under the verifier a trapped block can heal
+    and run its tail into an adjacent wiped block, so with a dataflow
+    proof on hand only the blocks the liveness client showed are not
+    downstream of any trap entry are wiped; the rest stay trapped.
+    ``arms`` are the dispatcher arms a REDIRECT session sends to the
+    error handler.
+    """
+    wiped: list[BlockRecord] = []
+    if refinement is None:
+        removed = healed = trapped = list(blocks)
+        if wipe:
+            wiped, trapped = removed, []
+    else:
+        removed = trapped = refinement.removable
+        if wipe:
+            guard: list[BlockRecord] = []
+            if refinement.mode == "prove" and policy is TrapPolicy.VERIFY:
+                safe = set(refinement.wipe_safe_records())
+                guard = [b for b in refinement.provably_dead if b not in safe]
+                telemetry.count("dynaflow_wipe_guarded", len(guard))
+            guarded = set(guard)
+            wiped = [b for b in refinement.provably_dead if b not in guarded]
+            trapped = refinement.trap_required + guard
+        # a wiped block's tail is gone: only trapped blocks can heal
+        healed = trapped
+    return _PatchPlan(
+        policy, wipe, wiped, trapped,
+        healed=healed if policy is TrapPolicy.VERIFY else [],
+        redirected=list(arms or ()) if policy is TrapPolicy.REDIRECT else [],
+        removed=removed,
+    )
+
+
 @dataclass
 class _TxState:
     """What one customize attempt has put at risk so far."""
@@ -178,7 +223,6 @@ class DynaCut:
     """The dynamic code customization framework."""
 
     kernel: Kernel
-    cost_model: CriuCostModel = DEFAULT_COST_MODEL
     image_dir: str = "/tmp/criu/dynacut"
     #: when to run the DynaLint image checks after a rewrite:
     #: "verify" (whenever the verifier policy is installed, the
@@ -186,9 +230,6 @@ class DynaCut:
     lint_mode: str = "verify"
     #: roll back (instead of restoring) when the lint finds damage
     lint_strict: bool = False
-    #: pipeline attempts per customize() transaction; transient faults
-    #: retry up to this bound with capped exponential backoff
-    max_attempts: int = 3
     #: reports of every session run through this instance
     history: list[RewriteReport] = field(default_factory=list)
     #: journal of the most recent customize() transaction
@@ -229,7 +270,7 @@ class DynaCut:
         restored, the service keeps running unmodified, and
         :class:`CustomizationAborted` is raised with the rolled-back
         report attached.  Transient faults are retried up to
-        :attr:`max_attempts` times with capped deterministic backoff
+        :data:`MAX_ATTEMPTS` times with capped deterministic backoff
         charged to the virtual clock.
         """
         journal = TxJournal(self.kernel.fs, self.image_dir, op=op)
@@ -249,13 +290,13 @@ class DynaCut:
                 except TransientFault as fault:
                     failures += 1
                     self._rollback(journal, attempt, state, note=str(fault))
-                    if failures >= self.max_attempts:
+                    if failures >= MAX_ATTEMPTS:
                         self._abort(
                             journal, attempt, state, fault,
                             f"transient-fault retry budget exhausted "
-                            f"({self.max_attempts} attempts)",
+                            f"({MAX_ATTEMPTS} attempts)",
                         )
-                    backoff = self.cost_model.retry_backoff(failures)
+                    backoff = DEFAULT_COST_MODEL.retry_backoff(failures)
                     self.kernel.clock_ns += backoff
                     journal.record(
                         PHASE_RETRYING, attempt, self.kernel.clock_ns,
@@ -292,7 +333,6 @@ class DynaCut:
                 root_pid,
                 image_dir=self.image_dir,
                 dump_exec_pages=True,
-                cost_model=self.cost_model,
             )
         # from here on the original tree is gone: every failure path
         # below must restore the pristine copy to keep the service up
@@ -305,7 +345,7 @@ class DynaCut:
         state.pristine.save(kernel.fs, self.pristine_dir)
         journal.record(PHASE_PRISTINE_SAVED, attempt, kernel.clock_ns)
 
-        rewriter = ImageRewriter(kernel, checkpoint, self.cost_model)
+        rewriter = ImageRewriter(kernel, checkpoint)
         with telemetry.span("customize.rewrite", clock=now, attempt=attempt):
             actions(rewriter)
         journal.record(PHASE_REWRITTEN, attempt, kernel.clock_ns)
@@ -334,7 +374,7 @@ class DynaCut:
 
         clock = kernel.clock_ns
         with telemetry.span("customize.restore", clock=now, attempt=attempt):
-            restored = restore_tree(kernel, checkpoint, self.cost_model)
+            restored = restore_tree(kernel, checkpoint)
         state.tree_down = False
         restore_ns = kernel.clock_ns - clock
         journal.record(PHASE_RESTORED, attempt, kernel.clock_ns)
@@ -362,30 +402,18 @@ class DynaCut:
             )
             return
         assert state.pristine is not None
-        failures = 0
-        while True:
-            try:
-                restore_tree(self.kernel, state.pristine, self.cost_model)
-                break
-            except TransientFault as fault:
-                failures += 1
-                if failures >= self.max_attempts:
-                    journal.record(
-                        PHASE_ROLLED_BACK, attempt, self.kernel.clock_ns,
-                        note=f"ROLLBACK FAILED: {fault}",
-                    )
-                    raise RollbackFailed(
-                        f"pristine restore kept failing: {fault}"
-                    ) from fault
-                self.kernel.clock_ns += self.cost_model.retry_backoff(failures)
-            except PermanentFault as fault:
-                journal.record(
-                    PHASE_ROLLED_BACK, attempt, self.kernel.clock_ns,
-                    note=f"ROLLBACK FAILED: {fault}",
-                )
-                raise RollbackFailed(
-                    f"pristine restore hit a permanent fault: {fault}"
-                ) from fault
+        try:
+            restore_with_retry(self.kernel, state.pristine)
+        except (TransientFault, PermanentFault) as fault:
+            journal.record(
+                PHASE_ROLLED_BACK, attempt, self.kernel.clock_ns,
+                note=f"ROLLBACK FAILED: {fault}",
+            )
+            how = (
+                "kept failing" if isinstance(fault, TransientFault)
+                else "hit a permanent fault"
+            )
+            raise RollbackFailed(f"pristine restore {how}: {fault}") from fault
         state.tree_down = False
         # resurface the pristine images as the working set — modelled as
         # a local replay of the durable pristine/ copy (no new payload
@@ -493,13 +521,7 @@ class DynaCut:
         blocks = list(blocks) if blocks is not None else list(feature.blocks)
         entries: list[BlockRecord] = []
         if dispatcher_symbol is not None:
-            dispatcher_fn = enclosing_function(
-                binary, binary.symbol_address(dispatcher_symbol)
-            )
-            entries = [
-                block for block in blocks
-                if enclosing_function(binary, block.offset) == dispatcher_fn
-            ]
+            entries = binary.blocks_in_function(dispatcher_symbol, blocks)
         if not entries:
             entries = (
                 [feature.entry] if feature.entry in blocks else blocks[:1]
@@ -567,10 +589,10 @@ class DynaCut:
         blocks the liveness client proved no healed trap block can fall
         into — the rest of the dead set is trap-guarded instead.
         """
-        module = feature.module
-        binary = self._module_binary(module)
+        binary = self._module_binary(feature.module)
         refinement: RemovalClassification | None = None
-
+        arms: list[BlockRecord] = []
+        target = 0
         if policy is TrapPolicy.REDIRECT:
             if refine:
                 raise RewriteError(
@@ -579,27 +601,21 @@ class DynaCut:
                 )
             if redirect_symbol is None:
                 raise RewriteError("redirect policy needs redirect_symbol")
-            target_offset = binary.symbol_address(redirect_symbol)
-            self._check_redirect_liveness(
-                binary, redirect_symbol, target_offset
-            )
+            target = binary.symbol_address(redirect_symbol)
+            self._check_redirect_liveness(binary, redirect_symbol, target)
             # The saved-IP redirect is only sound when the trap fires in
             # the error handler's own frame (§3.2.2), so the blocking
             # point is the feature's first unique block *inside the
             # dispatcher function*, i.e. the feature's case arm.
-            dispatcher_blocks = [
-                block for block in feature.blocks
-                if enclosing_function(binary, block.offset)
-                == enclosing_function(binary, target_offset)
-            ]
-            if not dispatcher_blocks:
+            arms = binary.blocks_in_function(redirect_symbol, feature.blocks)
+            if not arms:
                 raise RewriteError(
                     f"feature {feature.name!r} has no unique block in the "
                     f"function containing {redirect_symbol!r}; the redirect "
                     "policy needs a dispatcher arm to block (§3.2.2)"
                 )
             if mode is BlockMode.ENTRY:
-                blocks = [dispatcher_blocks[0]]
+                blocks = arms[:1]
             else:
                 # patch the dispatcher arms plus all blocks of functions
                 # *fully owned* by the feature (their entry block is
@@ -610,92 +626,27 @@ class DynaCut:
                 # redirect cannot repair.
                 unique_starts = {b.offset for b in feature.blocks}
                 owned = {
-                    name for name, sym in binary.functions().items()
-                    if sym.vaddr in unique_starts
+                    name for vaddr, name in binary.function_table
+                    if vaddr in unique_starts
                 }
-                blocks = list(dispatcher_blocks) + [
+                blocks = arms + [
                     b for b in feature.blocks
-                    if enclosing_function(binary, b.offset) in owned
+                    if binary.function_at(b.offset) in owned
                 ]
-            redirect_blocks = dispatcher_blocks
         else:
             blocks = self._blocks_for_mode(feature, mode)
-            redirect_blocks = []
             if refine or prove:
                 refinement = self.refine_feature(
                     feature, blocks, dispatcher_symbol, prove=prove
                 )
-                blocks = refinement.removable
 
-        # Under the verifier a trapped block can heal and run its tail
-        # into an adjacent wiped block.  With a dataflow proof on hand,
-        # wipe only the blocks the liveness client showed are not
-        # downstream of any trap entry; the rest stay trap-guarded.
-        wipe_guard: list[BlockRecord] = []
-        if (
-            refinement is not None
-            and refinement.mode == "prove"
-            and mode is BlockMode.WIPE
-            and policy is TrapPolicy.VERIFY
-        ):
-            safe = set(refinement.wipe_safe_records())
-            wipe_guard = [
-                b for b in refinement.provably_dead if b not in safe
-            ]
-            telemetry.count("dynaflow_wipe_guarded", len(wipe_guard))
-
-        def actions(rewriter: ImageRewriter) -> None:
-            if mode is BlockMode.WIPE:
-                if refinement is not None:
-                    # wipe only what the analysis proved dead; the trap
-                    # entries guard it and keep their original tails
-                    guarded = set(wipe_guard)
-                    rewriter.wipe_blocks(
-                        module,
-                        [
-                            b for b in refinement.provably_dead
-                            if b not in guarded
-                        ],
-                    )
-                    trapped = list(refinement.trap_required) + wipe_guard
-                    if trapped:
-                        rewriter.block_entry_int3(module, trapped)
-                else:
-                    rewriter.wipe_blocks(module, blocks)
-            else:
-                rewriter.block_entry_int3(module, blocks)
-            if policy is TrapPolicy.REDIRECT:
-                # traps outside the dispatcher frame (direct jumps into
-                # deeper feature code) have no table entry and terminate
-                target = self._symbol_abs(rewriter, module, redirect_symbol)
-                entries = [
-                    (self._block_abs(rewriter, module, block), target)
-                    for block in redirect_blocks
-                    if block in blocks or mode is BlockMode.ENTRY
-                ]
-                rewriter.install_trap_handler(POLICY_REDIRECT, entries)
-                return
-            if policy is TrapPolicy.VERIFY:
-                # with a refined WIPE only the trap entries can heal; a
-                # wiped block's tail is gone, so its entry stays trapped
-                healable = (
-                    list(refinement.trap_required) + wipe_guard
-                    if refinement is not None and mode is BlockMode.WIPE
-                    else blocks
-                )
-                orig = [
-                    (
-                        self._block_abs(rewriter, module, block),
-                        binary.read_bytes(block.offset, 1)[0],
-                    )
-                    for block in healable
-                ]
-                rewriter.install_trap_handler(POLICY_VERIFY, orig_entries=orig)
-            # TERMINATE: no handler — the default SIGTRAP disposition kills
-
-        report = self.customize(root_pid, actions)
-        report.refinement = refinement
-        self._disabled[(root_pid, feature.name)] = list(blocks)
+        plan = _plan_patches(
+            blocks, refinement, mode is BlockMode.WIPE, policy, arms
+        )
+        report = self._remove(
+            root_pid, feature.module, plan, refinement, target
+        )
+        self._disabled[(root_pid, feature.name)] = plan.removed
         return report
 
     def enable_feature(
@@ -879,34 +830,49 @@ class DynaCut:
         ``prove=True`` upgrades the classification with the DynaFlow
         dataflow proofs (resolved indirect targets, liveness).
         """
-        binary = self._module_binary(module)
         refinement: RemovalClassification | None = None
         if refine or prove:
-            refinement = refine_removal_set(binary, blocks, prove=prove)
+            refinement = refine_removal_set(
+                self._module_binary(module), blocks, prove=prove
+            )
+        policy = TrapPolicy.VERIFY if verify else TrapPolicy.TERMINATE
+        plan = _plan_patches(blocks, refinement, wipe and not verify, policy)
+        return self._remove(root_pid, module, plan, refinement)
+
+    def _remove(
+        self,
+        root_pid: int,
+        module: str,
+        plan: _PatchPlan,
+        refinement: RemovalClassification | None,
+        redirect_target: int = 0,
+    ) -> RewriteReport:
+        """Apply ``plan`` to ``module`` in one customize transaction and
+        attach ``refinement`` to its report; redirected traps go to
+        ``redirect_target`` (a module offset)."""
+        binary = self._module_binary(module)
 
         def actions(rewriter: ImageRewriter) -> None:
-            patchable = refinement.removable if refinement else blocks
-            if verify:
-                rewriter.block_entry_int3(module, patchable)
-                orig = [
-                    (
-                        self._block_abs(rewriter, module, block),
-                        binary.read_bytes(block.offset, 1)[0],
-                    )
-                    for block in patchable
-                ]
-                rewriter.install_trap_handler(POLICY_VERIFY, orig_entries=orig)
-            elif wipe:
-                if refinement is not None:
-                    rewriter.wipe_blocks(module, refinement.provably_dead)
-                    if refinement.trap_required:
-                        rewriter.block_entry_int3(
-                            module, refinement.trap_required
-                        )
-                else:
-                    rewriter.wipe_blocks(module, blocks)
-            else:
-                rewriter.block_entry_int3(module, patchable)
+            if plan.wipe:
+                rewriter.wipe_blocks(module, plan.wiped)
+            # a wipe traps only its frontier, which may be empty
+            if plan.trapped or not plan.wipe:
+                rewriter.block_entry_int3(module, plan.trapped)
+            if plan.policy is TrapPolicy.TERMINATE:
+                return  # no handler: the default SIGTRAP disposition kills
+            __, base = rewriter.images_mapping(module)[0]
+            # traps outside the dispatcher frame (direct jumps into
+            # deeper feature code) have no redirect entry and terminate
+            target = base + redirect_target
+            rewriter.install_trap_handler(
+                POLICY_REDIRECT if plan.policy is TrapPolicy.REDIRECT
+                else POLICY_VERIFY,
+                [(base + block.offset, target) for block in plan.redirected],
+                [
+                    (base + block.offset, binary.read_bytes(block.offset, 1)[0])
+                    for block in plan.healed
+                ],
+            )
 
         report = self.customize(root_pid, actions)
         report.refinement = refinement
@@ -999,19 +965,6 @@ class DynaCut:
         if binary is None:
             raise RewriteError(f"binary {module!r} not registered")
         return binary
-
-    def _symbol_abs(
-        self, rewriter: ImageRewriter, module: str, symbol: str
-    ) -> int:
-        binary = self._module_binary(module)
-        __, base = rewriter.images_mapping(module)[0]
-        return base + binary.symbol_address(symbol)
-
-    def _block_abs(
-        self, rewriter: ImageRewriter, module: str, block: BlockRecord
-    ) -> int:
-        __, base = rewriter.images_mapping(module)[0]
-        return base + block.offset
 
     # ------------------------------------------------------------------
 

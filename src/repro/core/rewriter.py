@@ -34,16 +34,12 @@ from ..isa.instructions import INT3_OPCODE
 from ..kernel.kernel import Kernel
 from ..kernel.signals import Signal
 from ..tracing.drcov import BlockRecord
-from ..criu.costmodel import CriuCostModel, DEFAULT_COST_MODEL
+from ..criu.costmodel import DEFAULT_COST_MODEL
 from ..criu.images import CheckpointImage, ImageError, ProcessImage, VmaEntry
 from . import sighandler
 from .sighandler import (
     HANDLER_SYMBOL,
-    LOG_CAPACITY,
     ORIG_CAPACITY,
-    POLICY_REDIRECT,
-    POLICY_TERMINATE,
-    POLICY_VERIFY,
     REDIRECT_CAPACITY,
     RESTORER_SYMBOL,
 )
@@ -55,6 +51,13 @@ _INJECT_STRIDE = 0x0100_0000
 
 class RewriteError(RuntimeError):
     pass
+
+
+def handler_library(kernel: Kernel) -> SelfImage | None:
+    """The trap-handler library, linked against the kernel's
+    ``libc.so`` (``None`` when no libc is registered)."""
+    libc = kernel.binaries.get("libc.so")
+    return None if libc is None else sighandler.build_handler_library(libc)
 
 
 @dataclass
@@ -95,15 +98,9 @@ class HandlerPlacement:
 class ImageRewriter:
     """Rewrites one :class:`CheckpointImage` in place."""
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        checkpoint: CheckpointImage,
-        cost_model: CriuCostModel = DEFAULT_COST_MODEL,
-    ):
+    def __init__(self, kernel: Kernel, checkpoint: CheckpointImage):
         self.kernel = kernel
         self.checkpoint = checkpoint
-        self.cost_model = cost_model
         self.stats = RewriteStats()
         #: trap policies configured this session (DynaLint consults this
         #: to decide whether the post-rewrite lint should run)
@@ -204,7 +201,7 @@ class ImageRewriter:
             ) from exc
 
     def _charge_patch(self, blocks: int, wiped_bytes: int) -> None:
-        cost = self.cost_model.patch_cost(blocks, wiped_bytes)
+        cost = DEFAULT_COST_MODEL.patch_cost(blocks, wiped_bytes)
         self.stats.patch_ns += cost
         self.kernel.clock_ns += cost
 
@@ -248,7 +245,7 @@ class ImageRewriter:
             image.mm.vmas = sorted(new_vmas, key=lambda v: v.start)
         pages = size // PAGE_SIZE
         self.stats.pages_unmapped += pages
-        cost = self.cost_model.unmap_vma_ns * max(1, pages)
+        cost = DEFAULT_COST_MODEL.unmap_vma_ns * max(1, pages)
         self.stats.unmap_ns += cost
         self.kernel.clock_ns += cost
         return dropped_total
@@ -316,7 +313,7 @@ class ImageRewriter:
             self._rebase_range(image, old_lo, old_hi, delta)
             results[image.pid] = (old_base, base)
 
-        cost = self.cost_model.library_injection_cost()
+        cost = DEFAULT_COST_MODEL.library_injection_cost()
         self.stats.inject_ns += cost
         self.kernel.clock_ns += cost
         return results
@@ -350,10 +347,9 @@ class ImageRewriter:
                     )
         # the injected trap-handler library (anonymous VMAs) also imports
         # from libc; re-resolve its GOT through its sigaction-derived base
-        libc = self.kernel.binaries.get("libc.so")
-        if libc is None:
+        handler_lib = handler_library(self.kernel)
+        if handler_lib is None:
             return
-        handler_lib = sighandler.build_handler_library(libc)
         handler_base = self.existing_handler_base(image, handler_lib)
         if handler_base is None:
             return
@@ -416,7 +412,7 @@ class ImageRewriter:
             image.core.syscall_filter = (
                 sorted(allowed) if allowed is not None else None
             )
-        self.kernel.clock_ns += self.cost_model.set_sigaction_ns
+        self.kernel.clock_ns += DEFAULT_COST_MODEL.set_sigaction_ns
 
     # ------------------------------------------------------------------
     # library injection + trap handler configuration
@@ -459,7 +455,7 @@ class ImageRewriter:
             )
         image.mm.vmas.sort(key=lambda v: v.start)
         self.stats.libraries_injected += 1
-        cost = self.cost_model.library_injection_cost()
+        cost = DEFAULT_COST_MODEL.library_injection_cost()
         self.stats.inject_ns += cost
         self.kernel.clock_ns += cost
         return base
@@ -522,7 +518,6 @@ class ImageRewriter:
         policy: int,
         redirect_entries: list[tuple[int, int]] | None = None,
         orig_entries: list[tuple[int, int]] | None = None,
-        library: SelfImage | None = None,
     ) -> list[HandlerPlacement]:
         """Install (or reconfigure) the SIGTRAP handler in every process.
 
@@ -531,11 +526,7 @@ class ImageRewriter:
         for the verify policy.  Re-uses an already-injected library when
         the image has one.
         """
-        if library is None:
-            libc = self.kernel.binaries.get("libc.so")
-            if libc is None:
-                raise RewriteError("libc.so not registered; cannot build handler")
-            library = sighandler.build_handler_library(libc)
+        library = self._handler_library()
         redirect_entries = redirect_entries or []
         orig_entries = orig_entries or []
         if len(redirect_entries) > REDIRECT_CAPACITY:
@@ -586,7 +577,7 @@ class ImageRewriter:
             write_u64(sighandler.ORIG_TABLE_SYMBOL, 2 * index + 1, byte)
         write_u64(sighandler.LOG_COUNT_SYMBOL, 0, 0)
 
-    def reset_trap_log(self, library: SelfImage | None = None) -> int:
+    def reset_trap_log(self) -> int:
         """Zero the verifier's trap log in every process with a handler.
 
         The shelve path uses this after durably restoring trapped
@@ -597,11 +588,7 @@ class ImageRewriter:
         the blocks that remain patched.  Returns the number of process
         images whose log was cleared.
         """
-        if library is None:
-            libc = self.kernel.binaries.get("libc.so")
-            if libc is None:
-                raise RewriteError("libc.so not registered; cannot build handler")
-            library = sighandler.build_handler_library(libc)
+        library = self._handler_library()
         cleared = 0
         for image in self.checkpoint.processes:
             base = self.existing_handler_base(image, library)
@@ -612,8 +599,14 @@ class ImageRewriter:
             )
             image.write_memory(address, (0).to_bytes(8, "little"))
             cleared += 1
-        self.kernel.clock_ns += self.cost_model.set_sigaction_ns
+        self.kernel.clock_ns += DEFAULT_COST_MODEL.set_sigaction_ns
         return cleared
+
+    def _handler_library(self) -> SelfImage:
+        library = handler_library(self.kernel)
+        if library is None:
+            raise RewriteError("libc.so not registered; cannot build handler")
+        return library
 
     def _set_sigtrap(
         self, image: ProcessImage, library: SelfImage, base: int
@@ -630,4 +623,4 @@ class ImageRewriter:
             from ..criu.images import SigactionEntry
 
             image.core.sigactions.append(SigactionEntry(sig, handler, restorer))
-        self.kernel.clock_ns += self.cost_model.set_sigaction_ns
+        self.kernel.clock_ns += DEFAULT_COST_MODEL.set_sigaction_ns

@@ -20,6 +20,7 @@ from ..kernel.process import Process
 from ..kernel.signals import Signal
 from ..tracing.drcov import BlockRecord
 from . import sighandler
+from .rewriter import handler_library
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,9 @@ def _handler_base(proc: Process, library: SelfImage) -> int | None:
 
 def read_verifier_log(kernel: Kernel, proc: Process) -> VerificationReport:
     """Read the verifier ring buffer out of a live process's memory."""
-    libc = kernel.binaries.get("libc.so")
-    if libc is None:
+    library = handler_library(kernel)
+    if library is None:
         raise RuntimeError("libc.so not registered")
-    library = sighandler.build_handler_library(libc)
     base = _handler_base(proc, library)
     if base is None:
         return VerificationReport(proc.pid, ())

@@ -30,7 +30,7 @@ from ..kernel.kernel import Kernel
 from ..kernel.memory import PAGE_SIZE, VMA
 from ..kernel.network import SocketDescriptor
 from ..kernel.process import Process, ProcessState
-from .costmodel import CriuCostModel, DEFAULT_COST_MODEL
+from .costmodel import DEFAULT_COST_MODEL
 from .images import (
     CheckpointImage,
     CoreImage,
@@ -75,7 +75,6 @@ def checkpoint_tree(
     image_dir: str | None = DEFAULT_IMAGE_DIR,
     dump_exec_pages: bool = True,
     leave_running: bool = False,
-    cost_model: CriuCostModel = DEFAULT_COST_MODEL,
 ) -> CheckpointImage:
     """Dump ``root_pid``'s process tree; returns the checkpoint image.
 
@@ -102,7 +101,7 @@ def checkpoint_tree(
             kernel.thaw(pid)
         raise
 
-    kernel.clock_ns += cost_model.checkpoint_cost(
+    kernel.clock_ns += DEFAULT_COST_MODEL.checkpoint_cost(
         checkpoint.total_pages(), len(procs)
     )
 

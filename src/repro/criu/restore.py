@@ -40,8 +40,12 @@ from ..kernel.memory import PAGE_SIZE, VMA, AddressSpace, FileBacking, MemoryFau
 from ..kernel.network import Endpoint, NetworkError, SocketDescriptor
 from ..kernel.process import LoadedModule, Process, ProcessState
 from ..kernel.signals import SigAction, Signal
-from .costmodel import CriuCostModel, DEFAULT_COST_MODEL
+from .costmodel import DEFAULT_COST_MODEL
 from .images import CheckpointImage, ProcessImage, VmaEntry
+
+#: the transient-fault budget: a restore (and a customize transaction)
+#: gives up when this many attempts have hit transient faults
+MAX_ATTEMPTS = 3
 
 
 class RestoreError(RuntimeError):
@@ -80,11 +84,7 @@ def _unwind(kernel: Kernel, undo: _UndoLog) -> None:
         kernel.net.release_port(port)
 
 
-def restore_tree(
-    kernel: Kernel,
-    checkpoint: CheckpointImage,
-    cost_model: CriuCostModel = DEFAULT_COST_MODEL,
-) -> list[Process]:
+def restore_tree(kernel: Kernel, checkpoint: CheckpointImage) -> list[Process]:
     """Restore every process of ``checkpoint``; returns them in image order.
 
     All-or-nothing: a failure mid-restore unwinds every side effect of
@@ -114,20 +114,37 @@ def restore_tree(
         if parent is not None and proc.pid not in parent.children:
             parent.children.append(proc.pid)
 
-    kernel.clock_ns += cost_model.restore_cost(
+    kernel.clock_ns += DEFAULT_COST_MODEL.restore_cost(
         checkpoint.total_pages(), len(restored)
     )
     return restored
 
 
-def restore_from_dir(
-    kernel: Kernel,
-    image_dir: str,
-    cost_model: CriuCostModel = DEFAULT_COST_MODEL,
+def restore_with_retry(
+    kernel: Kernel, checkpoint: CheckpointImage
 ) -> list[Process]:
+    """:func:`restore_tree`, retried after each transient fault.
+
+    Every retry first charges the cost model's capped backoff to the
+    virtual clock.  The transient fault of the :data:`MAX_ATTEMPTS`-th
+    failed attempt is re-raised; any other exception goes through at
+    once.
+    """
+    failures = 0
+    while True:
+        try:
+            return restore_tree(kernel, checkpoint)
+        except faults.TransientFault:
+            failures += 1
+            if failures >= MAX_ATTEMPTS:
+                raise
+            kernel.clock_ns += DEFAULT_COST_MODEL.retry_backoff(failures)
+
+
+def restore_from_dir(kernel: Kernel, image_dir: str) -> list[Process]:
     """Load images from the kernel fs and restore them."""
     checkpoint = CheckpointImage.load(kernel.fs, image_dir)
-    return restore_tree(kernel, checkpoint, cost_model)
+    return restore_tree(kernel, checkpoint)
 
 
 # ----------------------------------------------------------------------

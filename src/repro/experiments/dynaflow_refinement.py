@@ -25,7 +25,6 @@ from argparse import Namespace
 from ..analysis.dataflow import analyze_image_flow
 from ..analysis.reachability import refine_removal_set
 from ..core import BlockMode, DynaCut, TrapPolicy
-from ..core.dynacut import enclosing_function
 from ..core.verifier import read_verifier_log
 from ..workloads import HttpResponse
 from ..workloads.corpus import CORPORA, DYNALINT_SPEC, Profile, profile, send
@@ -64,14 +63,7 @@ def _dispatcher_entries(profiled: Profile) -> list | None:
     if dispatcher is None:
         return None
     binary = profiled.kernel.binaries[profiled.binary]
-    dispatcher_fn = enclosing_function(
-        binary, binary.symbol_address(dispatcher)
-    )
-    entries = [
-        block for block in profiled.blocks
-        if enclosing_function(binary, block.offset) == dispatcher_fn
-    ]
-    return entries or None
+    return binary.blocks_in_function(dispatcher, profiled.blocks) or None
 
 
 def _flow_summary(image) -> dict:

@@ -110,14 +110,12 @@ def canary_record(
     executor, timeline = rollout_under_traffic(controller, duration_s=duration_s)
     report = executor.report
     return {
-        "mode": "rollout",
         "ok": (
             report.completed
             and timeline.failed_requests == 0
             and not timeline.errors
             and all(i.customized for i in controller.instances)
         ),
-        "fault": None,
         "rollout": report.to_dict(),
         "workload": {
             "total_requests": timeline.total_requests,

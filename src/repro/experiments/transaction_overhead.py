@@ -20,8 +20,8 @@ from argparse import Namespace
 from contextlib import nullcontext
 
 from ..core import BlockMode, CustomizationAborted, DynaCut, TrapPolicy
+from ..criu.costmodel import DEFAULT_COST_MODEL
 from ..faults import FaultPlan
-from ..kernel import Kernel
 from ..workloads.corpus import CORPORA, profile
 from . import Pass, claims
 
@@ -53,7 +53,7 @@ def _session(plan: FaultPlan | None) -> dict:
 
 
 def run(args: Namespace) -> Pass:
-    cost = DynaCut(Kernel()).cost_model
+    cost = DEFAULT_COST_MODEL
     results = {
         "clean": _session(None),
         "retry": _session(

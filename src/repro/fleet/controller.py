@@ -208,18 +208,7 @@ class FleetController:
                     # tracks exactly the new one
                     if feature_name in instance.customized_features:
                         self.rollback_feature(instance, feature_name)
-                    report = instance.engine.disable_feature(
-                        instance.root_pid,
-                        feature,
-                        policy=self.policy.trap_policy_enum,
-                        mode=self.policy.block_mode_enum,
-                        redirect_symbol=(
-                            self.app.redirect_symbol
-                            if self.policy.trap_policy == "redirect"
-                            else None
-                        ),
-                    )
-                    reports.append(report)
+                    reports.append(self._disable(instance, feature))
                     applied.append(feature_name)
             except CustomizationAborted:
                 for feature_name in reversed(applied):
@@ -228,6 +217,19 @@ class FleetController:
                 raise
         instance.state = InstanceState.DRAINED
         return reports
+
+    def _disable(
+        self, instance: FleetInstance, feature: FeatureBlocks
+    ) -> RewriteReport:
+        """Remove ``feature`` from ``instance`` as the policy says."""
+        redirect = self.policy.trap_policy == "redirect"
+        return instance.engine.disable_feature(
+            instance.root_pid,
+            feature,
+            policy=self.policy.trap_policy_enum,
+            mode=self.policy.block_mode_enum,
+            redirect_symbol=self.app.redirect_symbol if redirect else None,
+        )
 
     def rollback_feature(self, instance: FleetInstance, feature_name: str) -> None:
         if feature_name in instance.customized_features:
@@ -422,17 +424,7 @@ class FleetController:
             self.drain(instance)
             with telemetry.label_scope(instance=instance.name):
                 self.rollback_feature(instance, feature_name)
-                report = instance.engine.disable_feature(
-                    instance.root_pid,
-                    narrowed,
-                    policy=self.policy.trap_policy_enum,
-                    mode=self.policy.block_mode_enum,
-                    redirect_symbol=(
-                        self.app.redirect_symbol
-                        if self.policy.trap_policy == "redirect"
-                        else None
-                    ),
-                )
+                report = self._disable(instance, narrowed)
         finally:
             if self.alive(instance):
                 self.rejoin(instance)

@@ -25,7 +25,7 @@ STRATEGIES = ("canary", "rolling")
 #: TERMINATE is deliberately absent: a terminate trap kills a serving
 #: instance, which violates the fleet's availability contract
 TRAP_POLICIES = ("redirect", "verify")
-BLOCK_MODES = ("entry", "all", "wipe")
+BLOCK_MODES = tuple(mode.value for mode in BlockMode)
 DRIFT_ACTIONS = ("reenable", "ignore", "shelve", "recustomize")
 
 
@@ -162,18 +162,11 @@ class FleetPolicy:
 
     @property
     def trap_policy_enum(self) -> TrapPolicy:
-        return {
-            "redirect": TrapPolicy.REDIRECT,
-            "verify": TrapPolicy.VERIFY,
-        }[self.trap_policy]
+        return TrapPolicy(self.trap_policy)
 
     @property
     def block_mode_enum(self) -> BlockMode:
-        return {
-            "entry": BlockMode.ENTRY,
-            "all": BlockMode.ALL,
-            "wipe": BlockMode.WIPE,
-        }[self.block_mode]
+        return BlockMode(self.block_mode)
 
     # ------------------------------------------------------------------
     # declarative round-trip

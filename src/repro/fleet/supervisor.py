@@ -16,7 +16,8 @@ that artifact into an availability mechanism:
    <repro.analysis.lint.lint_checkpoint>` falls back to a **pristine
    respawn** (freshly staged instance, features *not* removed — marked
    degraded for a later re-customization).  Transient restore faults
-   retry with the engine's capped backoff; ``quarantine_limit``
+   retry with the cost model's capped backoff
+   (:func:`~repro.criu.restore.restore_with_retry`); ``quarantine_limit``
    consecutive failed recoveries quarantine the instance until an
    operator :meth:`~FleetSupervisor.reinstate`;
 3. a per-instance **trap-storm circuit breaker** watches the verifier
@@ -40,8 +41,9 @@ from dataclasses import dataclass, field
 
 from .. import faults, telemetry
 from ..analysis.lint import lint_checkpoint
+from ..criu.costmodel import DEFAULT_COST_MODEL
 from ..criu.images import CheckpointImage
-from ..criu.restore import restore_tree
+from ..criu.restore import restore_with_retry
 from ..faults import TransientFault
 from .controller import FleetController, FleetInstance, InstanceState
 from .health import HealthRecord, HealthState
@@ -230,7 +232,7 @@ class FleetSupervisor:
         kernel = controller.kernel
         if record.recovery_failures:
             # capped exponential backoff between consecutive attempts
-            kernel.clock_ns += instance.engine.cost_model.retry_backoff(
+            kernel.clock_ns += DEFAULT_COST_MODEL.retry_backoff(
                 record.recovery_failures
             )
         if controller.alive(instance):
@@ -287,24 +289,18 @@ class FleetSupervisor:
                 f"committed image failed lint: {lint.summary()}",
             )
         kernel.net.release_port(instance.port)
-        failures = 0
-        while True:
-            try:
-                restore_tree(kernel, checkpoint, engine.cost_model)
-                break
-            except TransientFault as fault:
-                failures += 1
-                if failures >= engine.max_attempts:
-                    return RecoveryOutcome(
-                        instance.name, False, "checkpoint-error",
-                        f"restore retry budget exhausted: {fault!r}",
-                    )
-                kernel.clock_ns += engine.cost_model.retry_backoff(failures)
-            except Exception as exc:  # noqa: BLE001 — permanent restore failure
-                return RecoveryOutcome(
-                    instance.name, False, "checkpoint-error",
-                    f"restore failed: {exc!r}",
-                )
+        try:
+            restore_with_retry(kernel, checkpoint)
+        except TransientFault as fault:
+            return RecoveryOutcome(
+                instance.name, False, "checkpoint-error",
+                f"restore retry budget exhausted: {fault!r}",
+            )
+        except Exception as exc:  # noqa: BLE001 — permanent restore failure
+            return RecoveryOutcome(
+                instance.name, False, "checkpoint-error",
+                f"restore failed: {exc!r}",
+            )
         instance.root_pid = checkpoint.root().pid
         return RecoveryOutcome(instance.name, True, "checkpoint")
 

@@ -107,8 +107,8 @@ class HostSocket:
 class Kernel:
     """A complete simulated machine."""
 
-    def __init__(self, config: KernelConfig | None = None):
-        self.config = config or KernelConfig()
+    def __init__(self) -> None:
+        self.config = KernelConfig()
         self.clock_ns = 0
         self.fs = InMemoryFS()
         self.net = NetworkStack()

@@ -83,7 +83,6 @@ class MeshController:
         size_per_shard: int,
         image_root: str = "/tmp/criu/mesh",
         routing: str | None = None,
-        config: KernelConfig | None = None,
     ):
         self.app = get_app(app) if isinstance(app, str) else app
         self.policy = policy
@@ -94,7 +93,7 @@ class MeshController:
             "hash" if self.app.name == "redis" else "spread"
         )
         self.hosts = [
-            Host(index, self.app, policy, size_per_shard, image_root, config)
+            Host(index, self.app, policy, size_per_shard, image_root)
             for index in range(policy.shards)
         ]
         self.clock = MeshClock([host.kernel for host in self.hosts])

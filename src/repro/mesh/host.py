@@ -23,7 +23,7 @@ from .. import telemetry
 from ..fleet.controller import FleetController
 from ..fleet.policy import FleetPolicy
 from ..fleet.supervisor import FleetSupervisor, SupervisorEvent
-from ..kernel.kernel import Kernel, KernelConfig
+from ..kernel.kernel import Kernel
 from .ring import stable_hash
 
 
@@ -41,11 +41,10 @@ class Host:
         policy: FleetPolicy,
         size: int,
         image_root: str = "/tmp/criu/mesh",
-        config: KernelConfig | None = None,
     ):
         self.index = index
         self.name = f"host-{index}"
-        self.kernel = Kernel(config)
+        self.kernel = Kernel()
         # skew each host's boot clock by a few microseconds so no two
         # kernels are bit-identical at spawn (deterministically, per
         # host name — never wall clock)

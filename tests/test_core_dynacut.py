@@ -328,3 +328,124 @@ class TestImagesAreNeverMutated:
         for name, digest in remembered.items():
             assert content_digest(kernel.binaries[name]) == digest, name
 
+
+
+#: every removal recipe a caller runs, as (recipe, keyword arguments)
+_PIN_RECIPES = {
+    "redirect-entry": ("disable", dict(
+        policy=TrapPolicy.REDIRECT, mode=BlockMode.ENTRY,
+        redirect_symbol="redis_unknown_cmd")),
+    "redirect-all": ("disable", dict(
+        policy=TrapPolicy.REDIRECT, mode=BlockMode.ALL,
+        redirect_symbol="redis_unknown_cmd")),
+    "redirect-wipe": ("disable", dict(
+        policy=TrapPolicy.REDIRECT, mode=BlockMode.WIPE,
+        redirect_symbol="redis_unknown_cmd")),
+    # the rewrite-churn benchmark's call
+    "verify-entry-refine-prove": ("disable", dict(
+        policy=TrapPolicy.VERIFY, mode=BlockMode.ENTRY, refine=True,
+        prove=True)),
+    "verify-all": ("disable", dict(
+        policy=TrapPolicy.VERIFY, mode=BlockMode.ALL)),
+    "verify-all-refine": ("disable", dict(
+        policy=TrapPolicy.VERIFY, mode=BlockMode.ALL, refine=True,
+        dispatcher_symbol="dispatch")),
+    "verify-wipe-refine-prove": ("disable", dict(
+        policy=TrapPolicy.VERIFY, mode=BlockMode.WIPE, refine=True,
+        prove=True, dispatcher_symbol="dispatch")),
+    "verify-wipe-refine": ("disable", dict(
+        policy=TrapPolicy.VERIFY, mode=BlockMode.WIPE, refine=True,
+        dispatcher_symbol="dispatch")),
+    "terminate-all": ("disable", dict(
+        policy=TrapPolicy.TERMINATE, mode=BlockMode.ALL)),
+    "init-wipe": ("init", dict(wipe=True)),
+    "init-wipe-refine": ("init", dict(wipe=True, refine=True)),
+    "init-verify": ("init", dict(verify=True)),
+}
+
+#: sha-256 prefixes of each recipe's rewriter-call log (JSON): a new
+#: digest means the recipe now writes different patches into the image
+_PIN_DIGESTS = {
+    "redirect-entry": "7feec57b11513a83",
+    "redirect-all": "8477ff52907fcefa",
+    "redirect-wipe": "8dce69cbacec6f27",
+    "verify-entry-refine-prove": "c7633bf216e98004",
+    "verify-all": "1a530cfb4e96ff8b",
+    "verify-all-refine": "a983d4c70368d47e",
+    "verify-wipe-refine-prove": "4562f9958857344d",
+    "verify-wipe-refine": "b5d45ef9ca269d4d",
+    "terminate-all": "3985899b54c85f1a",
+    "init-wipe": "95236b8f24e5ce46",
+    "init-wipe-refine": "5297fa19f7ef28b6",
+    "init-verify": "e69642782dc86250",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_redis():
+    """miniredis profiled with a thin wanted set (init traced too), so
+    the feature over-claims and refinement has suspects to drop."""
+    from repro.workloads.corpus import CORPORA, profile
+
+    return profile(CORPORA["dynalint-redis"])
+
+
+class TestRecipePin:
+    """The rewriter calls of each removal recipe, pinned by digest:
+    their order, block offsets, redirect table and original-byte
+    table."""
+
+    @staticmethod
+    def _record(monkeypatch) -> list:
+        import inspect
+
+        from repro.core.rewriter import ImageRewriter
+
+        log: list = []
+
+        def recording(method, original):
+            signature = inspect.signature(original)
+
+            def recorder(self, *args, **kwargs):
+                bound = signature.bind(self, *args, **kwargs).arguments
+                if method == "install_trap_handler":
+                    log.append([
+                        method, bound["policy"],
+                        [list(e) for e in bound.get("redirect_entries") or []],
+                        [list(e) for e in bound.get("orig_entries") or []],
+                    ])
+                else:
+                    log.append([method, bound["module"],
+                                [block.offset for block in bound["blocks"]]])
+                return original(self, *args, **kwargs)
+            return recorder
+
+        for method in ("wipe_blocks", "block_entry_int3",
+                       "install_trap_handler"):
+            monkeypatch.setattr(ImageRewriter, method, recording(
+                method, getattr(ImageRewriter, method)))
+        return log
+
+    @pytest.mark.parametrize("name", list(_PIN_RECIPES))
+    def test_rewriter_calls_match_the_pin(self, name, pinned_redis, monkeypatch):
+        import hashlib
+        import json
+
+        profiled = pinned_redis
+        recipe, kwargs = _PIN_RECIPES[name]
+        dynacut = DynaCut(profiled.kernel)
+        pid = profiled.root.pid
+        log = self._record(monkeypatch)
+        if recipe == "disable":
+            dynacut.disable_feature(pid, profiled.feature, **kwargs)
+        else:
+            dynacut.remove_init_code(
+                pid, profiled.binary, list(profiled.init_report.init_only),
+                **kwargs,
+            )
+        calls = list(log)
+        if recipe == "disable":
+            dynacut.enable_feature(pid, profiled.feature)
+        digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()[:16]
+        assert calls
+        assert digest == _PIN_DIGESTS[name], (name, calls)

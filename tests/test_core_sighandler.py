@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import build_handler_library
 from repro.core.covgraph import bytes_to_ranges
-from repro.core.dynacut import enclosing_function
 from repro.core.sighandler import (
     HANDLER_SYMBOL,
     LOG_COUNT_SYMBOL,
@@ -56,17 +55,38 @@ class TestHandlerLibrary:
 
 
 class TestEnclosingFunction:
+    """:meth:`SelfImage.function_at`: each function runs until the next
+    function symbol starts, and the last one never ends."""
+
     def test_finds_containing_function(self, redis_binary):
         addr = redis_binary.symbol_address("cmd_set")
-        assert enclosing_function(redis_binary, addr) == "cmd_set"
-        assert enclosing_function(redis_binary, addr + 5) == "cmd_set"
+        assert redis_binary.function_at(addr) == "cmd_set"
+        assert redis_binary.function_at(addr + 5) == "cmd_set"
 
     def test_before_first_function_is_none(self, redis_binary):
-        assert enclosing_function(redis_binary, 0) is None
+        assert redis_binary.function_at(0) is None
+        first, __ = redis_binary.function_table[0]
+        assert redis_binary.function_at(first - 1) is None
 
     def test_markers_are_not_functions(self, redis_binary):
         marker = redis_binary.symbol_address("redis_unknown_cmd")
-        assert enclosing_function(redis_binary, marker) == "dispatch"
+        assert redis_binary.function_at(marker) == "dispatch"
+
+    def test_plt_stub_belongs_to_the_last_function(self, redis_binary):
+        stub = redis_binary.plt_entries["accept"]
+        assert redis_binary.function_table[-1] < (stub, "")
+        assert redis_binary.function_at(stub + 1) == "main"
+
+    def test_past_the_last_block_is_the_last_function(self, redis_binary):
+        __, text_end = redis_binary.text_range()
+        assert redis_binary.function_at(text_end) == "main"
+        assert redis_binary.function_at(text_end + 0x10000) == "main"
+
+    def test_table_is_sorted_and_built_once(self, redis_binary):
+        table = redis_binary.function_table
+        assert list(table) == sorted(table)
+        assert {name for __, name in table} == set(redis_binary.functions())
+        assert redis_binary.function_table is table
 
 
 class TestBytesToRanges:

@@ -25,11 +25,13 @@ from repro.core import (
     TrapPolicy,
     TxJournal,
 )
+from repro.core.dynacut import MAX_ATTEMPTS
 from repro.core.transaction import (
     PHASE_COMMITTED,
     PHASE_RETRYING,
     PHASE_ROLLED_BACK,
 )
+from repro.criu import DEFAULT_COST_MODEL
 from repro.criu.images import CheckpointImage
 from repro.faults import FaultPlan, TransientFault
 from repro.kernel import Kernel
@@ -199,7 +201,7 @@ class TestTransientRetry:
         retrying = [e for e in journal.entries if e.phase == PHASE_RETRYING]
         assert len(retrying) == 1
         assert retrying[0].note == (
-            f"backoff={dynacut.cost_model.retry_backoff(1)}ns"
+            f"backoff={DEFAULT_COST_MODEL.retry_backoff(1)}ns"
         )
 
     def test_retry_is_deterministic(self):
@@ -231,7 +233,7 @@ class TestTransientRetry:
                 dynacut.customize(proc.pid, lambda rw: None)
         assert isinstance(excinfo.value.__cause__, TransientFault)
         assert excinfo.value.__cause__.site == "restore.memory"
-        assert excinfo.value.report.attempts == dynacut.max_attempts
+        assert excinfo.value.report.attempts == MAX_ATTEMPTS
         assert plan.fired == 3
         # the service rolled back and keeps serving
         assert dynacut.restored_process(proc.pid).alive

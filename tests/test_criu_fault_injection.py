@@ -23,6 +23,7 @@ from repro.criu import (
 )
 from repro.apps import REDIS_PORT, stage_redis
 from repro.core import CustomizationAborted, DynaCut
+from repro.core.dynacut import MAX_ATTEMPTS
 from repro.faults import (
     FaultPlan,
     InjectedFault,
@@ -216,8 +217,8 @@ class TestTypedFaultTaxonomy:
         chain = excinfo.value.__cause__
         assert isinstance(chain, TransientFault)
         assert chain.site == "checkpoint.dump_pages"
-        assert excinfo.value.report.attempts == dynacut.max_attempts
-        assert plan.fired == dynacut.max_attempts
+        assert excinfo.value.report.attempts == MAX_ATTEMPTS
+        assert plan.fired == MAX_ATTEMPTS
         # dump faults never destroy the tree: the service kept running
         assert proc.alive
         assert RedisClient(kernel, REDIS_PORT).ping()
