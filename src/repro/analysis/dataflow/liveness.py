@@ -27,7 +27,7 @@ from ...binfmt.self_format import SelfImage
 from ..cfg import ControlFlowGraph, image_analyses, image_cfg
 from .framework import DataflowProblem, Direction, solve
 from .regions import RegionMap
-from .valueset import CALLER_SAVED, FP, SP
+from .valueset import CALLER_SAVED, SP
 
 RegSet = frozenset[int]
 

@@ -25,6 +25,8 @@ from ..kernel.process import Process
 
 #: probes a byte-by-byte canary brute force needs to be viable
 PROBES_REQUIRED = 8
+#: instructions one probe may run while waiting for a worker to change
+PROBE_MAX_INSTRUCTIONS = 4_000_000
 
 
 def _crash_request() -> str:
@@ -56,7 +58,6 @@ def run_brop(
     master: Process,
     port: int,
     probes: int = PROBES_REQUIRED,
-    max_instructions_per_probe: int = 4_000_000,
 ) -> BropResult:
     """Throw ``probes`` crash probes; stop early if the service dies."""
     crashed = 0
@@ -77,13 +78,13 @@ def run_brop(
             now = {proc.pid for proc in live_workers(kernel, master.pid)}
             return now != before or not master.alive
 
-        kernel.run_until(worker_changed, max_instructions=max_instructions_per_probe)
+        kernel.run_until(worker_changed, max_instructions=PROBE_MAX_INSTRUCTIONS)
         sock.close()
         # let the master react: it either respawns a worker or dies trying
         # (wiped fork path); bounded by the probe budget otherwise
         kernel.run_until(
             lambda: bool(live_workers(kernel, master.pid)) or not master.alive,
-            max_instructions=max_instructions_per_probe,
+            max_instructions=PROBE_MAX_INSTRUCTIONS,
         )
         after = {proc.pid for proc in live_workers(kernel, master.pid)}
         died = before - after

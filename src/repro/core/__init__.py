@@ -2,7 +2,7 @@
 
 from .covgraph import CoverageGraph
 from .tracediff import (
-    DEFAULT_LIBRARY_SUFFIXES,
+    LIBRARY_SUFFIXES,
     FeatureBlocks,
     TraceDiff,
     tracediff,
@@ -69,7 +69,6 @@ __all__ = [
     "specialization_report",
     "CoverageGraph",
     "CustomizationAborted",
-    "DEFAULT_LIBRARY_SUFFIXES",
     "DebloatResult",
     "DynaCut",
     "FeatureBlocks",
@@ -79,6 +78,7 @@ __all__ = [
     "ImageRewriter",
     "InitPhaseReport",
     "JournalEntry",
+    "LIBRARY_SUFFIXES",
     "POLICY_REDIRECT",
     "POLICY_TERMINATE",
     "POLICY_VERIFY",

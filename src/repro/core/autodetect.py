@@ -27,27 +27,21 @@ if TYPE_CHECKING:
     from ..kernel.process import Process
 
 #: syscalls that mean "the server is now waiting for clients"
-DEFAULT_TRANSITION_SYSCALLS = frozenset({int(Sys.ACCEPT), int(Sys.POLL)})
+TRANSITION_SYSCALLS = frozenset({int(Sys.ACCEPT), int(Sys.POLL)})
 
 
 class AutoNudgeTracer(BlockTracer):
     """A block tracer that nudges itself at the init/serving boundary.
 
     After the traced process has issued ``listen``, the first
-    transition syscall (``accept`` or ``poll`` by default) dumps the
+    transition syscall (``accept`` or ``poll``) dumps the
     coverage collected so far into :attr:`init_trace` and starts the
     serving-phase trace — the automated equivalent of the operator
     watching for the ready line.
     """
 
-    def __init__(
-        self,
-        kernel: "Kernel",
-        proc: "Process",
-        transition_syscalls: frozenset[int] = DEFAULT_TRANSITION_SYSCALLS,
-    ):
+    def __init__(self, kernel: "Kernel", proc: "Process"):
         super().__init__(kernel, proc)
-        self.transition_syscalls = transition_syscalls
         self.init_trace: CoverageTrace | None = None
         self._listening = False
 
@@ -64,12 +58,12 @@ class AutoNudgeTracer(BlockTracer):
         # from a forking master (the Nginx worker case); poll is only a
         # transition once this process is known to be a server
         waiting_for_clients = number == int(Sys.ACCEPT) or (
-            self._listening and number in self.transition_syscalls
+            self._listening and number in TRANSITION_SYSCALLS
         )
         if (
             self.init_trace is None
             and waiting_for_clients
-            and number in self.transition_syscalls
+            and number in TRANSITION_SYSCALLS
         ):
             # the boundary syscall itself belongs to the serving phase
             self.trace.syscalls.discard(number)

@@ -73,16 +73,6 @@ class RewriteStats:
     inject_ns: int = 0
     unmap_ns: int = 0
 
-    def merge(self, other: "RewriteStats") -> None:
-        self.blocks_patched += other.blocks_patched
-        self.blocks_restored += other.blocks_restored
-        self.bytes_wiped += other.bytes_wiped
-        self.pages_unmapped += other.pages_unmapped
-        self.libraries_injected += other.libraries_injected
-        self.patch_ns += other.patch_ns
-        self.inject_ns += other.inject_ns
-        self.unmap_ns += other.unmap_ns
-
 
 @dataclass
 class HandlerPlacement:

@@ -13,13 +13,13 @@ application binary while library code is shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..tracing.drcov import BlockRecord, CoverageTrace
 from .covgraph import CoverageGraph
 
-#: module names treated as shared libraries by default
-DEFAULT_LIBRARY_SUFFIXES = (".so",)
+#: module names treated as shared libraries
+LIBRARY_SUFFIXES = (".so",)
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,9 @@ class FeatureBlocks:
 
 @dataclass
 class TraceDiff:
-    """Configurable trace differ (the ``tracediff.py`` CLI object)."""
+    """Trace differ for one target module (the ``tracediff.py`` CLI object)."""
 
     target_module: str
-    library_suffixes: tuple[str, ...] = DEFAULT_LIBRARY_SUFFIXES
-    extra_excluded_modules: set[str] = field(default_factory=set)
-
-    def _is_library(self, module: str) -> bool:
-        if module in self.extra_excluded_modules:
-            return True
-        return any(module.endswith(suffix) for suffix in self.library_suffixes)
 
     def feature_blocks(
         self,
@@ -81,7 +74,7 @@ class TraceDiff:
         by the wanted coverage — each block is trimmed to its unique
         prefix and dropped entirely when its entry byte is shared.
         """
-        if self._is_library(self.target_module):
+        if self.target_module.endswith(LIBRARY_SUFFIXES):
             return FeatureBlocks(name, self.target_module, ())
         wanted_graph = CoverageGraph.from_traces(*wanted)
         undesired_graph = CoverageGraph.from_traces(*undesired)

@@ -22,6 +22,9 @@ from ..tracing.drcov import BlockRecord
 from . import sighandler
 from .rewriter import handler_library
 
+#: verify-and-refine rounds :func:`validate_removal` runs at most
+VALIDATION_ROUNDS = 3
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -91,7 +94,6 @@ def validate_removal(
     module: str,
     blocks: list[BlockRecord],
     exercise,
-    max_rounds: int = 3,
 ) -> tuple[list[BlockRecord], list[VerificationReport]]:
     """The full §3.2.3 workflow: verify, refine, repeat until clean.
 
@@ -104,7 +106,7 @@ def validate_removal(
     kernel = dynacut.kernel
     current = list(blocks)
     reports: list[VerificationReport] = []
-    for __ in range(max_rounds):
+    for __ in range(VALIDATION_ROUNDS):
         dynacut.remove_init_code(root_pid, module, current, verify=True)
         proc = dynacut.restored_process(root_pid)
         exercise()

@@ -39,6 +39,7 @@ from ..fleet import (
     RolloutExecutor,
     inject_chaos,
 )
+from ..fleet.supervisor import SUSPECT_THRESHOLD
 from ..kernel import Kernel
 from ..telemetry import TelemetryHub
 from ..workloads import (
@@ -123,11 +124,11 @@ def run_seed(seed: int, hub: TelemetryHub) -> dict:
 
     plan = FaultPlan(seed=seed)
     if scenario == "wedge":
-        # every probe hangs for `suspect_threshold` consecutive ticks:
+        # every probe hangs for SUSPECT_THRESHOLD consecutive ticks:
         # the whole fleet walks to DOWN and must recover, processes alive
         plan.arm(
             "fleet.probe_hang", "transient", probability=1.0,
-            times=SIZE * policy.suspect_threshold,
+            times=SIZE * SUSPECT_THRESHOLD,
         )
     else:
         _arm_scenario(plan, scenario, rng)

@@ -56,7 +56,6 @@ def _spawn() -> tuple[FleetController, FleetSupervisor]:
         strategy="rolling",
         max_unavailable=2,
         probe_requests=2,
-        trap_storm_threshold=4,
     )
     controller = FleetController(Kernel(), "lighttpd", policy, size=FLEET_SIZE)
     controller.spawn_fleet()

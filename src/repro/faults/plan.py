@@ -23,7 +23,7 @@ plan's :attr:`~FaultPlan.log` for post-hoc assertions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 #: every injection site wired into the pipeline (see docs/transactions.md)

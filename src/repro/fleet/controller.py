@@ -12,11 +12,16 @@ images) and exposes the lifecycle verbs the rollout strategies compose:
 route around it) · ``customize`` → run the policy's feature removals
 through the instance's engine · ``probe`` → closed-loop workload health
 check against the instance's own port · ``rejoin`` → back into rotation
-· ``rollback`` → restore every removed feature's original bytes.
+· ``rollback`` → restore every removed feature's original bytes.  The
+reactions to verifier traps (shelving, decay, recustomization, drift
+re-enables and the breaker's demotion) each run their rewrite inside
+:meth:`FleetController.out_of_rotation`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -118,7 +123,6 @@ class FleetController:
         for feature in self.policy.features:
             self.features[feature] = profile_feature(self.app, feature)
         self.pool = self.kernel.net.register_frontend(self.frontend_port)
-        self.pool.failover_budget = self.policy.failover_budget
         for index in range(self.size):
             port = self.base_port + index
             proc = self.app.stage(self.kernel, port)
@@ -182,6 +186,23 @@ class FleetController:
             InstanceState.FAILED, InstanceState.QUARANTINED
         ):
             instance.state = InstanceState.IN_SERVICE
+
+    @contextmanager
+    def out_of_rotation(self, instance: FleetInstance) -> Iterator[None]:
+        """Drain ``instance`` around the caller's action, then rejoin it.
+
+        The instance rejoins only if its process tree is still alive: an
+        action that killed it (a restore whose pristine rollback failed
+        too) raises as itself and leaves the dead instance out of
+        rotation for the supervisor to recover.  Opens no telemetry
+        label scope; the caller chooses its own.
+        """
+        self.drain(instance)
+        try:
+            yield
+        finally:
+            if self.alive(instance):
+                self.rejoin(instance)
 
     # ------------------------------------------------------------------
     # customization
@@ -364,32 +385,23 @@ class FleetController:
         every offset was already shelved (no transaction).
         """
         feature = self.features[feature_name]
-        try:
-            self.drain(instance)
-            with telemetry.label_scope(instance=instance.name):
-                report = instance.engine.reenable_blocks(
-                    instance.root_pid, feature, offsets, reset_log=True
-                )
-        finally:
-            if self.alive(instance):
-                self.rejoin(instance)
+        with self.out_of_rotation(instance), telemetry.label_scope(
+            instance=instance.name
+        ):
+            report = instance.engine.reenable_blocks(
+                instance.root_pid, feature, offsets, reset_log=True
+            )
         self.sync_traps(instance)
         return report
 
-    def decay_shelved(
-        self,
-        instance: FleetInstance,
-        feature_name: str,
-        decay_ns: int | None = None,
-    ):
+    def decay_shelved(self, instance: FleetInstance, feature_name: str):
         """Re-remove one feature's cold shelved blocks on one instance.
 
         Peeks at the shelf first and opens no transaction (and does not
-        drain) when nothing has been cold for ``decay_ns`` (default:
-        the policy's ``shelve_decay_ns``).  Returns the re-removed
-        blocks.
+        drain) when nothing has been cold for the policy's
+        ``shelve_decay_ns``.  Returns the re-removed blocks.
         """
-        decay = self.policy.shelve_decay_ns if decay_ns is None else decay_ns
+        decay = self.policy.shelve_decay_ns
         engine = instance.engine
         shelf = engine.shelved_blocks(instance.root_pid, feature_name)
         if not any(
@@ -398,14 +410,10 @@ class FleetController:
         ):
             return []
         feature = self.features[feature_name]
-        try:
-            self.drain(instance)
-            with telemetry.label_scope(instance=instance.name):
-                cold = engine.decay_shelved(instance.root_pid, feature, decay)
-        finally:
-            if self.alive(instance):
-                self.rejoin(instance)
-        return cold
+        with self.out_of_rotation(instance), telemetry.label_scope(
+            instance=instance.name
+        ):
+            return engine.decay_shelved(instance.root_pid, feature, decay)
 
     def recustomize_feature(
         self,
@@ -420,14 +428,11 @@ class FleetController:
         policy — all under a drain.  The fresh handler install resets
         the trap log, so the drift mark is re-synced afterwards.
         """
-        try:
-            self.drain(instance)
-            with telemetry.label_scope(instance=instance.name):
-                self.rollback_feature(instance, feature_name)
-                report = self._disable(instance, narrowed)
-        finally:
-            if self.alive(instance):
-                self.rejoin(instance)
+        with self.out_of_rotation(instance), telemetry.label_scope(
+            instance=instance.name
+        ):
+            self.rollback_feature(instance, feature_name)
+            report = self._disable(instance, narrowed)
         self.sync_traps(instance)
         return report
 

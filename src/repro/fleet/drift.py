@@ -266,12 +266,9 @@ class DriftDetector:
             ]
             if not restored:
                 continue
-            controller.drain(instance)
-            try:
+            with controller.out_of_rotation(instance):
                 for feature_name in restored:
                     controller.rollback_feature(instance, feature_name)
-            finally:
-                controller.rejoin(instance)
             self.status.reenabled.append(instance.name)
 
     # ------------------------------------------------------------------
@@ -315,12 +312,8 @@ class DriftDetector:
         again and is marked degraded.
         """
         controller = self.controller
-        controller.drain(instance)
-        try:
+        with controller.out_of_rotation(instance):
             controller.rollback_feature(instance, feature_name)
-        finally:
-            if controller.alive(instance):
-                controller.rejoin(instance)
         controller.sync_traps(instance)
         instance.degraded = True
         if instance.name not in self.status.escalated:

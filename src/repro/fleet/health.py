@@ -174,16 +174,3 @@ class HealthRecord:
         self.recovery_failures = 0
         self.consecutive_probe_failures = 0
         self._transition(clock_ns, HealthState.DOWN)
-
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "state": self.state.value,
-            "consecutive_probe_failures": self.consecutive_probe_failures,
-            "recovery_failures": self.recovery_failures,
-            "transitions": [
-                {"clock_ns": t, "state": s.value} for t, s in self.history
-            ],
-        }

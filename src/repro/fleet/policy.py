@@ -3,19 +3,19 @@
 A :class:`FleetPolicy` is the operator-facing contract for a rollout:
 *what* to remove (feature names resolved by the app adapter's profiling
 recipe), *how* blocked code should behave (trap policy and block mode),
-*how* the change spreads over the fleet (strategy, canary size,
-``max_unavailable`` budget, health-gate thresholds), and *when* the
-fleet must adapt again (coverage-drift window and threshold).
+*how* the change spreads over the fleet (strategy, ``max_unavailable``
+budget, health-probe size), and *when* the fleet must adapt again
+(coverage-drift window and threshold).
 
-Policies are plain data: they validate on construction and round-trip
-through :meth:`to_dict` / :meth:`from_dict`, so they can live in config
-files and CLI flags.  The paper's one-process verifier mode is promoted
-here to fleet policy — drift handling is a field, not an ad-hoc script.
+Policies are plain data that validate on construction and serialise
+through :meth:`to_dict`.  The paper's one-process verifier mode is
+promoted here to fleet policy — drift handling is a field, not an
+ad-hoc script.  Settings that every fleet shares are module constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 from ..core import BlockMode, TrapPolicy
 
@@ -27,6 +27,11 @@ STRATEGIES = ("canary", "rolling")
 TRAP_POLICIES = ("redirect", "verify")
 BLOCK_MODES = tuple(mode.value for mode in BlockMode)
 DRIFT_ACTIONS = ("reenable", "ignore", "shelve", "recustomize")
+
+#: fraction of probe requests that must succeed to pass the health gate
+#: (under "redirect" the gate also requires every removed feature to be
+#: really blocked on the customized instance)
+PROBE_MIN_SUCCESS = 1.0
 
 
 class PolicyError(ValueError):
@@ -49,11 +54,6 @@ class FleetPolicy:
     max_unavailable: int = 1
     #: wanted requests the health probe sends per customized instance
     probe_requests: int = 6
-    #: fraction of probe requests that must succeed to pass the gate
-    probe_min_success: float = 1.0
-    #: with "redirect", the gate also requires removed features to be
-    #: actually blocked on the customized instance
-    probe_check_blocked: bool = True
     #: drift: traps on the active removal set within the window...
     drift_window_ns: int = 10 * SECOND_NS
     #: ...needed to declare coverage drift and trigger the action
@@ -71,16 +71,6 @@ class FleetPolicy:
     shelve_max_live_blocks: int = 8
     #: supervision: minimum virtual time between supervisor heartbeats
     heartbeat_interval_ns: int = SECOND_NS
-    #: consecutive failed probes before SUSPECT becomes DOWN
-    suspect_threshold: int = 2
-    #: consecutive failed recoveries before an instance is quarantined
-    quarantine_limit: int = 3
-    #: extra backends one balanced connect may try after a dead pick
-    failover_budget: int = 1
-    #: trap-storm circuit breaker: removal-set traps within this window...
-    trap_storm_window_ns: int = 5 * SECOND_NS
-    #: ...needed to demote the trapping instance (re-enable locally)
-    trap_storm_threshold: int = 4
     #: mesh: number of hosts (kernels) the fleet is sharded over; 1 is
     #: the classic single-kernel fleet
     shards: int = 1
@@ -89,7 +79,7 @@ class FleetPolicy:
     ring_replicas: int = 8
     #: mesh: extra hosts one frontend dispatch may try after landing on
     #: a down host (0 = shed immediately; the cross-host analogue of
-    #: ``failover_budget``)
+    #: the intra-host ``BackendPool.failover_budget``)
     host_failover_budget: int = 1
 
     def __post_init__(self) -> None:
@@ -117,8 +107,6 @@ class FleetPolicy:
             raise PolicyError("max_unavailable must be >= 1")
         if self.probe_requests < 1:
             raise PolicyError("probe_requests must be >= 1")
-        if not 0.0 < self.probe_min_success <= 1.0:
-            raise PolicyError("probe_min_success must be in (0, 1]")
         if self.drift_window_ns <= 0:
             raise PolicyError("drift_window_ns must be positive")
         if self.drift_trap_threshold < 1:
@@ -134,16 +122,6 @@ class FleetPolicy:
             raise PolicyError("shelve_max_live_blocks must be >= 1")
         if self.heartbeat_interval_ns <= 0:
             raise PolicyError("heartbeat_interval_ns must be positive")
-        if self.suspect_threshold < 1:
-            raise PolicyError("suspect_threshold must be >= 1")
-        if self.quarantine_limit < 1:
-            raise PolicyError("quarantine_limit must be >= 1")
-        if self.failover_budget < 0:
-            raise PolicyError("failover_budget must be >= 0")
-        if self.trap_storm_window_ns <= 0:
-            raise PolicyError("trap_storm_window_ns must be positive")
-        if self.trap_storm_threshold < 1:
-            raise PolicyError("trap_storm_threshold must be >= 1")
         if self.shards < 1:
             raise PolicyError(
                 f"shards must be >= 1 (a mesh needs at least one host; "
@@ -169,24 +147,12 @@ class FleetPolicy:
         return BlockMode(self.block_mode)
 
     # ------------------------------------------------------------------
-    # declarative round-trip
+    # reporting (the fleet status echoes the policy)
 
     def to_dict(self) -> dict:
         payload = asdict(self)
         payload["features"] = list(self.features)
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FleetPolicy":
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise PolicyError(
-                f"unknown policy keys: {', '.join(sorted(unknown))}"
-            )
-        if "features" not in payload:
-            raise PolicyError("policy needs a 'features' list")
-        return cls(**payload)
 
 
 @dataclass
@@ -206,9 +172,9 @@ class ProbeResult:
         return self.succeeded / self.sent if self.sent else 0.0
 
     def passed(self, policy: FleetPolicy) -> bool:
-        if self.success_rate < policy.probe_min_success:
+        if self.success_rate < PROBE_MIN_SUCCESS:
             return False
-        if policy.probe_check_blocked and policy.trap_policy == "redirect":
+        if policy.trap_policy == "redirect":
             if not all(self.features_blocked.get(f, False) for f in policy.features):
                 return False
         return True

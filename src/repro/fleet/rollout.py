@@ -12,9 +12,9 @@ flowing between batches:
                   ▼ CustomizationAborted       ▼ gate fail
                 ABORTED ◀──── roll back every customized instance
 
-* **canary** — customize ``canary_count`` (=1) instances first; a
-  health-gate failure or a :class:`~repro.core.CustomizationAborted`
-  from the transaction layer halts everything and rolls back.
+* **canary** — customize one instance first; a health-gate failure or
+  a :class:`~repro.core.CustomizationAborted` from the transaction
+  layer halts everything and rolls back.
 * **rolling** — customize the (remaining) fleet in batches of
   ``max_unavailable``: the whole batch is drained together (never more
   than the budget out of rotation), each instance is customized, health
@@ -98,26 +98,25 @@ class RolloutReport:
 class RolloutExecutor:
     """Drives one policy rollout across a spawned fleet."""
 
-    def __init__(self, controller: FleetController, canary_count: int = 1):
+    def __init__(self, controller: FleetController):
         self.controller = controller
         self.policy = controller.policy
         self.report = RolloutReport(strategy=self.policy.strategy)
-        self._batches = self._plan(canary_count)
+        self._batches = self._plan()
         self._cursor = 0
 
     # ------------------------------------------------------------------
     # planning
 
-    def _plan(self, canary_count: int) -> list[list[FleetInstance]]:
+    def _plan(self) -> list[list[FleetInstance]]:
         instances = list(self.controller.instances)
         if not instances:
             raise ValueError("spawn the fleet before planning a rollout")
         batches: list[list[FleetInstance]] = []
         rest = instances
         if self.policy.strategy == "canary":
-            canary_count = max(1, min(canary_count, len(instances)))
-            batches.append(instances[:canary_count])
-            rest = instances[canary_count:]
+            batches.append(instances[:1])
+            rest = instances[1:]
         width = self.policy.max_unavailable
         batches.extend(
             rest[index:index + width] for index in range(0, len(rest), width)

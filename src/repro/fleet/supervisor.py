@@ -7,7 +7,7 @@ that artifact into an availability mechanism:
 1. a **heartbeat** (:meth:`FleetSupervisor.tick`, gated by the policy's
    ``heartbeat_interval_ns``) checks each instance: a dead process tree
    goes straight to DOWN, a live one is probed with one wanted request
-   and walks HEALTHY → SUSPECT → DOWN after ``suspect_threshold``
+   and walks HEALTHY → SUSPECT → DOWN after :data:`SUSPECT_THRESHOLD`
    consecutive failures (the *wedged* case);
 2. a DOWN instance is **recovered** by restoring its last committed
    checkpoint image — the customized tree comes back with its removal
@@ -17,17 +17,18 @@ that artifact into an availability mechanism:
    respawn** (freshly staged instance, features *not* removed — marked
    degraded for a later re-customization).  Transient restore faults
    retry with the cost model's capped backoff
-   (:func:`~repro.criu.restore.restore_with_retry`); ``quarantine_limit``
-   consecutive failed recoveries quarantine the instance until an
-   operator :meth:`~FleetSupervisor.reinstate`;
+   (:func:`~repro.criu.restore.restore_with_retry`);
+   :data:`QUARANTINE_LIMIT` consecutive failed recoveries quarantine the
+   instance until an operator :meth:`~FleetSupervisor.reinstate`;
 3. a per-instance **trap-storm circuit breaker** watches the verifier
    trap log through the same
    :meth:`~repro.fleet.controller.FleetController.scan_traps` as the
    fleet-wide :class:`~repro.fleet.drift.DriftDetector`, but reacts
    locally:
-   a windowed burst of traps on the removal set demotes *that instance
-   only* — drain, re-enable the features, rejoin degraded — instead of
-   giving the feature back fleet-wide.
+   :data:`TRAP_STORM_THRESHOLD` traps on the removal set within
+   :data:`TRAP_STORM_WINDOW_NS` demote *that instance only* — drain,
+   re-enable the features, rejoin degraded — instead of giving the
+   feature back fleet-wide.
 
 Chaos campaigns drive all of this through the seeded
 ``fleet.instance_crash`` / ``fleet.restore_image_corrupt`` /
@@ -37,7 +38,7 @@ Chaos campaigns drive all of this through the seeded
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import faults, telemetry
 from ..analysis.lint import lint_checkpoint
@@ -47,6 +48,16 @@ from ..criu.restore import restore_with_retry
 from ..faults import TransientFault
 from .controller import FleetController, FleetInstance, InstanceState
 from .health import HealthRecord, HealthState
+from .policy import SECOND_NS
+
+#: consecutive failed probes before SUSPECT becomes DOWN
+SUSPECT_THRESHOLD = 2
+#: consecutive failed recoveries before an instance is quarantined
+QUARANTINE_LIMIT = 3
+#: trap-storm circuit breaker: removal-set traps within this window...
+TRAP_STORM_WINDOW_NS = 5 * SECOND_NS
+#: ...needed to demote the trapping instance (re-enable locally)
+TRAP_STORM_THRESHOLD = 4
 
 
 @dataclass(frozen=True)
@@ -154,7 +165,7 @@ class FleetSupervisor:
             out[instance.name] = {
                 "trips": self.breaker_trips.get(instance.name, 0),
                 "window_hits": sum(h for __, h in window),
-                "threshold": self.policy.trap_storm_threshold,
+                "threshold": TRAP_STORM_THRESHOLD,
                 "degraded": instance.degraded,
             }
         return out
@@ -201,7 +212,7 @@ class FleetSupervisor:
             record.observe_ok(kernel.clock_ns)
             self._check_trap_storm(instance)
             return
-        record.observe_failure(kernel.clock_ns, self.policy.suspect_threshold)
+        record.observe_failure(kernel.clock_ns, SUSPECT_THRESHOLD)
         self._event(
             instance,
             "probe-failed",
@@ -260,7 +271,7 @@ class FleetSupervisor:
             record.restore_succeeded(kernel.clock_ns)
             self._event(instance, "recovered", f"source={outcome.source}")
             return
-        record.restore_failed(kernel.clock_ns, self.policy.quarantine_limit)
+        record.restore_failed(kernel.clock_ns, QUARANTINE_LIMIT)
         if record.state is HealthState.QUARANTINED:
             instance.state = InstanceState.QUARANTINED
             self._event(instance, "quarantined", outcome.note)
@@ -347,9 +358,9 @@ class FleetSupervisor:
             for feature_name, offsets in hits.items():
                 pending.setdefault(feature_name, set()).update(offsets)
             window.append((now, sum(map(len, hits.values()))))
-        horizon = now - self.policy.trap_storm_window_ns
+        horizon = now - TRAP_STORM_WINDOW_NS
         window[:] = [(t, h) for t, h in window if t >= horizon]
-        if sum(h for __, h in window) < self.policy.trap_storm_threshold:
+        if sum(h for __, h in window) < TRAP_STORM_THRESHOLD:
             return
         if self.policy.drift_action == "shelve":
             self._shelve_storm(instance)
@@ -390,11 +401,8 @@ class FleetSupervisor:
     def _demote(self, instance: FleetInstance) -> None:
         """Re-enable the features on this instance only; mark degraded."""
         controller = self.controller
-        controller.drain(instance)
-        try:
+        with controller.out_of_rotation(instance):
             restored = controller.rollback(instance)
-        finally:
-            controller.rejoin(instance)
         instance.degraded = True
         self._storm_pending.pop(instance.name, None)
         self.breaker_trips[instance.name] = (
@@ -404,28 +412,6 @@ class FleetSupervisor:
         self._event(
             instance, "demoted", f"reenabled={','.join(restored) or 'none'}"
         )
-
-    # ------------------------------------------------------------------
-    # reporting
-
-    def report(self) -> dict:
-        return {
-            "ticks": self.ticks,
-            "settled": self.settled,
-            "health": {
-                name: record.to_dict() for name, record in self.records.items()
-            },
-            "events": [event.to_dict() for event in self.events],
-            "recoveries": [
-                {
-                    "instance": o.instance,
-                    "succeeded": o.succeeded,
-                    "source": o.source,
-                    "note": o.note,
-                }
-                for o in self.recoveries
-            ],
-        }
 
 
 # ----------------------------------------------------------------------

@@ -45,11 +45,10 @@ class NoBackendAvailable(NetworkError):
 class MemberPool:
     """Round-robin selection with drain/down state and bounded failover.
 
-    Selection (:meth:`pick`) and dispatch (:meth:`route`) are split the
-    same way ``NetworkStack._pick_backend`` / ``_route`` always were:
-    picking consults only the pool's *view* (in-service members that
-    pass ``live``), while routing additionally verifies ``healthy`` and
-    converts a stale pick into a recorded, budget-bounded failover.
+    Picking (:meth:`pick`) consults only the pool's *view* (in-service
+    members that pass ``live``), while routing (:meth:`route`)
+    additionally verifies ``healthy`` and converts a stale pick into a
+    recorded, budget-bounded failover.
     """
 
     def __init__(

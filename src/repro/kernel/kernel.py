@@ -420,8 +420,3 @@ class Kernel:
             for proc in runnable:
                 executed += self.cpu.run_quantum(proc, budget)
         return not self.runnable_processes()
-
-    # ------------------------------------------------------------------
-
-    def stdout_of(self, pid: int) -> str:
-        return self.processes[pid].stdout_text()

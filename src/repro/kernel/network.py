@@ -253,17 +253,6 @@ class NetworkStack:
             return None
         return listener
 
-    def _pick_backend(self, pool: BackendPool) -> int:
-        """Next in-service backend with a bound listener, round robin.
-
-        Selection only — no dispatch accounting.  Backends whose port has
-        no listener at all are skipped (a tree mid-checkpoint); *orphaned*
-        listeners are **not** skipped here, because the balancer's view is
-        stale until a dispatch actually bounces — that discovery and the
-        failover retry happen in :meth:`_route`.
-        """
-        return pool.pick(lambda port: self._backend_listener(port) is not None)
-
     def _healthy_backend(self, port: int) -> bool:
         listener = self._backend_listener(port)
         return listener is not None and not listener.orphaned

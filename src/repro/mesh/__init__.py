@@ -2,8 +2,8 @@
 
 Layer 8 of the stack.  DynaFleet customizes N instances on *one*
 kernel; DynaMesh shards that fleet over N *kernels* ("hosts"), each
-with its own virtual clock, network, supervisor, and drift detector,
-and puts a cross-kernel frontend in front:
+with its own virtual clock, network and supervisor, and puts a
+cross-kernel frontend in front:
 
 * :class:`Host` — one kernel-sized shard (kernel + fleet controller +
   supervisor), with whole-host crash as its failure unit;

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from .. import faults, telemetry
 from ..fleet.apps import FleetApp, get_app
-from ..fleet.drift import DriftDetector
 from ..fleet.policy import FleetPolicy
 from ..kernel.balancer import NetworkError, NoBackendAvailable
 from ..kernel.kernel import Kernel, KernelConfig
@@ -82,23 +81,19 @@ class MeshController:
         policy: FleetPolicy,
         size_per_shard: int,
         image_root: str = "/tmp/criu/mesh",
-        routing: str | None = None,
     ):
         self.app = get_app(app) if isinstance(app, str) else app
         self.policy = policy
         self.size_per_shard = size_per_shard
-        #: kvstore traffic is keyed, so it defaults to the hash ring;
-        #: stateless httpds default to plain L7 spread
-        self.routing = routing or (
-            "hash" if self.app.name == "redis" else "spread"
-        )
+        #: kvstore traffic is keyed, so it goes over the hash ring;
+        #: stateless httpds use plain L7 spread
+        self.routing = "hash" if self.app.name == "redis" else "spread"
         self.hosts = [
             Host(index, self.app, policy, size_per_shard, image_root)
             for index in range(policy.shards)
         ]
         self.clock = MeshClock([host.kernel for host in self.hosts])
         self.frontend: Frontend | None = None
-        self.drift: dict[str, DriftDetector] = {}
         #: persistent kvstore connections, one per (host, port).  The
         #: guest reaps closed client slots lazily (one poll round per
         #: EOF, and only while something drives its kernel), so a
@@ -126,9 +121,6 @@ class MeshController:
             ring_replicas=self.policy.ring_replicas,
             host_failover_budget=self.policy.host_failover_budget,
         )
-        self.drift = {
-            host.name: DriftDetector(host.controller) for host in self.hosts
-        }
         return self.frontend
 
     def host(self, ref: int | str) -> Host:

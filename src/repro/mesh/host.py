@@ -68,10 +68,6 @@ class Host:
             self.supervisor = FleetSupervisor(self.controller)
 
     @property
-    def spawned(self) -> bool:
-        return bool(self.controller.instances)
-
-    @property
     def frontend_port(self) -> int:
         return self.controller.frontend_port
 

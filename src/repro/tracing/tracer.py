@@ -21,6 +21,9 @@ if TYPE_CHECKING:
     from ..kernel.kernel import Kernel
     from ..kernel.process import Process
 
+#: instructions :meth:`BlockTracer.quiesce` steps at most before dumping
+QUIESCE_MAX_INSTRUCTIONS = 500_000
+
 
 class BlockTracer:
     """Collects drcov-style coverage for one traced process."""
@@ -67,7 +70,7 @@ class BlockTracer:
     def detach(self) -> None:
         self.kernel.detach_tracer(self.proc.pid)
 
-    def quiesce(self, max_instructions: int = 500_000) -> bool:
+    def quiesce(self) -> bool:
         """Step the traced process until it parks in a blocking syscall.
 
         Mirrors how a DynamoRIO nudge executes at a safe point: a host
@@ -81,7 +84,7 @@ class BlockTracer:
 
         executed = 0
         while (
-            executed < max_instructions
+            executed < QUIESCE_MAX_INSTRUCTIONS
             and self.proc.state is ProcessState.RUNNABLE
         ):
             self.kernel.cpu.step(self.proc)

@@ -1,4 +1,5 @@
-"""Test helpers: compile-and-run MiniC or assembly snippets."""
+"""Test helpers: compile-and-run MiniC or assembly snippets, and
+recorders for what a fleet reaction does to its balancer and telemetry."""
 
 from __future__ import annotations
 
@@ -76,3 +77,45 @@ def exit_code_of(source: str, argv: list[str] | None = None) -> int:
 def stdout_of(source: str, argv: list[str] | None = None) -> str:
     __, proc = run_minic(source, argv)
     return proc.stdout_text()
+
+
+def rotation_calls(monkeypatch, pool) -> list[tuple[str, int]]:
+    """Record every ``drain``/``rejoin`` on ``pool``, in call order."""
+    calls: list[tuple[str, int]] = []
+    for verb in ("drain", "rejoin"):
+        original = getattr(pool, verb)
+
+        def recorded(port, verb=verb, original=original):
+            calls.append((verb, port))
+            return original(port)
+
+        monkeypatch.setattr(pool, verb, recorded)
+    return calls
+
+
+def event_keys(hub) -> list[tuple[str, str, dict[str, str]]]:
+    """``(kind, name, labels)`` of every event ``hub`` recorded."""
+    return [(event.kind, event.name, dict(event.labels)) for event in hub.events]
+
+
+#: (kind, name) of the events one committed transaction records
+COMMITTED_TRANSACTION = (
+    ("journal", "begin"),
+    ("span", "customize.checkpoint"),
+    ("journal", "checkpointed"),
+    ("journal", "pristine-saved"),
+    ("span", "customize.rewrite"),
+    ("journal", "rewritten"),
+    ("span", "customize.save"),
+    ("journal", "saved"),
+    ("span", "customize.restore"),
+    ("journal", "restored"),
+    ("journal", "committed"),
+    ("rewrite", "report"),
+    ("span", "customize"),
+)
+
+
+def committed_transaction(**labels: str) -> list[tuple[str, str, dict[str, str]]]:
+    """:func:`event_keys` of one committed transaction under ``labels``."""
+    return [(kind, name, dict(labels)) for kind, name in COMMITTED_TRANSACTION]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CoverageGraph, TraceDiff, init_only_blocks, tracediff
+from repro.core import CoverageGraph, init_only_blocks, tracediff
 from repro.tracing import BlockRecord, CoverageTrace
 
 _records = st.builds(
@@ -104,13 +104,6 @@ class TestTraceDiff:
             "put", [self._wanted(), extra], [self._undesired()], "app"
         )
         assert {b.offset for b in feature.blocks} == {64}
-
-    def test_extra_excluded_modules(self):
-        differ = TraceDiff("app", extra_excluded_modules={"app"})
-        feature = differ.feature_blocks(
-            "x", [self._wanted()], [self._undesired()]
-        )
-        assert feature.count == 0
 
     def test_feature_size_accounting(self):
         feature = tracediff("put", [self._wanted()], [self._undesired()], "app")

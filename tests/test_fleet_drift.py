@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro import telemetry
+from repro.core import RollbackFailed
+from repro.faults import FaultPlan
 from repro.fleet import (
     DriftDetector,
     FleetController,
@@ -12,12 +17,15 @@ from repro.fleet import (
     get_app,
 )
 from repro.kernel import Kernel
+from repro.telemetry import TelemetryHub
 from repro.workloads import (
     HttpClient,
     SECOND_NS,
     TimelineEvent,
     run_request_timeline,
 )
+
+from .helpers import committed_transaction, event_keys, rotation_calls
 
 
 def customized_fleet(size=2, **policy_kwargs):
@@ -72,6 +80,23 @@ class TestDriftDetection:
             assert controller.app.feature_request(
                 controller.kernel, instance.port, "dav-write"
             )
+
+    def test_failed_reenable_surfaces_the_rollback_failure(self):
+        controller = customized_fleet(size=2)
+        detector = DriftDetector(controller)
+        controller.app.feature_request(
+            controller.kernel, controller.frontend_port, "dav-write"
+        )
+        # the first instance's re-enable fails to restore, and so does
+        # its pristine rollback: its tree is gone
+        plan = FaultPlan(seed=9).arm(
+            "restore.memory", "permanent", probability=1.0, times=0
+        )
+        with plan, pytest.raises(RollbackFailed):
+            detector.check()
+        first = controller.instance(0)
+        assert not controller.alive(first)
+        assert first.port not in controller.pool.in_service()
 
     def test_ignore_action_logs_but_keeps_customization(self):
         controller = customized_fleet(drift_action="ignore")
@@ -266,7 +291,7 @@ class TestShelveDrift:
         assert detector.status.decayed_blocks == 0
         assert target.engine.shelved_offsets(target.root_pid, "dav-write")
 
-    def test_shelf_overflow_escalates_to_local_reenable(self):
+    def test_shelf_overflow_escalates_to_local_reenable(self, monkeypatch):
         # the PUT path is wider than the shelf cap: block-granular
         # patching is not worth the churn, fall back to a full local
         # re-enable and mark the instance degraded
@@ -276,7 +301,23 @@ class TestShelveDrift:
         detector = DriftDetector(controller)
         target, other = controller.instances
         assert _put(controller.kernel, target.port, 1)
-        assert detector.check()
+        calls = rotation_calls(monkeypatch, controller.pool)
+        hub = TelemetryHub()
+        with telemetry.recording(hub):
+            assert detector.check()
+        # the escalation takes only the target out of rotation, once
+        assert calls == [("drain", target.port), ("rejoin", target.port)]
+        # its re-enable transaction runs under no instance label; the
+        # trap-log resync and the escalation event name the target
+        assert event_keys(hub) == [
+            ("traps", "scan", {"instance": target.name}),
+            ("drift", "traps", {"feature": "dav-write", "instance": target.name}),
+            ("traps", "scan", {"instance": other.name}),
+            ("drift", "triggered", {}),
+            *committed_transaction(),
+            ("traps", "sync", {"instance": target.name}),
+            ("drift", "escalated", {"instance": target.name}),
+        ]
         status = detector.status
         assert status.escalated == [target.name]
         assert target.degraded and not target.customized

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import telemetry
+from repro.core import RollbackFailed
 from repro.core.transaction import PHASE_RETRYING
 from repro.faults import FaultPlan
 from repro.fleet import (
@@ -19,8 +21,12 @@ from repro.fleet import (
     RolloutExecutor,
     inject_chaos,
 )
+from repro.fleet.supervisor import QUARANTINE_LIMIT, TRAP_STORM_THRESHOLD
 from repro.kernel import Kernel
+from repro.telemetry import TelemetryHub
 from repro.workloads import HttpClient
+
+from .helpers import committed_transaction, event_keys, rotation_calls
 
 
 def make_supervised(size=2, customize=True, **policy_kwargs):
@@ -252,16 +258,17 @@ class TestSupervisorRecovery:
         )
 
     def test_quarantine_then_operator_reinstate(self):
-        controller, sup = make_supervised(quarantine_limit=2)
+        controller, sup = make_supervised()
         target = controller.instance(1)
         controller.kernel.crash_process(target.root_pid)
         plan = FaultPlan(seed=9).arm(
             "restore.memory", "permanent", probability=1.0, times=0
         )
         with plan:
-            sup.tick(force=True)
-            assert sup.record(1).state is HealthState.DOWN
-            assert sup.record(1).recovery_failures == 1
+            for failures in range(1, QUARANTINE_LIMIT):
+                sup.tick(force=True)
+                assert sup.record(1).state is HealthState.DOWN
+                assert sup.record(1).recovery_failures == failures
             sup.tick(force=True)
         assert sup.record(1).state is HealthState.QUARANTINED
         assert target.state is InstanceState.QUARANTINED
@@ -290,7 +297,7 @@ class TestSupervisorRecovery:
 
 class TestTrapStorm:
     def test_storm_demotes_only_the_trapping_instance(self):
-        controller, sup = make_supervised(size=3, trap_storm_threshold=4)
+        controller, sup = make_supervised(size=3)
         victim = controller.instance(2)
         others = [controller.instance(0), controller.instance(1)]
         # hammer the removed feature on the victim's own port: every
@@ -316,10 +323,28 @@ class TestTrapStorm:
             )
         assert victim.port in controller.pool.in_service()
 
-    def test_sparse_traps_below_threshold_do_not_demote(self):
-        controller, sup = make_supervised(size=2, trap_storm_threshold=50)
+    def test_failed_demotion_surfaces_the_rollback_failure(self):
+        controller, sup = make_supervised(size=2)
         victim = controller.instance(1)
-        for __ in range(4):
+        for __ in range(6):
+            controller.app.feature_request(
+                controller.kernel, victim.port, "dav-write"
+            )
+        # the re-enable's restore fails, and so does its pristine
+        # rollback: the victim's tree is gone
+        plan = FaultPlan(seed=9).arm(
+            "restore.memory", "permanent", probability=1.0, times=0
+        )
+        with plan, pytest.raises(RollbackFailed):
+            sup.tick(force=True)
+        assert not controller.alive(victim)
+        assert victim.port not in controller.pool.in_service()
+
+    def test_sparse_traps_below_threshold_do_not_demote(self):
+        controller, sup = make_supervised(size=2)
+        victim = controller.instance(1)
+        # each request traps once on the removal set
+        for __ in range(TRAP_STORM_THRESHOLD - 1):
             controller.app.feature_request(
                 controller.kernel, victim.port, "dav-write"
             )
@@ -403,7 +428,6 @@ class TestStormShelving:
     def _storm_fleet(self, **policy_kwargs):
         policy_kwargs.setdefault("trap_policy", "verify")
         policy_kwargs.setdefault("block_mode", "all")
-        policy_kwargs.setdefault("trap_storm_threshold", 4)
         policy_kwargs.setdefault("drift_action", "shelve")
         return make_supervised(size=2, **policy_kwargs)
 
@@ -430,11 +454,23 @@ class TestStormShelving:
         # blast radius: the quiet instance is untouched
         assert other.engine.shelved_offsets(other.root_pid, "dav-write") == []
 
-    def test_storm_wider_than_the_shelf_cap_still_demotes(self):
+    def test_storm_wider_than_the_shelf_cap_still_demotes(self, monkeypatch):
         controller, sup = self._storm_fleet(shelve_max_live_blocks=4)
-        victim = controller.instance(0)
+        victim, other = controller.instance(0), controller.instance(1)
         assert self._storm_put(controller, victim)
-        sup.tick(force=True)
+        calls = rotation_calls(monkeypatch, controller.pool)
+        hub = TelemetryHub()
+        with telemetry.recording(hub):
+            sup.tick(force=True)
+        # the demotion takes only the victim out of rotation, once
+        assert calls == [("drain", victim.port), ("rejoin", victim.port)]
+        # its re-enable transaction runs under the victim's label
+        assert event_keys(hub) == [
+            ("traps", "breaker-scan", {"instance": victim.name}),
+            *committed_transaction(instance=victim.name),
+            ("supervisor", "demoted", {"instance": victim.name}),
+            ("traps", "breaker-scan", {"instance": other.name}),
+        ]
         assert any(e.kind == "demoted" for e in sup.events)
         assert not any(e.kind == "shelved" for e in sup.events)
         assert victim.degraded and not victim.customized
