@@ -56,6 +56,7 @@ class RegionMap:
     def __init__(self, image: SelfImage, cfg: ControlFlowGraph):
         self.image = image
         self.cfg = cfg
+        self._blocks = {block.start: block for block in cfg.blocks}
         self._decoded: dict[int, list[DecodedInstruction]] = {}
         self._segments = [
             (seg.vaddr, seg.vaddr + len(seg.data), seg.data)
@@ -69,7 +70,7 @@ class RegionMap:
         cached = self._decoded.get(start)
         if cached is not None:
             return cached
-        block = next((b for b in self.cfg.blocks if b.start == start), None)
+        block = self._blocks.get(start)
         out: list[DecodedInstruction] = []
         if block is not None:
             for base, end, data in self._segments:

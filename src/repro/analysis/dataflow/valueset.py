@@ -407,8 +407,8 @@ def _states_at(
 # image-level driver
 
 
-def scan_address_taken(image: SelfImage, cfg: ControlFlowGraph | None = None) -> frozenset[int]:
-    """Every code address that materializes as a value somewhere.
+def scan_address_taken(regions: RegionMap) -> frozenset[int]:
+    """Every code address that materializes as a value in ``regions``'s image.
 
     Sources: instruction immediates (``movi``), ``lea`` targets,
     8-byte windows of every non-code segment, and dynamic-relocation
@@ -416,12 +416,10 @@ def scan_address_taken(image: SelfImage, cfg: ControlFlowGraph | None = None) ->
     only land on an address-taken byte, so missing one would break the
     liveness proofs while an extra one merely costs precision.
     """
-    if cfg is None:
-        cfg = image_cfg(image)
+    image = regions.image
     ctx = _ImageContext(image)
-    regions = RegionMap(image, cfg)
     taken: set[int] = set()
-    for block in cfg.block_starts():
+    for block in regions.cfg.block_starts():
         for decoded in regions.decode_block(block):
             if decoded.mnemonic == "movi" and not ctx.pic:
                 # in a PIC image a movi constant is absolute and can't
@@ -513,7 +511,7 @@ def _analyze(image: SelfImage, cfg: ControlFlowGraph | None) -> FlowReport:
                         )
                     )
 
-    report.address_taken = scan_address_taken(image, cfg)
+    report.address_taken = scan_address_taken(regions)
     report.sites.sort(key=lambda s: s.address)
     report.hazards.sort(key=lambda h: (h.address, h.rule))
     return report

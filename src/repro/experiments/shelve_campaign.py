@@ -73,16 +73,15 @@ RETENTION_FLOOR_PCT = 60.0
 
 def removed_bytes(controller: FleetController) -> dict[str, int]:
     """Per-instance bytes still durably patched out of the image."""
-    per_instance = {}
-    for instance in controller.instances:
-        total = 0
-        for feature_name in controller.policy.features:
-            blocks = instance.engine.disabled_blocks(
-                instance.root_pid, feature_name
+    return {
+        instance.name: sum(
+            block.size
+            for block in instance.engine.disabled_blocks(
+                instance.root_pid, controller.app.feature
             )
-            total += sum(block.size for block in blocks)
-        per_instance[instance.name] = total
-    return per_instance
+        )
+        for instance in controller.instances
+    }
 
 
 def retention_pct(controller: FleetController, baseline: dict) -> float:

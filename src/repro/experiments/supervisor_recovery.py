@@ -81,7 +81,7 @@ def _run_supervised() -> dict:
 
     def storm() -> None:
         for __ in range(STORM_REQUESTS):
-            app.feature_request(kernel, victim.port, "dav-write")
+            app.feature_request(kernel, victim.port)
 
     events = (
         [

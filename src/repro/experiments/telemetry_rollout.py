@@ -58,7 +58,7 @@ def run_scenario(hub: TelemetryHub) -> dict:
     """One recorded rollout-under-chaos run, checked against its events."""
     app = get_app(APP)
     policy = FleetPolicy(
-        features=app.features,
+        features=(app.feature,),
         trap_policy="verify",
         strategy="rolling",
         max_unavailable=2,
@@ -78,11 +78,9 @@ def run_scenario(hub: TelemetryHub) -> dict:
     supervisor = FleetSupervisor(controller)
     detector = DriftDetector(controller)
 
-    feature = policy.features[0]
-
     def feature_traffic() -> None:
         try:
-            app.feature_request(kernel, controller.frontend_port, feature)
+            app.feature_request(kernel, controller.frontend_port)
         except Exception:  # noqa: BLE001 — a refused request still traps
             pass
 

@@ -10,7 +10,7 @@ lives in an adapter:
 * the **wanted request** (the health probe's and balancer workload's
   unit of service) and the **feature request** (exercising the code a
   policy removes);
-* the **profiling corpus** of each removable feature
+* the **profiling corpus** of the app's one removable feature
   (:mod:`repro.workloads.corpus`): profiled once on a scratch kernel
   into the feature's unique blocks.  Offsets are module-relative and
   every instance runs the same binary image, so one profile serves the
@@ -48,14 +48,14 @@ class FleetApp:
     stage: Callable[[Kernel, int], Process]
     #: issue one wanted request; True on success
     wanted_request: Callable[[Kernel, int], bool]
-    #: exercise ``feature`` once; True when the feature was *served*
-    feature_request: Callable[[Kernel, int, str], bool]
-    #: the profiling corpus of each feature this adapter can remove
-    corpora: tuple[Corpus, ...]
+    #: exercise the feature once; True when the feature was *served*
+    feature_request: Callable[[Kernel, int], bool]
+    #: the profiling corpus of the one feature this adapter removes
+    corpus: Corpus
 
     @property
-    def features(self) -> tuple[str, ...]:
-        return tuple(corpus.feature for corpus in self.corpora)
+    def feature(self) -> str:
+        return self.corpus.feature
 
 
 #: the index page every fleet web server serves
@@ -83,9 +83,7 @@ def _probe_serial(kernel: Kernel) -> int:
     return serial
 
 
-def _http_dav_request(kernel: Kernel, port: int, feature: str) -> bool:
-    if feature != "dav-write":
-        raise FleetAppError(f"unknown http feature {feature!r}")
+def _http_dav_request(kernel: Kernel, port: int) -> bool:
     path = f"/fleet-probe-{_probe_serial(kernel)}.txt"
     client = HttpClient(kernel, port)
     response = client.put(path, "x")
@@ -106,9 +104,7 @@ def _redis_wanted(kernel: Kernel, port: int) -> bool:
         client.close()
 
 
-def _redis_feature(kernel: Kernel, port: int, feature: str) -> bool:
-    if feature != "SET":
-        raise FleetAppError(f"miniredis has no feature recipe for {feature!r}")
+def _redis_feature(kernel: Kernel, port: int) -> bool:
     client = RedisClient(kernel, port)
     try:
         return client.set("fleet-probe", "v")
@@ -129,7 +125,7 @@ LIGHTTPD_APP = FleetApp(
     ),
     wanted_request=_http_wanted,
     feature_request=_http_dav_request,
-    corpora=(CORPORA["fleet-lighttpd"],),
+    corpus=CORPORA["fleet-lighttpd"],
 )
 
 NGINX_APP = FleetApp(
@@ -142,7 +138,7 @@ NGINX_APP = FleetApp(
     ),
     wanted_request=_http_wanted,
     feature_request=_http_dav_request,
-    corpora=(CORPORA["fleet-nginx"],),
+    corpus=CORPORA["fleet-nginx"],
 )
 
 REDIS_APP = FleetApp(
@@ -153,7 +149,7 @@ REDIS_APP = FleetApp(
     stage=lambda kernel, port: stage_redis(kernel, port=port),
     wanted_request=_redis_wanted,
     feature_request=_redis_feature,
-    corpora=(CORPORA["fleet-redis"],),
+    corpus=CORPORA["fleet-redis"],
 )
 
 FLEET_APPS: dict[str, FleetApp] = {
@@ -170,20 +166,19 @@ def get_app(name: str) -> FleetApp:
     return app
 
 
-_PROFILE_CACHE: dict[tuple[str, str], FeatureBlocks] = {}
+#: each app's feature profile, by app name
+_PROFILE_CACHE: dict[str, FeatureBlocks] = {}
 
 
 def profile_feature(app: FleetApp, feature: str) -> FeatureBlocks:
-    """Memoized feature profile (one scratch-kernel run per process)."""
-    key = (app.name, feature)
-    cached = _PROFILE_CACHE.get(key)
+    """Memoized profile of the app's feature (one scratch-kernel run per
+    process); any other feature name is refused."""
+    if feature != app.feature:
+        raise FleetAppError(
+            f"app {app.name!r} has no profiling corpus for feature "
+            f"{feature!r}; it removes {app.feature!r}"
+        )
+    cached = _PROFILE_CACHE.get(app.name)
     if cached is None:
-        if feature not in app.features:
-            raise FleetAppError(
-                f"app {app.name!r} has no profiling corpus for feature "
-                f"{feature!r}; known: {', '.join(app.features)}"
-            )
-        corpus = app.corpora[app.features.index(feature)]
-        cached = profile(corpus).feature
-        _PROFILE_CACHE[key] = cached
+        cached = _PROFILE_CACHE[app.name] = profile(app.corpus).feature
     return cached

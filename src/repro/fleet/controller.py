@@ -9,18 +9,18 @@ rollback of instance *i* can never clobber instance *j*'s pristine
 images) and exposes the lifecycle verbs the rollout strategies compose:
 
 ``drain`` → take the instance out of rotation (new balanced connections
-route around it) · ``customize`` → run the policy's feature removals
-through the instance's engine · ``probe`` → closed-loop workload health
-check against the instance's own port · ``rejoin`` → back into rotation
-· ``rollback`` → restore every removed feature's original bytes.  The
-reactions to verifier traps (shelving, decay, recustomization, drift
-re-enables and the breaker's demotion) each run their rewrite inside
+route around it) · ``customize`` → remove the app's feature through the
+instance's engine · ``probe`` → closed-loop workload health check
+against the instance's own port · ``rejoin`` → back into rotation ·
+``rollback`` → restore the feature's original bytes.  The reactions to
+verifier traps (shelving, decay, recustomization, drift re-enables and
+the breaker's demotion) each run their rewrite inside
 :meth:`FleetController.out_of_rotation`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -95,6 +95,11 @@ class FleetController:
             raise FleetError("a fleet needs at least one instance")
         self.kernel = kernel
         self.app = get_app(app) if isinstance(app, str) else app
+        #: the feature's profiled removal set, shared by every instance
+        #: (same binary); a fleet-scope recustomize round narrows it.
+        #: A policy naming another feature is refused before anything is
+        #: profiled or staged.
+        self.feature = profile_feature(self.app, policy.features[0])
         self.policy = policy
         self.size = size
         self.base_port = base_port if base_port is not None else self.app.default_port
@@ -104,8 +109,6 @@ class FleetController:
         self.image_root = image_root.rstrip("/")
         self.instances: list[FleetInstance] = []
         self.pool: BackendPool | None = None
-        #: feature name -> profiled removal set (shared: same binary)
-        self.features: dict[str, FeatureBlocks] = {}
         #: set by FleetSupervisor.__init__ when one attaches; status()
         #: folds its health/breaker view in when present
         self.supervisor = None
@@ -117,11 +120,9 @@ class FleetController:
     # lifecycle
 
     def spawn_fleet(self) -> list[FleetInstance]:
-        """Profile the policy's features, boot N instances, register LB."""
+        """Boot N instances and register them behind the frontend."""
         if self.instances:
             raise FleetError("fleet already spawned")
-        for feature in self.policy.features:
-            self.features[feature] = profile_feature(self.app, feature)
         self.pool = self.kernel.net.register_frontend(self.frontend_port)
         for index in range(self.size):
             port = self.base_port + index
@@ -207,37 +208,28 @@ class FleetController:
     # ------------------------------------------------------------------
     # customization
 
-    def customize(self, instance: FleetInstance) -> list[RewriteReport]:
-        """Apply every policy feature removal to ``instance``.
+    def customize(self, instance: FleetInstance) -> RewriteReport:
+        """Remove the feature from ``instance``.
 
         Raises :class:`~repro.core.CustomizationAborted` (after the
         engine has already rolled the instance back to its pristine
-        image) when any transaction fails permanently; features removed
-        by *earlier* transactions of this call are re-enabled first, so
-        the instance is never left half-customized across features.
+        image) when the transaction fails permanently.
         """
-        reports: list[RewriteReport] = []
         instance.state = InstanceState.CUSTOMIZING
-        applied: list[str] = []
         with telemetry.label_scope(instance=instance.name):
             try:
-                for feature_name in self.policy.features:
-                    feature = self.features[feature_name]
-                    # re-customizing an already-customized instance (a
-                    # narrowed removal set rolling out after drift)
-                    # restores the old set first so the engine's record
-                    # tracks exactly the new one
-                    if feature_name in instance.customized_features:
-                        self.rollback_feature(instance, feature_name)
-                    reports.append(self._disable(instance, feature))
-                    applied.append(feature_name)
+                # re-customizing an already-customized instance (a
+                # narrowed removal set rolling out after drift) restores
+                # the old set first so the engine's record tracks
+                # exactly the new one
+                if instance.customized:
+                    self.rollback(instance)
+                report = self._disable(instance, self.feature)
             except CustomizationAborted:
-                for feature_name in reversed(applied):
-                    self.rollback_feature(instance, feature_name)
                 instance.state = InstanceState.DRAINED
                 raise
         instance.state = InstanceState.DRAINED
-        return reports
+        return report
 
     def _disable(
         self, instance: FleetInstance, feature: FeatureBlocks
@@ -252,14 +244,12 @@ class FleetController:
             redirect_symbol=self.app.redirect_symbol if redirect else None,
         )
 
-    def rollback_feature(self, instance: FleetInstance, feature_name: str) -> None:
-        if feature_name in instance.customized_features:
-            instance.engine.enable_feature(
-                instance.root_pid, self.features[feature_name]
-            )
+    def rollback(self, instance: FleetInstance) -> bool:
+        """Restore the feature's original bytes on ``instance``.
 
-    def rollback(self, instance: FleetInstance) -> list[str]:
-        """Restore every feature this controller removed from ``instance``."""
+        Returns whether the feature was removed there.  Opens no
+        telemetry label scope; the caller chooses its own.
+        """
         if not self.alive(instance):
             journal = instance.engine.last_journal
             phase = journal.phase if journal is not None else "none"
@@ -268,13 +258,10 @@ class FleetController:
                 f"{instance.root_pid}, last journal phase {phase!r}); "
                 f"recover it from its committed image first"
             )
-        restored = []
-        with telemetry.label_scope(instance=instance.name):
-            for feature_name in reversed(self.policy.features):
-                if feature_name in instance.customized_features:
-                    self.rollback_feature(instance, feature_name)
-                    restored.append(feature_name)
-        return restored
+        if not instance.customized:
+            return False
+        instance.engine.enable_feature(instance.root_pid, self.feature)
+        return True
 
     # ------------------------------------------------------------------
     # health probing
@@ -289,41 +276,38 @@ class FleetController:
                     result.succeeded += 1
             except Exception as exc:  # noqa: BLE001 — a failed probe, not a bug
                 result.errors.append(repr(exc))
-        # Exercising the removed features is only meaningful under the
-        # redirect policy (the gate checks they really serve the error
+        # Exercising the removed feature is only meaningful under the
+        # redirect policy (the gate checks it really serves the error
         # arm).  Under the verifier it would be actively harmful: every
         # probe trap *heals* its block in live memory, so one health
         # probe would silently restore the whole removal set and leave
         # nothing debloated — the probe must not undo the customization.
         if self.policy.trap_policy == "verify":
             return result
-        for feature_name in self.policy.features:
-            try:
-                served = self.app.feature_request(
-                    self.kernel, instance.port, feature_name
-                )
-            except Exception as exc:  # noqa: BLE001
-                result.errors.append(repr(exc))
-                served = False
-            result.features_blocked[feature_name] = not served
+        try:
+            served = self.app.feature_request(self.kernel, instance.port)
+        except Exception as exc:  # noqa: BLE001
+            result.errors.append(repr(exc))
+            served = False
+        result.features_blocked[self.app.feature] = not served
         return result
 
     def scan_traps(
         self, instance: FleetInstance, event: str
-    ) -> tuple[tuple[int, ...], dict[str, tuple[int, ...]]]:
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Consume the instance's new verifier trap-log entries.
 
         The one read of the trap log behind :meth:`sync_traps`, the
         drift scan and the trap-storm breaker: advances ``traps_seen``
         past the log and records a ``traps`` event named ``event``
         (``sync``, ``scan`` or ``breaker-scan``) with the ``traps_seen``
-        gauge and series.  Returns the fresh trap addresses and, per
-        feature, the module-relative offsets of those that hit the
-        instance's active removal set (in log order, repeats kept).  A
-        dead instance has no log to read.
+        gauge and series.  Returns the fresh trap addresses and the
+        module-relative offsets of those that hit the instance's active
+        removal set (in log order, repeats kept).  A dead instance has no
+        log to read.
         """
         if not self.alive(instance):
-            return (), {}
+            return (), ()
         report = read_verifier_log(self.kernel, self.process(instance))
         fresh = report.trapped_addresses[instance.traps_seen:]
         instance.traps_seen = len(report.trapped_addresses)
@@ -340,23 +324,18 @@ class FleetController:
         telemetry.sample(
             "traps_seen", now, instance.traps_seen, instance=instance.name
         )
-        hits: dict[str, tuple[int, ...]] = {}
-        if fresh and instance.customized:
-            base = self.module_base(instance)
-            for feature_name in self.policy.features:
-                active = {
-                    block.offset
-                    for block in instance.engine.disabled_blocks(
-                        instance.root_pid, feature_name
-                    )
-                }
-                offsets = tuple(
-                    address - base for address in fresh
-                    if address - base in active
-                )
-                if offsets:
-                    hits[feature_name] = offsets
-        return fresh, hits
+        if not fresh or not instance.customized:
+            return fresh, ()
+        base = self.module_base(instance)
+        active = {
+            block.offset
+            for block in instance.engine.disabled_blocks(
+                instance.root_pid, self.app.feature
+            )
+        }
+        return fresh, tuple(
+            address - base for address in fresh if address - base in active
+        )
 
     def sync_traps(self, instance: FleetInstance) -> int:
         """Snapshot the instance's trap log high-water mark.
@@ -372,30 +351,52 @@ class FleetController:
     # DynaShelve verbs
 
     def shelve_blocks(
-        self,
-        instance: FleetInstance,
-        feature_name: str,
-        offsets: list[int],
+        self, instance: FleetInstance, offsets: list[int]
     ) -> RewriteReport | None:
-        """Shelve the trapping blocks of one feature on one instance.
+        """Shelve the trapping blocks on one instance.
 
         Drains the instance around the journaled partial re-enable,
         resets the verifier trap log (the shelved traps are consumed),
         and re-syncs the drift high-water mark.  Returns ``None`` when
         every offset was already shelved (no transaction).
         """
-        feature = self.features[feature_name]
         with self.out_of_rotation(instance), telemetry.label_scope(
             instance=instance.name
         ):
             report = instance.engine.reenable_blocks(
-                instance.root_pid, feature, offsets, reset_log=True
+                instance.root_pid, self.feature, offsets, reset_log=True
             )
         self.sync_traps(instance)
         return report
 
-    def decay_shelved(self, instance: FleetInstance, feature_name: str):
-        """Re-remove one feature's cold shelved blocks on one instance.
+    def shelve_or_fall_back(
+        self,
+        instance: FleetInstance,
+        offsets: set[int],
+        fall_back: Callable[[FleetInstance], None],
+    ) -> set[int] | None:
+        """Shelve trapped ``offsets`` on ``instance``, or fall back.
+
+        The one decision of the drift detector's shelve round and the
+        storm breaker's shelve arm: when ``offsets`` and the instance's
+        shelf together exceed the policy's shelf cap, too much of the
+        removal set is hot for block-granular patching to pay, so
+        ``fall_back(instance)`` (the caller's local re-enable) runs
+        instead and the result is ``None``.  Otherwise
+        :meth:`shelve_blocks` runs and the offsets it newly shelved are
+        returned.
+        """
+        shelf = set(
+            instance.engine.shelved_offsets(instance.root_pid, self.app.feature)
+        )
+        if len(shelf | offsets) > self.policy.shelve_max_live_blocks:
+            fall_back(instance)
+            return None
+        self.shelve_blocks(instance, sorted(offsets))
+        return offsets - shelf
+
+    def decay_shelved(self, instance: FleetInstance):
+        """Re-remove the cold shelved blocks on one instance.
 
         Peeks at the shelf first and opens no transaction (and does not
         drain) when nothing has been cold for the policy's
@@ -403,23 +404,19 @@ class FleetController:
         """
         decay = self.policy.shelve_decay_ns
         engine = instance.engine
-        shelf = engine.shelved_blocks(instance.root_pid, feature_name)
+        shelf = engine.shelved_blocks(instance.root_pid, self.app.feature)
         if not any(
             self.kernel.clock_ns - shelved.shelved_ns >= decay
             for shelved in shelf
         ):
             return []
-        feature = self.features[feature_name]
         with self.out_of_rotation(instance), telemetry.label_scope(
             instance=instance.name
         ):
-            return engine.decay_shelved(instance.root_pid, feature, decay)
+            return engine.decay_shelved(instance.root_pid, self.feature, decay)
 
     def recustomize_feature(
-        self,
-        instance: FleetInstance,
-        feature_name: str,
-        narrowed: FeatureBlocks,
+        self, instance: FleetInstance, narrowed: FeatureBlocks
     ) -> RewriteReport:
         """Swap one instance's removal set for a narrower one.
 
@@ -431,7 +428,7 @@ class FleetController:
         with self.out_of_rotation(instance), telemetry.label_scope(
             instance=instance.name
         ):
-            self.rollback_feature(instance, feature_name)
+            self.rollback(instance)
             report = self._disable(instance, narrowed)
         self.sync_traps(instance)
         return report
@@ -465,29 +462,7 @@ class FleetController:
                 "failovers": dict(self.pool.failovers),
             },
             "instances": [
-                {
-                    "name": instance.name,
-                    "port": instance.port,
-                    "pid": instance.root_pid,
-                    "alive": self.alive(instance),
-                    "state": instance.state.value,
-                    "degraded": instance.degraded,
-                    "customized_features": instance.customized_features,
-                    "rewrites": len(instance.engine.history),
-                    "traps_seen": instance.traps_seen,
-                    "shelved_blocks": {
-                        feature: len(
-                            instance.engine.shelved_offsets(
-                                instance.root_pid, feature
-                            )
-                        )
-                        for feature in self.policy.features
-                        if instance.engine.shelved_offsets(
-                            instance.root_pid, feature
-                        )
-                    },
-                }
-                for instance in self.instances
+                self._instance_status(instance) for instance in self.instances
             ],
         }
         if self.supervisor is not None:
@@ -495,3 +470,20 @@ class FleetController:
         if self.drift is not None:
             status["drift"] = self.drift.status.to_dict()
         return status
+
+    def _instance_status(self, instance: FleetInstance) -> dict:
+        shelf = instance.engine.shelved_offsets(
+            instance.root_pid, self.app.feature
+        )
+        return {
+            "name": instance.name,
+            "port": instance.port,
+            "pid": instance.root_pid,
+            "alive": self.alive(instance),
+            "state": instance.state.value,
+            "degraded": instance.degraded,
+            "customized_features": instance.customized_features,
+            "rewrites": len(instance.engine.history),
+            "traps_seen": instance.traps_seen,
+            "shelved_blocks": {self.app.feature: len(shelf)} if shelf else {},
+        }

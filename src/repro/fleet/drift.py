@@ -19,25 +19,28 @@ process.  DynaFleet promotes that signal to a fleet-wide control loop:
 
 Four actions, from bluntest to most adaptive:
 
-* ``reenable`` — roll the drifted features back across the whole fleet
-  (wanted traffic stops trapping everywhere, not just on the instance
-  that happened to see it).  One-shot: the detector latches.
+* ``reenable`` — roll the feature back across the whole fleet (wanted
+  traffic stops trapping everywhere, not just on the instance that
+  happened to see it).  One instance whose re-enable fails does not
+  strand the rest.  One-shot: the detector latches.
 * ``ignore`` — log only.  Also one-shot.
 * ``shelve`` — restore **only the trapping blocks** on the trapping
   instances (arXiv 2501.04963's lazy block-granular reinstatement);
   the rest of the removal set stays patched.  Every check also runs
   the decay sweep, re-removing shelved blocks that stayed cold for
-  ``shelve_decay_ns``.  When a feature's live shelf on one instance
-  would exceed ``shelve_max_live_blocks``, shelving escalates to a
-  full local re-enable (the instance is marked degraded).  Repeating:
-  every new windowed burst shelves again.
+  ``shelve_decay_ns``.  When the live shelf on one instance would
+  exceed the policy's cap, shelving escalates to a full local re-enable
+  (the instance is marked degraded) — the decision the storm breaker's
+  shelve arm shares
+  (:meth:`~repro.fleet.controller.FleetController.shelve_or_fall_back`).
+  Repeating: every new windowed burst shelves again.
 * ``recustomize`` — re-profile against the drifted trap mix and roll
   out a **narrower** removal set (the adaptive loop of arXiv
   2109.02775): blocks live traffic demonstrably reached are dropped
   from the set, everything still cold stays removed.  The first round
-  for a feature is per-instance (only the drifted instances swap
-  sets); if the narrowed set still storms, later rounds narrow again
-  fleet-wide through a :class:`~repro.fleet.rollout.RolloutExecutor`.
+  is per-instance (only the drifted instances swap sets); if the
+  narrowed set still storms, later rounds narrow again fleet-wide
+  through a :class:`~repro.fleet.rollout.RolloutExecutor`.
 
 Traps from instances in ``RESTORING``/``QUARANTINED`` health states are
 consumed but **segregated** — a recovery replaying its checkpoint can
@@ -52,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import telemetry
-from ..core import FeatureBlocks
+from ..core import FeatureBlocks, RollbackFailed
 from .controller import FleetController, FleetInstance
 from .health import HealthState
 
@@ -132,13 +135,13 @@ class DriftDetector:
         self.status = DriftStatus()
         #: (clock_ns, hits) observations inside the sliding window
         self._window: list[tuple[int, int]] = []
-        #: un-acted-on trapped offsets per (instance name, feature)
-        self._pending: dict[tuple[str, str], set[int]] = {}
-        #: cumulative trapped offsets per feature — the drifted trap mix
-        #: the recustomize action re-profiles against
-        self._trapped_offsets: dict[str, set[int]] = {}
-        #: narrowing rounds completed per feature
-        self._rounds: dict[str, int] = {}
+        #: un-acted-on trapped offsets per instance name
+        self._pending: dict[str, set[int]] = {}
+        #: cumulative trapped offsets — the drifted trap mix the
+        #: recustomize action re-profiles against
+        self._trapped_offsets: set[int] = set()
+        #: narrowing rounds completed
+        self._rounds = 0
         # the controller folds our shelving view into status()
         controller.drift = self
         # traps logged before the detector existed are history, not drift
@@ -155,19 +158,19 @@ class DriftDetector:
         record = supervisor.records.get(instance.name)
         return record.state if record is not None else None
 
-    def _scan_instance(self, instance: FleetInstance) -> list[DriftEvent]:
+    def _scan_instance(self, instance: FleetInstance) -> DriftEvent | None:
         """New trap-log entries attributed to the active removal set.
 
         The scan consumes the entries unconditionally, but attributes
         none for instances in ``RESTORING``/``QUARANTINED``: a recovery
         replaying committed state can re-execute removed code, and
-        counting that as workload drift would re-enable features on the
+        counting that as workload drift would re-enable the feature on the
         back of the supervisor's own repair traffic.  Segregated traps
         are tallied in the status instead.
         """
         controller = self.controller
         if not controller.alive(instance) or not instance.customized:
-            return []
+            return None
         fresh, hits = controller.scan_traps(instance, "scan")
         now = controller.kernel.clock_ns
         if fresh and self._health_state(instance) in _SEGREGATED_STATES:
@@ -179,17 +182,16 @@ class DriftDetector:
                 labels={"instance": instance.name},
                 hits=len(fresh),
             )
-            return []
-        return [
-            DriftEvent(
-                clock_ns=now,
-                instance=instance.name,
-                feature=feature_name,
-                hits=len(offsets),
-                offsets=offsets,
-            )
-            for feature_name, offsets in hits.items()
-        ]
+            return None
+        if not hits:
+            return None
+        return DriftEvent(
+            clock_ns=now,
+            instance=instance.name,
+            feature=controller.app.feature,
+            hits=len(hits),
+            offsets=hits,
+        )
 
     # ------------------------------------------------------------------
 
@@ -199,26 +201,25 @@ class DriftDetector:
         now = self.controller.kernel.clock_ns
         new_hits = 0
         for instance in self.controller.instances:
-            for event in self._scan_instance(instance):
-                self.status.events.append(event)
-                new_hits += event.hits
-                self._pending.setdefault(
-                    (event.instance, event.feature), set()
-                ).update(event.offsets)
-                if self.status.first_drift_ns is None:
-                    self.status.first_drift_ns = event.clock_ns
-                telemetry.emit(
-                    "drift", "traps",
-                    clock_ns=event.clock_ns,
-                    labels={
-                        "instance": event.instance,
-                        "feature": event.feature,
-                    },
-                    hits=event.hits,
-                )
-                telemetry.count(
-                    "drift_traps_total", event.hits, feature=event.feature
-                )
+            event = self._scan_instance(instance)
+            if event is None:
+                continue
+            self.status.events.append(event)
+            new_hits += event.hits
+            self._pending.setdefault(event.instance, set()).update(
+                event.offsets
+            )
+            if self.status.first_drift_ns is None:
+                self.status.first_drift_ns = event.clock_ns
+            telemetry.emit(
+                "drift", "traps",
+                clock_ns=event.clock_ns,
+                labels={"instance": event.instance, "feature": event.feature},
+                hits=event.hits,
+            )
+            telemetry.count(
+                "drift_traps_total", event.hits, feature=event.feature
+            )
         if new_hits:
             self._window.append((now, new_hits))
         horizon = now - self.policy.drift_window_ns
@@ -254,56 +255,58 @@ class DriftDetector:
         return fired
 
     def _reenable_fleet(self) -> None:
-        """Restore the drifted features on every customized instance."""
-        drifted = {event.feature for event in self.status.events}
+        """Restore the feature on every live customized instance.
+
+        An instance whose re-enable kills it (:class:`RollbackFailed`)
+        strands nobody else: every other instance is still re-enabled
+        and listed, and the first failure is raised afterwards.
+        """
         controller = self.controller
+        failure: RollbackFailed | None = None
         for instance in controller.instances:
-            if not controller.alive(instance):
+            if not controller.alive(instance) or not instance.customized:
                 continue
-            restored = [
-                name for name in drifted
-                if name in instance.customized_features
-            ]
-            if not restored:
+            try:
+                with controller.out_of_rotation(instance):
+                    controller.rollback(instance)
+            except RollbackFailed as exc:
+                failure = failure or exc
                 continue
-            with controller.out_of_rotation(instance):
-                for feature_name in restored:
-                    controller.rollback_feature(instance, feature_name)
             self.status.reenabled.append(instance.name)
+        if failure is not None:
+            raise failure
 
     # ------------------------------------------------------------------
     # drift_action="shelve"
 
     def _shelve_round(self) -> None:
-        """Shelve every pending trapped block on its trapping instance."""
+        """Shelve every pending trapped block on its trapping instance.
+
+        Escalations follow :meth:`_reenable_fleet`'s rule: one that
+        fails does not stop the round, and the first failure is raised
+        once the round is counted.
+        """
         controller = self.controller
-        for (instance_name, feature_name), offsets in sorted(
-            self._pending.items()
-        ):
-            if not offsets:
-                continue
+        failure: RollbackFailed | None = None
+        for instance_name, offsets in sorted(self._pending.items()):
             instance = controller.instance(instance_name)
             if not controller.alive(instance):
                 continue
-            engine = instance.engine
-            already = set(
-                engine.shelved_offsets(instance.root_pid, feature_name)
-            )
-            prospective = already | offsets
-            if len(prospective) > self.policy.shelve_max_live_blocks:
-                self._escalate(instance, feature_name)
+            try:
+                shelved = controller.shelve_or_fall_back(
+                    instance, offsets, self._escalate
+                )
+            except RollbackFailed as exc:
+                failure = failure or exc
                 continue
-            report = controller.shelve_blocks(
-                instance, feature_name, sorted(offsets)
-            )
-            if report is not None:
-                shelved = len(offsets - already)
-                self.status.shelved_blocks += shelved
+            self.status.shelved_blocks += len(shelved or ())
         self.status.shelve_rounds += 1
         self._pending.clear()
         self._window.clear()
+        if failure is not None:
+            raise failure
 
-    def _escalate(self, instance: FleetInstance, feature_name: str) -> None:
+    def _escalate(self, instance: FleetInstance) -> None:
         """The shelf overflowed: fall back to a full local re-enable.
 
         Mirrors the trap-storm breaker's demotion — too much of the
@@ -313,7 +316,7 @@ class DriftDetector:
         """
         controller = self.controller
         with controller.out_of_rotation(instance):
-            controller.rollback_feature(instance, feature_name)
+            controller.rollback(instance)
         controller.sync_traps(instance)
         instance.degraded = True
         if instance.name not in self.status.escalated:
@@ -323,17 +326,15 @@ class DriftDetector:
             "drift", "escalated",
             clock_ns=controller.kernel.clock_ns,
             labels={"instance": instance.name},
-            feature=feature_name,
+            feature=controller.app.feature,
         )
 
     def _decay_sweep(self) -> None:
         """Re-remove cold shelved blocks on every instance."""
         controller = self.controller
         for instance in controller.instances:
-            if not controller.alive(instance):
-                continue
-            for feature_name in self.policy.features:
-                cold = controller.decay_shelved(instance, feature_name)
+            if controller.alive(instance):
+                cold = controller.decay_shelved(instance)
                 self.status.decayed_blocks += len(cold)
 
     # ------------------------------------------------------------------
@@ -343,110 +344,85 @@ class DriftDetector:
         """Narrow the removal set against the drifted trap mix.
 
         Blocks the drifted workload demonstrably reached are dropped
-        from the feature's removal set (they are wanted now); blocks
-        that stayed cold stay removed.  Round 1 swaps sets only on the
-        instances that drifted; if the narrowed set still storms, the
-        next round narrows again and rolls out fleet-wide.
+        from the removal set (they are wanted now); blocks that stayed
+        cold stay removed.  Round 1 swaps sets only on the instances
+        that drifted; if the narrowed set still storms, the next round
+        narrows again and rolls out fleet-wide.
         """
         from .rollout import RolloutExecutor
 
         controller = self.controller
-        drifted_features = sorted({
-            feature
-            for (__, feature), offsets in self._pending.items()
-            if offsets
-        })
-        drifted_instances = {
-            feature: sorted(
-                name for (name, f), offsets in self._pending.items()
-                if f == feature and offsets
-            )
-            for feature in drifted_features
-        }
-        for (__, feature_name), offsets in self._pending.items():
-            self._trapped_offsets.setdefault(feature_name, set()).update(
-                offsets
-            )
+        drifted = sorted(self._pending)
+        for offsets in self._pending.values():
+            self._trapped_offsets.update(offsets)
         self._pending.clear()
         self._window.clear()
-        for feature_name in drifted_features:
-            feature = controller.features[feature_name]
-            trapped = self._trapped_offsets.get(feature_name, set())
-            narrowed_blocks = tuple(
-                block for block in feature.blocks
-                if block.offset not in trapped
-            )
-            if not narrowed_blocks:
-                # the whole set is hot: narrowing degenerates to the
-                # blunt instrument
-                self._reenable_fleet()
-                self.status.recustomize_rounds.append({
-                    "feature": feature_name,
-                    "round": self._rounds.get(feature_name, 0) + 1,
-                    "scope": "reenable",
-                    "narrowed_blocks": 0,
-                    "kept_hot_blocks": len(trapped),
-                    "dead_restores": 0,
-                    "clock_ns": controller.kernel.clock_ns,
-                })
-                self._rounds[feature_name] = (
-                    self._rounds.get(feature_name, 0) + 1
-                )
-                continue
-            narrowed = FeatureBlocks(
-                feature.name, feature.module, narrowed_blocks
-            )
-            # soundness cross-check: a block the verifier restored was
-            # reached by live traffic, so the static classifier must
-            # not have proven it dead — any intersection is a bug in
-            # one of the two analyses
-            engine = controller.instances[0].engine
-            classification = engine.refine_feature(feature)
-            dead_offsets = {
-                block.offset for block in classification.provably_dead
-            }
-            dead_restores = len(trapped & dead_offsets)
-            round_number = self._rounds.get(feature_name, 0) + 1
-            self._rounds[feature_name] = round_number
-            if round_number == 1:
-                scope = "instance"
-                targets = []
-                for name in drifted_instances[feature_name]:
-                    instance = controller.instance(name)
-                    if not controller.alive(instance):
-                        continue
-                    controller.recustomize_feature(
-                        instance, feature_name, narrowed
-                    )
-                    targets.append(name)
-            else:
-                # the per-instance narrowing was not enough — the
-                # narrowed set still stormed.  Adopt it as the fleet's
-                # removal set and roll it out everywhere.
-                scope = "fleet"
-                controller.features[feature_name] = narrowed
-                rollout = RolloutExecutor(controller)
-                rollout.run()
-                targets = [
-                    instance.name for instance in controller.instances
-                    if controller.alive(instance)
-                ]
-            telemetry.count("recustomize_rounds_total", feature=feature_name)
-            telemetry.emit(
-                "drift", "recustomized",
-                clock_ns=controller.kernel.clock_ns,
-                feature=feature_name,
-                scope=scope,
-                narrowed_blocks=len(narrowed_blocks),
-                kept_hot_blocks=len(trapped),
-            )
+        feature = controller.feature
+        trapped = self._trapped_offsets
+        round_number = self._rounds + 1
+        narrowed_blocks = tuple(
+            block for block in feature.blocks if block.offset not in trapped
+        )
+        if not narrowed_blocks:
+            # the whole set is hot: narrowing degenerates to the blunt
+            # instrument
+            self._reenable_fleet()
             self.status.recustomize_rounds.append({
-                "feature": feature_name,
+                "feature": feature.name,
                 "round": round_number,
-                "scope": scope,
-                "instances": targets,
-                "narrowed_blocks": len(narrowed_blocks),
+                "scope": "reenable",
+                "narrowed_blocks": 0,
                 "kept_hot_blocks": len(trapped),
-                "dead_restores": dead_restores,
+                "dead_restores": 0,
                 "clock_ns": controller.kernel.clock_ns,
             })
+            self._rounds = round_number
+            return
+        narrowed = FeatureBlocks(feature.name, feature.module, narrowed_blocks)
+        # soundness cross-check: a block the verifier restored was
+        # reached by live traffic, so the static classifier must not
+        # have proven it dead — any intersection is a bug in one of the
+        # two analyses
+        engine = controller.instances[0].engine
+        classification = engine.refine_feature(feature)
+        dead_offsets = {block.offset for block in classification.provably_dead}
+        dead_restores = len(trapped & dead_offsets)
+        self._rounds = round_number
+        if round_number == 1:
+            scope = "instance"
+            targets = []
+            for name in drifted:
+                instance = controller.instance(name)
+                if controller.alive(instance):
+                    controller.recustomize_feature(instance, narrowed)
+                    targets.append(name)
+        else:
+            # the per-instance narrowing was not enough — the narrowed
+            # set still stormed.  Adopt it as the fleet's removal set
+            # and roll it out everywhere.
+            scope = "fleet"
+            controller.feature = narrowed
+            RolloutExecutor(controller).run()
+            targets = [
+                instance.name for instance in controller.instances
+                if controller.alive(instance)
+            ]
+        telemetry.count("recustomize_rounds_total", feature=feature.name)
+        telemetry.emit(
+            "drift", "recustomized",
+            clock_ns=controller.kernel.clock_ns,
+            feature=feature.name,
+            scope=scope,
+            narrowed_blocks=len(narrowed_blocks),
+            kept_hot_blocks=len(trapped),
+        )
+        self.status.recustomize_rounds.append({
+            "feature": feature.name,
+            "round": round_number,
+            "scope": scope,
+            "instances": targets,
+            "narrowed_blocks": len(narrowed_blocks),
+            "kept_hot_blocks": len(trapped),
+            "dead_restores": dead_restores,
+            "clock_ns": controller.kernel.clock_ns,
+        })

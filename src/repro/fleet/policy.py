@@ -1,11 +1,11 @@
 """Declarative fleet customization policy.
 
 A :class:`FleetPolicy` is the operator-facing contract for a rollout:
-*what* to remove (feature names resolved by the app adapter's profiling
-recipe), *how* blocked code should behave (trap policy and block mode),
-*how* the change spreads over the fleet (strategy, ``max_unavailable``
-budget, health-probe size), and *when* the fleet must adapt again
-(coverage-drift window and threshold).
+*what* to remove (the app's one feature, named as its adapter's
+profiling corpus names it), *how* blocked code should behave (trap
+policy and block mode), *how* the change spreads over the fleet
+(strategy, ``max_unavailable`` budget, health-probe size), and *when*
+the fleet must adapt again (coverage-drift window and threshold).
 
 Policies are plain data that validate on construction and serialise
 through :meth:`to_dict`.  The paper's one-process verifier mode is
@@ -29,7 +29,7 @@ BLOCK_MODES = tuple(mode.value for mode in BlockMode)
 DRIFT_ACTIONS = ("reenable", "ignore", "shelve", "recustomize")
 
 #: fraction of probe requests that must succeed to pass the health gate
-#: (under "redirect" the gate also requires every removed feature to be
+#: (under "redirect" the gate also requires the removed feature to be
 #: really blocked on the customized instance)
 PROBE_MIN_SUCCESS = 1.0
 
@@ -42,7 +42,7 @@ class PolicyError(ValueError):
 class FleetPolicy:
     """What to remove, how to roll it out, and when to adapt."""
 
-    #: feature names to remove, resolved by the app adapter's profiler
+    #: the one feature to remove: the app adapter's (a tuple of one name)
     features: tuple[str, ...]
     #: behaviour of blocked code: "redirect" (app error arm) or "verify"
     trap_policy: str = "redirect"
@@ -66,8 +66,8 @@ class FleetPolicy:
     #: shelve: virtual time a shelved block must stay cold before the
     #: decay sweep re-removes it
     shelve_decay_ns: int = 8 * SECOND_NS
-    #: shelve: max blocks of one feature live on the shelf per instance
-    #: before shelving escalates to a full local re-enable (demote)
+    #: shelve: max blocks live on the shelf per instance before
+    #: shelving escalates to a full local re-enable (demote)
     shelve_max_live_blocks: int = 8
     #: supervision: minimum virtual time between supervisor heartbeats
     heartbeat_interval_ns: int = SECOND_NS
@@ -87,8 +87,11 @@ class FleetPolicy:
             object.__setattr__(self, "features", (self.features,))
         else:
             object.__setattr__(self, "features", tuple(self.features))
-        if not self.features:
-            raise PolicyError("a fleet policy must name at least one feature")
+        if len(self.features) != 1:
+            raise PolicyError(
+                f"a fleet policy names exactly one feature, its app's; "
+                f"got {self.features}"
+            )
         if self.strategy not in STRATEGIES:
             raise PolicyError(
                 f"unknown strategy {self.strategy!r}; use one of {STRATEGIES}"
@@ -175,8 +178,7 @@ class ProbeResult:
         if self.success_rate < PROBE_MIN_SUCCESS:
             return False
         if policy.trap_policy == "redirect":
-            if not all(self.features_blocked.get(f, False) for f in policy.features):
-                return False
+            return self.features_blocked.get(policy.features[0], False)
         return True
 
     def to_dict(self) -> dict:

@@ -21,7 +21,7 @@ flowing between batches:
   probed, and rejoined before the next batch drains.
 
 Any failure anywhere triggers fleet-wide rollback: instances whose
-transactions committed get their features re-enabled (restoring the
+transactions committed get the feature re-enabled (restoring the
 recorded original bytes); the failing instance itself was already
 restored to its pristine image by the transaction layer.
 """
@@ -256,7 +256,8 @@ class RolloutExecutor:
                 )
                 continue
             if instance.customized:
-                controller.rollback(instance)
+                with telemetry.label_scope(instance=instance.name):
+                    controller.rollback(instance)
                 self.report.rolled_back.append(instance.name)
                 self._record(instance.name, "rollback", "rolled-back")
             if instance.state is not InstanceState.FAILED:

@@ -27,8 +27,9 @@ that artifact into an availability mechanism:
    locally:
    :data:`TRAP_STORM_THRESHOLD` traps on the removal set within
    :data:`TRAP_STORM_WINDOW_NS` demote *that instance only* — drain,
-   re-enable the features, rejoin degraded — instead of giving the
-   feature back fleet-wide.
+   re-enable the feature, rejoin degraded — instead of giving the
+   feature back fleet-wide.  A demotion whose re-enable kills the
+   instance marks it DOWN, so the same pass starts its recovery.
 
 Chaos campaigns drive all of this through the seeded
 ``fleet.instance_crash`` / ``fleet.restore_image_corrupt`` /
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 
 from .. import faults, telemetry
 from ..analysis.lint import lint_checkpoint
+from ..core import RollbackFailed
 from ..criu.costmodel import DEFAULT_COST_MODEL
 from ..criu.images import CheckpointImage
 from ..criu.restore import restore_with_retry
@@ -106,9 +108,9 @@ class FleetSupervisor:
         self._last_tick_ns: int | None = None
         #: per-instance (clock_ns, hits) observations for the trap storm
         self._trap_window: dict[str, list[tuple[int, int]]] = {}
-        #: per-instance trapped offsets per feature, accumulated by the
-        #: breaker scans and consumed by a shelve (drift_action=shelve)
-        self._storm_pending: dict[str, dict[str, set[int]]] = {}
+        #: per-instance trapped offsets, accumulated by the breaker scans
+        #: and consumed by a shelve (drift_action=shelve)
+        self._storm_pending: dict[str, set[int]] = {}
         #: per-instance breaker trips (demotions) for breaker_status()
         self.breaker_trips: dict[str, int] = {}
         # the controller folds our health/breaker view into status()
@@ -354,10 +356,8 @@ class FleetSupervisor:
         now = self.controller.kernel.clock_ns
         window = self._trap_window.setdefault(instance.name, [])
         if hits:
-            pending = self._storm_pending.setdefault(instance.name, {})
-            for feature_name, offsets in hits.items():
-                pending.setdefault(feature_name, set()).update(offsets)
-            window.append((now, sum(map(len, hits.values()))))
+            self._storm_pending.setdefault(instance.name, set()).update(hits)
+            window.append((now, len(hits)))
         horizon = now - TRAP_STORM_WINDOW_NS
         window[:] = [(t, h) for t, h in window if t >= horizon]
         if sum(h for __, h in window) < TRAP_STORM_THRESHOLD:
@@ -374,44 +374,52 @@ class FleetSupervisor:
         The graceful breaker arm (``drift_action="shelve"``): only the
         blocks that actually trapped come back into service; the rest
         of the removal set keeps the instance debloated.  Overflowing
-        the policy's ``shelve_max_live_blocks`` budget still falls back
-        to a full demotion — at that point most of the feature is hot
-        and block-granular churn stops paying for itself.
+        the policy's shelf cap still falls back to a full demotion — at
+        that point most of the feature is hot and block-granular churn
+        stops paying for itself.  The drift detector's shelve round makes
+        the same decision through the same step,
+        :meth:`~repro.fleet.controller.FleetController.shelve_or_fall_back`.
         """
-        pending = self._storm_pending.pop(instance.name, {})
-        for feature_name, offsets in sorted(pending.items()):
-            already = set(
-                instance.engine.shelved_offsets(
-                    instance.root_pid, feature_name
-                )
-            )
-            if len(already | offsets) > self.policy.shelve_max_live_blocks:
-                self._demote(instance)
-                return
-        shelved = 0
-        for feature_name, offsets in sorted(pending.items()):
-            report = self.controller.shelve_blocks(
-                instance, feature_name, sorted(offsets)
-            )
-            if report is not None:
-                shelved += len(offsets)
+        offsets = self._storm_pending.pop(instance.name, set())
+        shelved = self.controller.shelve_or_fall_back(
+            instance, offsets, self._demote
+        )
+        if shelved is None:
+            return
+        blocks = len(offsets) if shelved else 0
         telemetry.count("breaker_shelves_total", instance=instance.name)
-        self._event(instance, "shelved", f"blocks={shelved}")
+        self._event(instance, "shelved", f"blocks={blocks}")
 
     def _demote(self, instance: FleetInstance) -> None:
-        """Re-enable the features on this instance only; mark degraded."""
+        """Re-enable the feature on this instance only; mark degraded.
+
+        A re-enable whose pristine rollback fails too leaves the
+        instance dead: it is marked DOWN with the failure in the event,
+        and :meth:`tick` recovers it in the same pass.
+        """
         controller = self.controller
-        with controller.out_of_rotation(instance):
-            restored = controller.rollback(instance)
-        instance.degraded = True
+        failure: RollbackFailed | None = None
+        try:
+            with controller.out_of_rotation(instance), telemetry.label_scope(
+                instance=instance.name
+            ):
+                restored = controller.rollback(instance)
+        except RollbackFailed as exc:
+            failure = exc
         self._storm_pending.pop(instance.name, None)
         self.breaker_trips[instance.name] = (
             self.breaker_trips.get(instance.name, 0) + 1
         )
         telemetry.count("breaker_trips_total", instance=instance.name)
-        self._event(
-            instance, "demoted", f"reenabled={','.join(restored) or 'none'}"
-        )
+        if failure is not None:
+            self.records[instance.name].observe_crash(controller.kernel.clock_ns)
+            assert controller.pool is not None
+            controller.pool.mark_down(instance.port)
+            self._event(instance, "down", f"demotion failed: {failure!r}")
+            return
+        instance.degraded = True
+        reenabled = controller.app.feature if restored else "none"
+        self._event(instance, "demoted", f"reenabled={reenabled}")
 
 
 # ----------------------------------------------------------------------

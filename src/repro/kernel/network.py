@@ -134,18 +134,9 @@ class BackendPool(MemberPool):
     port-specific validation and the per-port telemetry.
     """
 
-    def __init__(
-        self,
-        frontend_port: int,
-        backends: list[int] | None = None,
-        failover_budget: int = 1,
-    ):
+    def __init__(self, frontend_port: int):
         self.frontend_port = frontend_port
-        super().__init__(
-            label=f"frontend {frontend_port}",
-            backends=backends,
-            failover_budget=failover_budget,
-        )
+        super().__init__(label=f"frontend {frontend_port}")
 
     def add(self, port: int) -> None:
         if port == self.frontend_port:
@@ -227,10 +218,9 @@ class NetworkStack:
     # ------------------------------------------------------------------
     # multi-backend balancing (frontend ports)
 
-    def register_frontend(
-        self, frontend_port: int, backends: list[int] | None = None
-    ) -> BackendPool:
-        """Reserve ``frontend_port`` as a balanced virtual port."""
+    def register_frontend(self, frontend_port: int) -> BackendPool:
+        """Reserve ``frontend_port`` as a balanced virtual port; backends
+        join it through :meth:`BackendPool.add`."""
         if frontend_port in self.frontends:
             raise NetworkError(f"frontend port {frontend_port} already registered")
         listener = self.ports.get(frontend_port)
@@ -239,8 +229,6 @@ class NetworkStack:
                 f"port {frontend_port} has a live listener; cannot balance over it"
             )
         pool = BackendPool(frontend_port)
-        for port in backends or []:
-            pool.add(port)
         self.frontends[frontend_port] = pool
         return pool
 

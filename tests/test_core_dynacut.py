@@ -302,7 +302,7 @@ class TestImagesAreNeverMutated:
         from repro.fleet.apps import profile_feature
 
         app = get_app(app_name)
-        feature = profile_feature(app, app.features[0])
+        feature = profile_feature(app, app.feature)
         kernel = Kernel()
         proc = app.stage(kernel, app.default_port)
         remembered = {

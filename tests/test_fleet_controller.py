@@ -10,6 +10,7 @@ from repro.fleet import (
     FleetError,
     FleetPolicy,
     InstanceState,
+    apps,
     get_app,
 )
 from repro.kernel import Kernel
@@ -17,7 +18,7 @@ from repro.workloads import HttpClient
 
 
 def make_fleet(size=2, app="lighttpd", **policy_kwargs):
-    policy_kwargs.setdefault("features", get_app(app).features)
+    policy_kwargs.setdefault("features", (get_app(app).feature,))
     policy_kwargs.setdefault("probe_requests", 2)
     controller = FleetController(
         Kernel(), app, FleetPolicy(**policy_kwargs), size=size
@@ -59,6 +60,17 @@ class TestSpawn:
                 Kernel(), "apache", FleetPolicy(features=("f",)), size=1
             )
 
+    def test_feature_other_than_the_apps_rejected(self, monkeypatch):
+        # refused on construction: nothing is profiled or staged
+        monkeypatch.setattr(apps, "_PROFILE_CACHE", {})
+        kernel = Kernel()
+        with pytest.raises(FleetAppError, match="removes 'dav-write'"):
+            FleetController(
+                kernel, "lighttpd", FleetPolicy(features=("SET",)), size=2
+            )
+        assert apps._PROFILE_CACHE == {}
+        assert kernel.processes == {}
+
     def test_instance_lookup_by_index_and_name(self, fleet):
         assert fleet.instance(0) is fleet.instances[0]
         assert fleet.instance("lighttpd-1") is fleet.instances[1]
@@ -88,17 +100,13 @@ class TestCustomizeAndProbe:
     def test_customize_blocks_feature_on_one_instance_only(self, fleet):
         target, other = fleet.instances
         fleet.drain(target)
-        reports = fleet.customize(target)
-        assert len(reports) == 1 and reports[0].stats.blocks_patched > 0
+        report = fleet.customize(target)
+        assert report.stats.blocks_patched > 0
         assert target.customized_features == ["dav-write"]
         # feature is blocked on the customized instance...
-        assert not fleet.app.feature_request(
-            fleet.kernel, target.port, "dav-write"
-        )
+        assert not fleet.app.feature_request(fleet.kernel, target.port)
         # ...and untouched on the other
-        assert fleet.app.feature_request(
-            fleet.kernel, other.port, "dav-write"
-        )
+        assert fleet.app.feature_request(fleet.kernel, other.port)
 
     def test_probe_passes_on_customized_instance(self, fleet):
         target = fleet.instances[0]
@@ -120,11 +128,9 @@ class TestCustomizeAndProbe:
         target = fleet.instances[0]
         fleet.drain(target)
         fleet.customize(target)
-        assert fleet.rollback(target) == ["dav-write"]
+        assert fleet.rollback(target)
         assert not target.customized
-        assert fleet.app.feature_request(
-            fleet.kernel, target.port, "dav-write"
-        )
+        assert fleet.app.feature_request(fleet.kernel, target.port)
 
 
 class TestStatus:
@@ -152,6 +158,6 @@ class TestRedisFleet:
         controller.drain(target)
         controller.customize(target)
         assert not controller.app.feature_request(
-            controller.kernel, target.port, "SET"
+            controller.kernel, target.port
         )
         assert controller.app.wanted_request(controller.kernel, target.port)

@@ -29,7 +29,7 @@ from .helpers import committed_transaction, event_keys, rotation_calls
 
 
 def customized_fleet(size=2, **policy_kwargs):
-    policy_kwargs.setdefault("features", get_app("lighttpd").features)
+    policy_kwargs.setdefault("features", (get_app("lighttpd").feature,))
     policy_kwargs.setdefault("strategy", "rolling")
     policy_kwargs.setdefault("max_unavailable", 1)
     policy_kwargs.setdefault("probe_requests", 2)
@@ -67,7 +67,7 @@ class TestDriftDetection:
         detector = DriftDetector(controller)
         for __ in range(4):           # balanced over both instances
             controller.app.feature_request(
-                controller.kernel, controller.frontend_port, "dav-write"
+                controller.kernel, controller.frontend_port
             )
         assert detector.check()
         status = detector.status
@@ -78,14 +78,14 @@ class TestDriftDetection:
         for instance in controller.instances:
             assert not instance.customized
             assert controller.app.feature_request(
-                controller.kernel, instance.port, "dav-write"
+                controller.kernel, instance.port
             )
 
     def test_failed_reenable_surfaces_the_rollback_failure(self):
         controller = customized_fleet(size=2)
         detector = DriftDetector(controller)
         controller.app.feature_request(
-            controller.kernel, controller.frontend_port, "dav-write"
+            controller.kernel, controller.frontend_port
         )
         # the first instance's re-enable fails to restore, and so does
         # its pristine rollback: its tree is gone
@@ -98,11 +98,33 @@ class TestDriftDetection:
         assert not controller.alive(first)
         assert first.port not in controller.pool.in_service()
 
+    def test_failed_reenable_still_reenables_the_rest_of_the_fleet(self):
+        controller = customized_fleet(size=2)
+        detector = DriftDetector(controller)
+        controller.app.feature_request(
+            controller.kernel, controller.frontend_port
+        )
+        # only the first instance's re-enable fails: its restore and its
+        # pristine rollback are the first two restore visits
+        plan = FaultPlan(seed=9).arm(
+            "restore.memory", "permanent", probability=1.0, times=2
+        )
+        with plan, pytest.raises(RollbackFailed):
+            detector.check()
+        first, second = controller.instances
+        assert not controller.alive(first)
+        # the failure strands nobody else: the second instance serves
+        # the feature again, in rotation, and is listed
+        assert detector.status.reenabled == [second.name]
+        assert not second.customized
+        assert second.port in controller.pool.in_service()
+        assert controller.app.feature_request(controller.kernel, second.port)
+
     def test_ignore_action_logs_but_keeps_customization(self):
         controller = customized_fleet(drift_action="ignore")
         detector = DriftDetector(controller)
         controller.app.feature_request(
-            controller.kernel, controller.frontend_port, "dav-write"
+            controller.kernel, controller.frontend_port
         )
         assert detector.check()
         assert detector.status.triggered
@@ -115,12 +137,12 @@ class TestDriftDetection:
         )
         detector = DriftDetector(controller)
         controller.app.feature_request(
-            controller.kernel, controller.frontend_port, "dav-write"
+            controller.kernel, controller.frontend_port
         )
         assert not detector.check()       # 1 trap < threshold
         controller.kernel.clock_ns += 3 * SECOND_NS
         controller.app.feature_request(
-            controller.kernel, controller.frontend_port, "dav-write"
+            controller.kernel, controller.frontend_port
         )
         # the first trap has aged out of the window: still below threshold
         assert not detector.check()
@@ -130,7 +152,7 @@ class TestDriftDetection:
         controller = customized_fleet()
         detector = DriftDetector(controller)
         controller.app.feature_request(
-            controller.kernel, controller.frontend_port, "dav-write"
+            controller.kernel, controller.frontend_port
         )
         detector.check()
         payload = detector.status.to_dict()
@@ -157,9 +179,7 @@ class TestDriftEndToEnd:
                 return app.wanted_request(kernel, controller.frontend_port)
             # drifted mix: wanted traffic now includes the removed feature
             app.wanted_request(kernel, controller.frontend_port)
-            app.feature_request(
-                kernel, controller.frontend_port, "dav-write"
-            )
+            app.feature_request(kernel, controller.frontend_port)
             return True
 
         events = [
@@ -178,9 +198,7 @@ class TestDriftEndToEnd:
         assert status.triggered_ns - status.first_drift_ns <= policy_window
         assert len(status.reenabled) == 3
         assert all(not i.customized for i in controller.instances)
-        assert app.feature_request(
-            kernel, controller.frontend_port, "dav-write"
-        )
+        assert app.feature_request(kernel, controller.frontend_port)
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +387,7 @@ class TestRecustomizeDrift:
         assert 0 < narrowed < baseline
         assert rounds[1]["dead_restores"] == 0
         # the narrowed set is now the fleet's removal set, everywhere
-        assert len(controller.features["dav-write"].blocks) == narrowed
+        assert len(controller.feature.blocks) == narrowed
         for instance in controller.instances:
             assert len(_removed(instance)) == narrowed
             assert instance.customized

@@ -23,6 +23,11 @@ class TestFleetPolicy:
         with pytest.raises(PolicyError):
             FleetPolicy(features=())
 
+    def test_two_features_rejected(self):
+        # a fleet removes its app's one feature
+        with pytest.raises(PolicyError, match="exactly one feature"):
+            FleetPolicy(features=("dav-write", "SET"))
+
     def test_terminate_policy_rejected(self):
         # killing an in-service instance on a stray trap is never a
         # fleet-safe policy
@@ -61,7 +66,7 @@ class TestFleetPolicy:
 
     def test_dict_roundtrip(self):
         policy = FleetPolicy(
-            features=("a", "b"), strategy="rolling", max_unavailable=3,
+            features=("a",), strategy="rolling", max_unavailable=3,
             trap_policy="verify", block_mode="all", probe_requests=9,
         )
         assert FleetPolicy(**policy.to_dict()) == policy

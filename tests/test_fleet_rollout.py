@@ -16,7 +16,7 @@ from repro.kernel import Kernel
 
 
 def make_fleet(size, **policy_kwargs):
-    policy_kwargs.setdefault("features", get_app("lighttpd").features)
+    policy_kwargs.setdefault("features", (get_app("lighttpd").feature,))
     policy_kwargs.setdefault("probe_requests", 2)
     controller = FleetController(
         Kernel(), "lighttpd", FleetPolicy(**policy_kwargs), size=size

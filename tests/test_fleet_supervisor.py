@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
-from repro.core import RollbackFailed
 from repro.core.transaction import PHASE_RETRYING
 from repro.faults import FaultPlan
 from repro.fleet import (
@@ -202,7 +201,7 @@ class TestSupervisorRecovery:
         # committed rewritten image, not a pristine one
         assert target.customized_features == ["dav-write"]
         assert not controller.app.feature_request(
-            controller.kernel, target.port, "dav-write"
+            controller.kernel, target.port
         )
         assert not target.degraded
         assert target.port in controller.pool.in_service()
@@ -223,9 +222,7 @@ class TestSupervisorRecovery:
         assert controller.alive(target)
         assert target.degraded
         # pristine respawn serves the feature again (no removal set)
-        assert controller.app.feature_request(
-            controller.kernel, target.port, "dav-write"
-        )
+        assert controller.app.feature_request(controller.kernel, target.port)
         assert sup.record(0).state is HealthState.HEALTHY
 
     def test_uncustomized_instance_respawns_pristine(self):
@@ -303,23 +300,19 @@ class TestTrapStorm:
         # hammer the removed feature on the victim's own port: every
         # request traps on the removal set and gets the app's error arm
         for __ in range(6):
-            controller.app.feature_request(
-                controller.kernel, victim.port, "dav-write"
-            )
+            controller.app.feature_request(controller.kernel, victim.port)
         sup.tick(force=True)
         demotions = [e for e in sup.events if e.kind == "demoted"]
         assert [e.instance for e in demotions] == [victim.name]
         assert victim.degraded and not victim.customized
         # demoted locally: the feature serves again on the victim...
-        assert controller.app.feature_request(
-            controller.kernel, victim.port, "dav-write"
-        )
+        assert controller.app.feature_request(controller.kernel, victim.port)
         # ...and stays removed everywhere else (no fleet-wide re-enable)
         for other in others:
             assert other.customized_features == ["dav-write"]
             assert not other.degraded
             assert not controller.app.feature_request(
-                controller.kernel, other.port, "dav-write"
+                controller.kernel, other.port
             )
         assert victim.port in controller.pool.in_service()
 
@@ -327,27 +320,47 @@ class TestTrapStorm:
         controller, sup = make_supervised(size=2)
         victim = controller.instance(1)
         for __ in range(6):
-            controller.app.feature_request(
-                controller.kernel, victim.port, "dav-write"
-            )
+            controller.app.feature_request(controller.kernel, victim.port)
         # the re-enable's restore fails, and so does its pristine
         # rollback: the victim's tree is gone
         plan = FaultPlan(seed=9).arm(
             "restore.memory", "permanent", probability=1.0, times=0
         )
-        with plan, pytest.raises(RollbackFailed):
-            sup.tick(force=True)
+        with plan:
+            events = sup.tick(force=True)
+        # the same pass marks the victim down, naming the failure, and
+        # makes the first recovery attempt, which fails too
+        assert [e.kind for e in events] == ["down", "recovery-failed"]
+        assert "RollbackFailed" in events[0].detail
+        assert sup.breaker_trips == {victim.name: 1}
+        assert sup.record(1).state is HealthState.DOWN
         assert not controller.alive(victim)
         assert victim.port not in controller.pool.in_service()
+
+    def test_failed_demotion_recovers_the_victim_in_the_same_tick(self):
+        controller, sup = make_supervised(size=2)
+        victim = controller.instance(1)
+        for __ in range(6):
+            controller.app.feature_request(controller.kernel, victim.port)
+        # only the demotion's restore and its pristine rollback fail
+        plan = FaultPlan(seed=9).arm(
+            "restore.memory", "permanent", probability=1.0, times=2
+        )
+        with plan:
+            events = sup.tick(force=True)
+        assert [e.kind for e in events] == ["down", "recovered"]
+        assert "RollbackFailed" in events[0].detail
+        assert sup.breaker_trips == {victim.name: 1}
+        assert sup.record(1).state is HealthState.HEALTHY
+        assert controller.alive(victim)
+        assert victim.port in controller.pool.in_service()
 
     def test_sparse_traps_below_threshold_do_not_demote(self):
         controller, sup = make_supervised(size=2)
         victim = controller.instance(1)
         # each request traps once on the removal set
         for __ in range(TRAP_STORM_THRESHOLD - 1):
-            controller.app.feature_request(
-                controller.kernel, victim.port, "dav-write"
-            )
+            controller.app.feature_request(controller.kernel, victim.port)
         sup.tick(force=True)
         assert not any(e.kind == "demoted" for e in sup.events)
         assert victim.customized and not victim.degraded
@@ -437,11 +450,26 @@ class TestStormShelving:
         client = HttpClient(controller.kernel, instance.port)
         return client.put("/storm.txt", "x").status == 201
 
-    def test_storm_shelves_instead_of_demoting(self):
+    def test_storm_shelves_instead_of_demoting(self, monkeypatch):
         controller, sup = self._storm_fleet(shelve_max_live_blocks=64)
         victim, other = controller.instance(0), controller.instance(1)
         assert self._storm_put(controller, victim)
-        sup.tick(force=True)
+        calls = rotation_calls(monkeypatch, controller.pool)
+        hub = TelemetryHub()
+        with telemetry.recording(hub):
+            sup.tick(force=True)
+        # the shelve takes only the victim out of rotation, once
+        assert calls == [("drain", victim.port), ("rejoin", victim.port)]
+        # its shelve transaction and the trap-log resync run under the
+        # victim's label; the quiet instance is only scanned
+        assert event_keys(hub) == [
+            ("traps", "breaker-scan", {"instance": victim.name}),
+            *committed_transaction(instance=victim.name),
+            ("shelve", "shelved", {"instance": victim.name}),
+            ("traps", "sync", {"instance": victim.name}),
+            ("supervisor", "shelved", {"instance": victim.name}),
+            ("traps", "breaker-scan", {"instance": other.name}),
+        ]
         shelvings = [e for e in sup.events if e.kind == "shelved"]
         assert [e.instance for e in shelvings] == [victim.name]
         assert not any(e.kind == "demoted" for e in sup.events)

@@ -26,7 +26,9 @@ def balanced():
     net = NetworkStack()
     for port in (8001, 8002, 8003):
         _listen(net, port)
-    pool = net.register_frontend(8000, backends=[8001, 8002, 8003])
+    pool = net.register_frontend(8000)
+    for port in (8001, 8002, 8003):
+        pool.add(port)
     return net, pool
 
 

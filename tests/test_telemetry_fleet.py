@@ -39,7 +39,7 @@ def _run_fleet(seed: int):
     """A small customized fleet under chaos, fully recorded."""
     app = get_app("lighttpd")
     policy = FleetPolicy(
-        features=app.features,
+        features=(app.feature,),
         trap_policy="verify",
         strategy="rolling",
         max_unavailable=SIZE,

@@ -485,9 +485,9 @@ class TestDriverTracing:
         assert kernel.net.bind(dead_sock, dead_port)
         assert kernel.net.listen(dead_sock)
         kernel.net.ports[dead_port].orphaned = True
-        pool = kernel.net.register_frontend(
-            6378, backends=[dead_port, REDIS_PORT]
-        )
+        pool = kernel.net.register_frontend(6378)
+        pool.add(dead_port)
+        pool.add(REDIS_PORT)
         client = RedisClient(kernel, 6378)
         tracer = RequestTracer()
         result = run_request_timeline(

@@ -181,9 +181,7 @@ class TestRunner:
     @pytest.mark.parametrize(
         "app_name,feature",
         [
-            (app.name, feature)
-            for app in apps.FLEET_APPS.values()
-            for feature in app.features
+            (app.name, app.feature) for app in apps.FLEET_APPS.values()
         ],
     )
     def test_cold_feature_profile_records_nothing(
@@ -191,9 +189,7 @@ class TestRunner:
     ):
         # the profile cache is process-wide and every campaign replays
         # with it warm, so a cold profile may not record anything
-        monkeypatch.delitem(
-            apps._PROFILE_CACHE, (app_name, feature), raising=False
-        )
+        monkeypatch.delitem(apps._PROFILE_CACHE, app_name, raising=False)
         hub = TelemetryHub()
         with telemetry.recording(hub):
             apps.profile_feature(apps.get_app(app_name), feature)

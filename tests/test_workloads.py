@@ -169,7 +169,8 @@ class TestTimelineErrorPaths:
     def test_drained_balancer_pool_shows_dip_not_crash(self, redis_server):
         kernel, proc, client = redis_server
         client.set("hot", "1")
-        pool = kernel.net.register_frontend(6378, backends=[REDIS_PORT])
+        pool = kernel.net.register_frontend(6378)
+        pool.add(REDIS_PORT)
         from repro.workloads import RedisClient
 
         balanced = RedisClient(kernel, 6378)
