@@ -14,12 +14,20 @@ classic recursive-descent recipe:
 Indirect jumps/calls (``jmpr``/``callr``) end a block without adding
 targets — the sound-but-incomplete behaviour real binary CFG recovery
 has, which is why symbol seeds matter.
+
+Each image content has one CFG, kept in the store behind
+:func:`cached_cfg` and :func:`image_cfg`.  It also answers which block
+holds an address (a bisect over its sorted blocks) and where each code
+segment's instructions start and end (recorded while cutting blocks).
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Generic, TypeVar
 from weakref import WeakKeyDictionary
 
@@ -27,10 +35,10 @@ from .. import telemetry
 from ..binfmt.self_format import SelfImage
 from ..isa.disassembler import DecodedInstruction, disassemble_one
 from ..isa.encoding import DecodeError
+from ..kernel.memory import MAX_INSTRUCTION
 
 if TYPE_CHECKING:
     from .dataflow.liveness import RegSet
-    from .lint import InstructionMap
     from .reachability import ClassificationKey, Classified, ProveInputs
 
 T = TypeVar("T")
@@ -48,23 +56,68 @@ class BasicBlock:
         return self.start + self.size
 
 
+@dataclass(frozen=True)
+class InstructionMap:
+    """The decoded instructions of one code segment's recovered blocks.
+
+    ``starts[i]`` and ``ends[i]`` bound one instruction (link-relative),
+    sorted by start; an instruction two blocks both decode appears
+    twice.  Two machine-word arrays rather than a tuple per instruction.
+    """
+
+    starts: array
+    ends: array
+
+    def starts_at(self, offset: int) -> bool:
+        """Whether an instruction starts at ``offset``."""
+        index = bisect_left(self.starts, offset)
+        return index < len(self.starts) and self.starts[index] == offset
+
+    def spanning(self, offset: int) -> list[int]:
+        """Indices of the instructions that start before ``offset`` and
+        end after it."""
+        low = bisect_left(self.starts, offset - (MAX_INSTRUCTION - 1))
+        high = bisect_left(self.starts, offset)
+        return [i for i in range(low, high) if self.ends[i] > offset]
+
+
 @dataclass
 class ControlFlowGraph:
-    """Recovered blocks plus edges between block start addresses."""
+    """Recovered blocks, sorted by start, plus edges between block start
+    addresses and each code segment's instruction boundaries.
+
+    Block lookups bisect the sorted starts (:meth:`block_at`,
+    :meth:`blocks_in`); they rely on blocks not overlapping, which holds
+    unless a leader falls inside another block's instruction.
+    """
 
     image_name: str
     blocks: list[BasicBlock] = field(default_factory=list)
     edges: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    #: code-segment vaddr -> instruction boundaries of its blocks
+    instruction_maps: dict[int, InstructionMap] = field(default_factory=dict)
 
     @property
     def block_count(self) -> int:
         return len(self.blocks)
 
+    @cached_property
+    def _starts(self) -> list[int]:
+        return [b.start for b in self.blocks]
+
     def block_at(self, address: int) -> BasicBlock | None:
-        for block in self.blocks:
-            if block.start <= address < block.end:
-                return block
-        return None
+        """The block containing ``address``, if any."""
+        index = bisect_right(self._starts, address) - 1
+        if index < 0 or address >= self.blocks[index].end:
+            return None
+        return self.blocks[index]
+
+    def blocks_in(self, start: int, end: int) -> list[BasicBlock]:
+        """The blocks overlapping ``[start, end)``, in order."""
+        low = bisect_right(self._starts, start) - 1
+        if low < 0 or self.blocks[low].end <= start:
+            low += 1
+        return self.blocks[low:bisect_left(self._starts, end)]
 
     def block_starts(self) -> set[int]:
         return {b.start for b in self.blocks}
@@ -75,18 +128,13 @@ class CfgBuilder:
 
     def __init__(self, image: SelfImage):
         self.image = image
-        self._regions: list[tuple[int, int, bytes]] = []
-        for seg in image.segments:
-            if seg.name in ("text", "plt") and seg.data:
-                self._regions.append((seg.vaddr, seg.vaddr + len(seg.data), seg.data))
+        self._regions = image.code_segments
 
     # ------------------------------------------------------------------
 
     def build(self) -> ControlFlowGraph:
-        seeds = self._seeds()
-        leaders, terminator_ends = self._discover(seeds)
-        blocks, edges = self._cut_blocks(leaders, terminator_ends)
-        return ControlFlowGraph(self.image.name, blocks, edges)
+        leaders = self._discover(self._seeds())
+        return ControlFlowGraph(self.image.name, *self._cut_blocks(leaders))
 
     # ------------------------------------------------------------------
 
@@ -120,10 +168,9 @@ class CfgBuilder:
             return None
         return decoded
 
-    def _discover(self, seeds: set[int]) -> tuple[set[int], set[int]]:
-        """Walk from seeds, returning (leaders, addresses-after-terminators)."""
+    def _discover(self, seeds: set[int]) -> set[int]:
+        """Walk from seeds, returning the leaders."""
         leaders = set(seeds)
-        terminator_ends: set[int] = set()
         visited: set[int] = set()
         worklist = list(seeds)
         while worklist:
@@ -142,7 +189,6 @@ class CfgBuilder:
                     elif target not in visited:
                         worklist.append(target)
                 if decoded.is_terminator():
-                    terminator_ends.add(decoded.end)
                     # conditional branches and calls fall through
                     if decoded.is_conditional() or mnemonic in ("call", "callr"):
                         if decoded.end not in leaders:
@@ -152,16 +198,24 @@ class CfgBuilder:
                         continue
                     break
                 address = decoded.end
-        return leaders, terminator_ends
+        return leaders
 
-    def _cut_blocks(
-        self, leaders: set[int], terminator_ends: set[int]
-    ) -> tuple[list[BasicBlock], dict[int, tuple[int, ...]]]:
+    def _cut_blocks(self, leaders: set[int]) -> tuple[
+        list[BasicBlock], dict[int, tuple[int, ...]], dict[int, InstructionMap]
+    ]:
+        """Blocks, their edges and each code segment's instruction map,
+        from one decode of every block."""
         blocks: list[BasicBlock] = []
         edges: dict[int, tuple[int, ...]] = {}
+        #: code-segment vaddr -> (start, end) of every decoded instruction
+        extents: dict[int, list[tuple[int, int]]] = {
+            vaddr: [] for vaddr, __, __ in self._regions
+        }
         for leader in sorted(leaders):
-            if self._region_of(leader) is None:
+            region = self._region_of(leader)
+            if region is None:
                 continue
+            instructions = extents[region[0]]
             address = leader
             successors: list[int] = []
             while True:
@@ -169,6 +223,7 @@ class CfgBuilder:
                 if decoded is None:
                     break
                 end = decoded.end
+                instructions.append((address, end))
                 if decoded.is_terminator():
                     target = decoded.branch_target()
                     if target is not None:
@@ -187,7 +242,14 @@ class CfgBuilder:
             if address > leader:
                 blocks.append(BasicBlock(leader, address - leader))
                 edges[leader] = tuple(successors)
-        return blocks, edges
+        instruction_maps: dict[int, InstructionMap] = {}
+        for vaddr, found in extents.items():
+            found.sort(key=lambda extent: extent[0])
+            instruction_maps[vaddr] = InstructionMap(
+                array("q", (start for start, __ in found)),
+                array("q", (end for __, end in found)),
+            )
+        return blocks, edges, instruction_maps
 
 
 def build_cfg(image: SelfImage) -> ControlFlowGraph:
@@ -281,25 +343,19 @@ class DigestCache(Generic[T]):
 class ImageAnalyses:
     """Every analysis of one image content, kept in the CFG store.
 
-    The CFG is recovered when the entry is made.  The other slots start
-    empty and are filled from it by their one user on first use, so
-    they live and die with the CFG's store entry:
-    ``instruction_maps`` by the checkpoint linter
-    (:mod:`repro.analysis.lint`), ``live_in`` by
+    The CFG (with its instruction maps) is recovered when the entry is
+    made.  The other slots start empty and are filled from it by their
+    one user on first use, so they live and die with the CFG's store
+    entry: ``live_in`` by
     :func:`~repro.analysis.dataflow.liveness.live_in_registers`, and
     ``prove_inputs`` and ``classifications`` by
     :func:`~repro.analysis.reachability.refine_removal_set`.
     """
 
-    __slots__ = (
-        "cfg", "instruction_maps", "live_in", "prove_inputs",
-        "classifications",
-    )
+    __slots__ = ("cfg", "live_in", "prove_inputs", "classifications")
 
     def __init__(self, cfg: ControlFlowGraph):
         self.cfg = cfg
-        #: code-segment vaddr -> instruction boundaries of that segment
-        self.instruction_maps: dict[int, InstructionMap] | None = None
         #: block start -> registers live on entry to the block
         self.live_in: dict[int, RegSet] | None = None
         #: prove mode's indirect-branch edges and liveness roots
@@ -340,8 +396,8 @@ def image_analyses(image: SelfImage) -> ImageAnalyses:
 
 
 def image_cfg(image: SelfImage) -> ControlFlowGraph:
-    """The CFG of ``image`` from the same store, counting nothing: for
-    analyses that need a CFG they were not handed."""
+    """The CFG of ``image`` from the same store, counting nothing: the
+    one CFG every analysis of the image reads."""
     return image_analyses(image).cfg
 
 

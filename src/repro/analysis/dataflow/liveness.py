@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...binfmt.self_format import SelfImage
-from ..cfg import ControlFlowGraph, image_analyses, image_cfg
+from ..cfg import image_analyses
 from .framework import DataflowProblem, Direction, solve
 from .regions import RegionMap
 from .valueset import CALLER_SAVED, SP
@@ -96,13 +96,9 @@ class LivenessResult:
         return self.live_in.get(block_start, ALL_REGS)
 
 
-def block_liveness(
-    image: SelfImage, cfg: ControlFlowGraph | None = None
-) -> LivenessResult:
+def block_liveness(image: SelfImage) -> LivenessResult:
     """Solve register liveness per function region of ``image``."""
-    if cfg is None:
-        cfg = image_cfg(image)
-    regions = RegionMap(image, cfg)
+    regions = RegionMap(image)
     live_in: dict[int, RegSet] = {}
     live_out: dict[int, RegSet] = {}
 
@@ -143,7 +139,7 @@ def live_in_registers(image: SelfImage, address: int) -> RegSet:
     """
     analyses = image_analyses(image)
     if analyses.live_in is None:
-        analyses.live_in = _interned(block_liveness(image, analyses.cfg).live_in)
+        analyses.live_in = _interned(block_liveness(image).live_in)
     return analyses.live_in.get(address, ALL_REGS)
 
 

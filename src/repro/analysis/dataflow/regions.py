@@ -24,7 +24,7 @@ from operator import attrgetter
 from ...binfmt.linker import PLT_STUB_SIZE
 from ...binfmt.self_format import SelfImage
 from ...isa.disassembler import DecodedInstruction, disassemble_range
-from ..cfg import ControlFlowGraph
+from ..cfg import image_cfg
 
 
 @dataclass
@@ -51,18 +51,12 @@ class FunctionRegion:
 
 
 class RegionMap:
-    """The image's blocks partitioned into :class:`FunctionRegion`."""
+    """The stored CFG of an image partitioned into :class:`FunctionRegion`."""
 
-    def __init__(self, image: SelfImage, cfg: ControlFlowGraph):
+    def __init__(self, image: SelfImage):
         self.image = image
-        self.cfg = cfg
-        self._blocks = {block.start: block for block in cfg.blocks}
+        self.cfg = image_cfg(image)
         self._decoded: dict[int, list[DecodedInstruction]] = {}
-        self._segments = [
-            (seg.vaddr, seg.vaddr + len(seg.data), seg.data)
-            for seg in image.segments
-            if seg.name in ("text", "plt") and seg.data
-        ]
         self.regions: list[FunctionRegion] = self._partition()
 
     def decode_block(self, start: int) -> list[DecodedInstruction]:
@@ -70,13 +64,13 @@ class RegionMap:
         cached = self._decoded.get(start)
         if cached is not None:
             return cached
-        block = self._blocks.get(start)
+        block = self.cfg.block_at(start)
         out: list[DecodedInstruction] = []
-        if block is not None:
-            for base, end, data in self._segments:
-                if base <= block.start < end:
+        if block is not None and block.start == start:
+            for base, end, data in self.image.code_segments:
+                if base <= start < end:
                     out, __ = disassemble_range(
-                        data, block.start, min(block.end, end), base=base
+                        data, start, min(block.end, end), base=base
                     )
                     break
         self._decoded[start] = out

@@ -29,10 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ... import telemetry
+from ...binfmt.object import EXEC_SECTIONS
 from ...binfmt.self_format import DynRelocType, ImageKind, SelfImage
 from ...isa.disassembler import DecodedInstruction
 from ...isa.instructions import divide
-from ..cfg import ControlFlowGraph, DigestCache, image_cfg
+from ..cfg import DigestCache
 from .framework import DataflowProblem, Direction, solve
 from .hazards import StoreHazard, classify_store
 from .lattice import MASK64, ValueSet
@@ -159,16 +160,14 @@ class _ImageContext:
         #: derived from actual code addresses (lea, relocated words) do
         self.pic = image.kind is ImageKind.DYN
         self.exec_ranges: list[tuple[int, int]] = [
-            (seg.vaddr, seg.vaddr + len(seg.data))
-            for seg in image.segments
-            if seg.name in ("text", "plt") and seg.data
+            (vaddr, end) for vaddr, end, __ in image.code_segments
         ]
         self.reloc_sites: frozenset[int] = frozenset(
             reloc.vaddr for reloc in image.dynamic_relocs
         )
         self._ro_segments = [
             seg for seg in image.segments
-            if "w" not in seg.perms and seg.name not in ("text", "plt")
+            if "w" not in seg.perms and seg.name not in EXEC_SECTIONS
             and seg.data
         ]
 
@@ -432,7 +431,7 @@ def scan_address_taken(regions: RegionMap) -> frozenset[int]:
                 taken.add(lea_target)
     if not ctx.pic:
         for seg in image.segments:
-            if seg.name in ("text", "plt") or not seg.data:
+            if seg.name in EXEC_SECTIONS or not seg.data:
                 continue
             data = seg.data
             for offset in range(0, len(data) - 7):
@@ -452,16 +451,14 @@ _FLOW_CACHE: DigestCache[FlowReport] = DigestCache(
 )
 
 
-def analyze_image_flow(
-    image: SelfImage, cfg: ControlFlowGraph | None = None
-) -> FlowReport:
+def analyze_image_flow(image: SelfImage) -> FlowReport:
     """Run the full value-set analysis over ``image`` (digest-cached).
 
     The per-analysis ``dynaflow_*`` counters come from the report and
     ride along with the cache miss, so a recording counts them once per
     image whether or not the report was already stored.
     """
-    report, missed = _FLOW_CACHE.lookup(image, lambda: _analyze(image, cfg))
+    report, missed = _FLOW_CACHE.lookup(image, lambda: _analyze(image))
     if missed:
         telemetry.count("dynaflow_blocks_analyzed", report.blocks_analyzed,
                         image=image.name)
@@ -477,12 +474,10 @@ def analyze_image_flow(
     return report
 
 
-def _analyze(image: SelfImage, cfg: ControlFlowGraph | None) -> FlowReport:
-    if cfg is None:
-        cfg = image_cfg(image)
+def _analyze(image: SelfImage) -> FlowReport:
     ctx = _ImageContext(image)
-    regions = RegionMap(image, cfg)
-    block_extents = [(b.start, b.end) for b in cfg.blocks]
+    regions = RegionMap(image)
+    block_extents = [(b.start, b.end) for b in regions.cfg.blocks]
     report = FlowReport(image.name)
 
     for region in regions.regions:

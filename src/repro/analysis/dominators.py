@@ -5,7 +5,7 @@ to ``b`` passes through ``d``.  DynaLint uses domination to decide when
 a removal-set block is *provably dead*: once its guarding trap sites
 are patched, no kept path can reach it.
 
-Two primitives are provided:
+Three primitives are provided:
 
 * :func:`compute_dominators` — the classic iterative immediate-
   dominator algorithm (Cooper/Harvey/Kennedy) over block-start edges,
@@ -13,13 +13,15 @@ Two primitives are provided:
 * :func:`collectively_dominated` — the *set* form of domination: the
   blocks every root-path to which crosses a member of a cut set.  A
   single dominating block is the ``len(cutset) == 1`` special case,
-  which the tests pin against the dominator tree.
+  which the tests pin against the dominator tree;
+* :func:`reachable` — the blocks a set of roots reaches, the one walk
+  the cut-set test and the removal classifier share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 #: synthetic super-root used when the analysis has several entry points
 VIRTUAL_ROOT = -1
@@ -155,12 +157,16 @@ def collectively_dominated(
     reached but not expanded).  Blocks unreachable from the roots
     altogether are *not* reported — the caller decides their fate.
     """
-    full = _reachable(edges, roots, stop=set())
-    open_reach = _reachable(edges, roots, stop=cutset)
+    full = reachable(edges, roots)
+    open_reach = reachable(edges, roots, stop=cutset)
     return (full - open_reach) - cutset
 
 
-def _reachable(edges: Edges, roots: Iterable[int], stop: set[int]) -> set[int]:
+def reachable(
+    edges: Edges, roots: Iterable[int], stop: Collection[int] = ()
+) -> set[int]:
+    """Blocks reachable from ``roots``; members of ``stop`` are reached
+    but not expanded."""
     seen: set[int] = set()
     stack = [r for r in roots]
     while stack:

@@ -42,18 +42,15 @@ static proof the customization pipeline makes about its text.
 from __future__ import annotations
 
 import re
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from ..binfmt.object import EXEC_SECTIONS
 from ..binfmt.self_format import DynRelocType, SelfImage
-from ..isa.disassembler import disassemble_range
 from ..isa.instructions import INT3_OPCODE
 from ..kernel.kernel import Kernel
-from ..kernel.memory import MAX_INSTRUCTION
 from ..kernel.signals import Signal
 from ..criu.images import CheckpointImage, ProcessImage, VmaEntry
-from .cfg import ControlFlowGraph, cached_cfg, image_analyses
+from .cfg import cached_cfg, image_cfg
 
 INJECT_TAG_PREFIX = "dynacut:"
 
@@ -133,57 +130,6 @@ class LintReport:
         }
 
 
-@dataclass(frozen=True)
-class InstructionMap:
-    """The decoded instructions of one code segment's recovered blocks.
-
-    ``starts[i]`` and ``ends[i]`` bound one instruction (link-relative),
-    sorted by start; an instruction two blocks both decode appears
-    twice.  Kept per pristine image in the analysis store, as two
-    machine-word arrays rather than a tuple per instruction.
-    """
-
-    starts: array
-    ends: array
-
-    def starts_at(self, offset: int) -> bool:
-        """Whether an instruction starts at ``offset``."""
-        index = bisect_left(self.starts, offset)
-        return index < len(self.starts) and self.starts[index] == offset
-
-    def spanning(self, offset: int) -> list[int]:
-        """Indices of the instructions that start before ``offset`` and
-        end after it."""
-        low = bisect_left(self.starts, offset - (MAX_INSTRUCTION - 1))
-        high = bisect_left(self.starts, offset)
-        return [i for i in range(low, high) if self.ends[i] > offset]
-
-
-def _instruction_maps(
-    binary: SelfImage, cfg: ControlFlowGraph
-) -> dict[int, InstructionMap]:
-    """Instruction map of every code segment, by segment vaddr."""
-    maps: dict[int, InstructionMap] = {}
-    for seg in binary.segments:
-        if seg.name not in ("text", "plt") or not seg.data:
-            continue
-        seg_end = seg.vaddr + len(seg.data)
-        extents: list[tuple[int, int]] = []
-        for block in cfg.blocks:
-            if not (seg.vaddr <= block.start < seg_end):
-                continue
-            decoded, __ = disassemble_range(
-                seg.data, block.start, min(block.end, seg_end), base=seg.vaddr
-            )
-            extents.extend((insn.address, insn.end) for insn in decoded)
-        extents.sort(key=lambda extent: extent[0])
-        maps[seg.vaddr] = InstructionMap(
-            array("q", (start for start, __ in extents)),
-            array("q", (end for __, end in extents)),
-        )
-    return maps
-
-
 #: one byte that is not zero
 _NONZERO = re.compile(rb"[^\x00]")
 
@@ -243,7 +189,7 @@ class ImageLinter:
         for module, base in self._module_bases(image).items():
             binary = self.kernel.binaries[module]
             for seg in binary.segments:
-                if seg.name not in ("text", "plt") or not seg.data:
+                if seg.name not in EXEC_SECTIONS or not seg.data:
                     continue
                 self._lint_segment(image, module, binary, base, seg)
 
@@ -294,10 +240,7 @@ class ImageLinter:
         if not patched:
             return
 
-        analyses = image_analyses(binary)
-        if analyses.instruction_maps is None:
-            analyses.instruction_maps = _instruction_maps(binary, analyses.cfg)
-        instructions = analyses.instruction_maps[seg.vaddr]
+        instructions = image_cfg(binary).instruction_maps[seg.vaddr]
         patched_set = set(patched)
 
         def in_run(offset: int) -> bool:

@@ -45,17 +45,16 @@ trustworthy.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .. import telemetry
 from ..binfmt.self_format import ImageKind, SelfImage
 from ..tracing.drcov import BlockRecord
-from .cfg import BasicBlock, ControlFlowGraph, ImageAnalyses, image_analyses
-from .dominators import collectively_dominated
+from .cfg import ControlFlowGraph, ImageAnalyses, image_analyses
+from .dominators import collectively_dominated, reachable
 
 if TYPE_CHECKING:
     from .dataflow.valueset import FlowReport
@@ -166,7 +165,7 @@ def classify_block_starts(
     # blocks whose every kept path crosses the entry cut set …
     guarded = collectively_dominated(edges, sources, entry_starts)
     # … plus blocks live code cannot reach at all
-    reached = _reachable(edges, sources)
+    reached = reachable(edges, sources)
     verdicts: dict[int, BlockClass] = {}
     for start in removed_starts:
         if start in entry_starts:
@@ -188,20 +187,6 @@ def _merge_edges(
     for start, targets in extra.items():
         merged[start] = tuple(dict.fromkeys(merged.get(start, ()) + targets))
     return merged
-
-
-def _reachable(
-    edges: Mapping[int, tuple[int, ...]], roots: Iterable[int]
-) -> set[int]:
-    seen: set[int] = set()
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(s for s in edges.get(node, ()) if s not in seen)
-    return seen
 
 
 #: what a stored classification is keyed by: the removed, entry and
@@ -268,7 +253,6 @@ def refine_removal_set(
     binary: SelfImage,
     records: list[BlockRecord],
     entries: list[BlockRecord] | None = None,
-    cfg: ControlFlowGraph | None = None,
     prove: bool = False,
 ) -> RemovalClassification:
     """Classify a dynamic removal set for one module.
@@ -287,16 +271,15 @@ def refine_removal_set(
     map (see the module docstring).  The result's ``mode`` records
     whether the proof ran, fell back, or was never requested.
     """
-    # what depends on the image alone is kept in its store entry; a
-    # caller's own CFG gets a store of its own for this call
-    analyses = image_analyses(binary) if cfg is None else ImageAnalyses(cfg)
+    # what depends on the image alone is kept in its store entry
+    analyses = image_analyses(binary)
     cfg = analyses.cfg
     entries = entries or []
 
     removed_starts: set[int] = set()
     for record in records:
         record_end = record.offset + record.size
-        for block in _covered_blocks(cfg, record):
+        for block in cfg.blocks_in(record.offset, record_end):
             # only blocks *fully* inside the record are removed as
             # block starts; partially covered ones keep a live prefix
             if record.offset <= block.start and block.end <= record_end:
@@ -304,7 +287,7 @@ def refine_removal_set(
     entry_starts = {
         block.start
         for record in entries
-        for block in _covered_blocks(cfg, record)
+        for block in cfg.blocks_in(record.offset, record.offset + record.size)
     }
     removed_starts |= entry_starts
 
@@ -315,7 +298,7 @@ def refine_removal_set(
     if prove:
         from .dataflow.valueset import analyze_image_flow
 
-        flow = analyze_image_flow(binary, cfg)
+        flow = analyze_image_flow(binary)
         fallback_reason = _prove_obstacle(flow)
         if fallback_reason is None:
             mode = "prove"
@@ -409,26 +392,29 @@ def _indirect_edges(
     only land on an address-taken value); external sites leave the
     module and contribute nothing.
     """
-    block_of = _block_lookup(cfg)
-    taken_blocks = tuple(sorted(
-        {b for a in flow.address_taken if (b := block_of(a)) is not None}
-    ))
+    taken_blocks = _block_starts(cfg, flow.address_taken)
     extra: dict[int, tuple[int, ...]] = {}
     for site in flow.sites:
-        source = block_of(site.address)
+        source = cfg.block_at(site.address)
         if source is None or site.external:
             continue
-        if site.resolved:
-            targets = tuple(sorted(
-                {b for t in site.targets if (b := block_of(t)) is not None}
-            ))
-        else:
-            targets = taken_blocks
+        targets = (
+            _block_starts(cfg, site.targets) if site.resolved else taken_blocks
+        )
         if targets:
-            extra[source] = tuple(
-                dict.fromkeys(extra.get(source, ()) + targets)
+            extra[source.start] = tuple(
+                dict.fromkeys(extra.get(source.start, ()) + targets)
             )
     return extra
+
+
+def _block_starts(
+    cfg: ControlFlowGraph, addresses: Iterable[int]
+) -> tuple[int, ...]:
+    """Sorted starts of the blocks containing ``addresses``."""
+    return tuple(sorted(
+        {b.start for a in addresses if (b := cfg.block_at(a)) is not None}
+    ))
 
 
 def _liveness_roots(
@@ -441,38 +427,10 @@ def _liveness_roots(
     call any global symbol, while an ``EXEC`` image's exports are only
     reachable from within.
     """
-    block_of = _block_lookup(cfg)
-    roots: set[int] = set()
-    entry_block = block_of(binary.entry)
-    if entry_block is not None:
-        roots.add(entry_block)
-    for address in flow.address_taken:
-        block = block_of(address)
-        if block is not None:
-            roots.add(block)
+    addresses = [binary.entry, *flow.address_taken]
     if binary.kind is ImageKind.DYN:
-        for sym in binary.exports().values():
-            block = block_of(sym.vaddr)
-            if block is not None:
-                roots.add(block)
-    return roots
-
-
-_BlockOf = Callable[[int], "int | None"]  # address → containing block start
-
-
-def _block_lookup(cfg: ControlFlowGraph) -> _BlockOf:
-    starts = sorted(b.start for b in cfg.blocks)
-    ends = {b.start: b.end for b in cfg.blocks}
-
-    def lookup(address: int) -> int | None:
-        index = bisect_right(starts, address) - 1
-        if index < 0:
-            return None
-        start = starts[index]
-        return start if address < ends[start] else None
-
-    return lookup
+        addresses += [sym.vaddr for sym in binary.exports().values()]
+    return set(_block_starts(cfg, addresses))
 
 
 def _wipe_safe_offsets(
@@ -493,14 +451,14 @@ def _wipe_safe_offsets(
         downstream: set[int] = set()
         for start, verdict in classified.verdicts.items():
             if verdict is BlockClass.TRAP_REQUIRED:
-                downstream |= _reachable(edges, edges.get(start, ()))
+                downstream |= reachable(edges, edges.get(start, ()))
         classified.downstream = frozenset(downstream)
     downstream_starts = classified.downstream
     safe: list[int] = []
     for record in classification.provably_dead:
         record_end = record.offset + record.size
         covered = [
-            block.start for block in _covered_blocks(cfg, record)
+            block.start for block in cfg.blocks_in(record.offset, record_end)
             if record.offset <= block.start and block.end <= record_end
         ]
         if covered and not any(start in downstream_starts for start in covered):
@@ -532,7 +490,7 @@ def _record_verdict(
 ) -> BlockClass:
     if record.offset in entry_offsets:
         return BlockClass.TRAP_REQUIRED
-    covered = _covered_blocks(cfg, record)
+    covered = cfg.blocks_in(record.offset, record.offset + record.size)
     if not covered:
         # bytes outside every recovered block: nothing provable
         return BlockClass.TRAP_REQUIRED
@@ -564,12 +522,3 @@ _SEVERITY = {
 
 def _meet(a: BlockClass, b: BlockClass) -> BlockClass:
     return a if _SEVERITY[a] >= _SEVERITY[b] else b
-
-
-def _covered_blocks(cfg: ControlFlowGraph, record: BlockRecord) -> list[BasicBlock]:
-    """Static blocks overlapping the record's byte range, in order."""
-    record_end = record.offset + record.size
-    return [
-        block for block in cfg.blocks
-        if block.start < record_end and record.offset < block.end
-    ]

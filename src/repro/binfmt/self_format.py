@@ -30,6 +30,7 @@ from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, TypeVar
 
+from .object import EXEC_SECTIONS
 from .serde import ByteReader, ByteWriter
 
 MAGIC = b"SELF\x01"
@@ -99,8 +100,8 @@ class SelfImage:
 
     An image is never mutated after it is built: the linker,
     :meth:`from_bytes` and the static-debloating baseline each build a
-    new one.  That is what lets :attr:`digest` and
-    :attr:`function_table` be computed once.
+    new one.  That is what lets :attr:`digest`, :attr:`code_segments`
+    and :attr:`function_table` be computed once.
     """
 
     name: str
@@ -143,17 +144,24 @@ class SelfImage:
 
     def code_size(self) -> int:
         """Bytes of machine code (text + plt)."""
-        total = 0
-        for seg in self.segments:
-            if seg.name in ("text", "plt"):
-                total += len(seg.data)
-        return total
+        return sum(end - vaddr for vaddr, end, __ in self.code_segments)
 
     @cached_property
     def digest(self) -> str:
         """:func:`content_digest` of this image, computed on first use and
         kept for the object's life (an image is never mutated)."""
         return content_digest(self)
+
+    @cached_property
+    def code_segments(self) -> tuple[tuple[int, int, bytes], ...]:
+        """``(vaddr, end, data)`` of every code segment
+        (:data:`~repro.binfmt.object.EXEC_SECTIONS`) that has bytes,
+        built once: the one answer to "which bytes are code"."""
+        return tuple(
+            (seg.vaddr, seg.vaddr + len(seg.data), seg.data)
+            for seg in self.segments
+            if seg.name in EXEC_SECTIONS and seg.data
+        )
 
     @cached_property
     def function_table(self) -> tuple[tuple[int, str], ...]:

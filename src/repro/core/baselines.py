@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..analysis.cfg import ControlFlowGraph, image_cfg
+from ..analysis.cfg import image_cfg
+from ..binfmt.object import EXEC_SECTIONS
 from ..binfmt.self_format import SelfImage
 from ..isa.instructions import INT3_OPCODE
 from ..tracing.drcov import CoverageTrace
@@ -106,34 +107,26 @@ def razor_debloat(
     )
 
 
-def apply_debloat(
-    image: SelfImage, result: DebloatResult, cfg: ControlFlowGraph | None = None
-) -> SelfImage:
+def apply_debloat(image: SelfImage, result: DebloatResult) -> SelfImage:
     """Produce the statically debloated binary (removed blocks int3'd).
 
     This is the one-shot rewrite RAZOR/CHISEL perform: the output binary
     permanently lacks the removed code — running a removed feature
     traps, and there is no dynamic path back.
     """
-    if cfg is None:
-        cfg = image_cfg(image)
-    blocks_by_start = {block.start: block for block in cfg.blocks}
+    cfg = image_cfg(image)
     new_segments = []
     for seg in image.segments:
-        if seg.name not in ("text", "plt"):
+        if seg.name not in EXEC_SECTIONS:
             new_segments.append(seg)
             continue
         data = bytearray(seg.data)
-        for start in result.removed_starts:
-            block = blocks_by_start.get(start)
-            if block is None:
-                continue
-            if seg.vaddr <= block.start < seg.vaddr + len(data):
+        for block in cfg.blocks_in(seg.vaddr, seg.vaddr + len(data)):
+            if block.start in result.removed_starts:
                 offset = block.start - seg.vaddr
                 data[offset:offset + block.size] = bytes(
                     [INT3_OPCODE]
                 ) * block.size
-            # blocks outside this segment belong to the other code segment
         new_segments.append(replace(seg, data=bytes(data)))
     debloated = SelfImage(
         name=image.name,

@@ -414,12 +414,15 @@ class DynaCut:
                 else "hit a permanent fault"
             )
             raise RollbackFailed(f"pristine restore {how}: {fault}") from fault
+        finally:
+            # resurface the pristine images as the working set, even when
+            # the restore failed, so the image dir never keeps the
+            # uncommitted rewrite — modelled as a local replay of the
+            # durable pristine/ copy (no new payload I/O), hence
+            # shielded from injection
+            with faults.shielded():
+                state.pristine.save(self.kernel.fs, self.image_dir)
         state.tree_down = False
-        # resurface the pristine images as the working set — modelled as
-        # a local replay of the durable pristine/ copy (no new payload
-        # I/O), hence shielded from injection
-        with faults.shielded():
-            state.pristine.save(self.kernel.fs, self.image_dir)
         journal.record(
             PHASE_ROLLED_BACK, attempt, self.kernel.clock_ns, note=note
         )

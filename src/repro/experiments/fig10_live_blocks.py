@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from argparse import Namespace
 
-from ..analysis import build_cfg
+from ..analysis.cfg import image_cfg
 from ..apps import LIGHTTPD_PORT
 from ..core import DynaCut, chisel_debloat, razor_debloat
 from ..core.covgraph import CoverageGraph
@@ -62,7 +62,7 @@ def _lifetime():
     kernel = profiled.kernel
     module = profiled.binary
     binary = kernel.binaries[module]
-    cfg = build_cfg(binary)
+    cfg = image_cfg(binary)
     client = HttpClient(kernel, LIGHTTPD_PORT)
     dynacut = DynaCut(kernel)
     proc = profiled.root

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from argparse import Namespace
 
-from ..analysis import build_cfg
+from ..analysis.cfg import image_cfg
 from ..tools import report
 from ..tools.svgplot import GridMap
 from ..workloads.corpus import CORPORA, profile
@@ -21,7 +21,7 @@ from . import Pass, claims
 def _footprint(profiled):
     kernel = profiled.kernel
     binary = kernel.binaries[profiled.binary]
-    cfg = build_cfg(binary)
+    cfg = image_cfg(binary)
     executed = {
         b.offset for b in profiled.init_trace.module_blocks(profiled.binary)
     } | {b.offset for b in profiled.serving_trace.module_blocks(profiled.binary)}

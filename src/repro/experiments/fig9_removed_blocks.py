@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from argparse import Namespace
 
-from ..analysis import build_cfg
+from ..analysis import total_basic_blocks
 from ..tools import report
 from ..workloads.corpus import CORPORA, profile
 from . import SPEC_EVALUATED, Pass, claims
@@ -28,7 +28,7 @@ def run(args: Namespace) -> Pass:
         binary = profiled.kernel.binaries[profiled.binary]
         init_report = profiled.init_report
         results[app] = {
-            "total_static_blocks": build_cfg(binary).block_count,
+            "total_static_blocks": total_basic_blocks(binary),
             "executed_blocks": init_report.total_executed,
             "removed_blocks": init_report.removable_count,
             "removed_fraction": init_report.removable_fraction,

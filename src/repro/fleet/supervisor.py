@@ -285,7 +285,12 @@ class FleetSupervisor:
             )
 
     def _restore_from_checkpoint(self, instance: FleetInstance) -> RecoveryOutcome:
-        """Restore the last *committed* transactional image, linted."""
+        """Restore the last *committed* transactional image, linted.
+
+        A transaction that does not commit leaves its pristine images
+        in the image dir, even when its rollback fails, so this never
+        restores an uncommitted rewrite.
+        """
         kernel = self.controller.kernel
         engine = instance.engine
         try:
@@ -395,7 +400,9 @@ class FleetSupervisor:
 
         A re-enable whose pristine rollback fails too leaves the
         instance dead: it is marked DOWN with the failure in the event,
-        and :meth:`tick` recovers it in the same pass.
+        and :meth:`tick` recovers it in the same pass, from the
+        pre-demotion image (the feature still removed, as its record
+        says).
         """
         controller = self.controller
         failure: RollbackFailed | None = None

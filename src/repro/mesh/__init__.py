@@ -7,9 +7,9 @@ cross-kernel frontend in front:
 
 * :class:`Host` — one kernel-sized shard (kernel + fleet controller +
   supervisor), with whole-host crash as its failure unit;
-* :class:`Frontend` — consistent-hash keyspace routing (kvstore) or L7
-  spread (httpd) over shards, cross-host failover, and the
-  ``issued == served + failed_over + shed`` accounting identity;
+* :class:`Frontend` — consistent-hash keyspace routing over shards
+  (the mesh shards the redis kvstore only), cross-host failover, and
+  the ``issued == served + failed_over + shed`` accounting identity;
 * :class:`MeshController` — the control plane: mesh-time clock
   discipline (:class:`MeshClock`), mesh-wide supervision ticks, seeded
   whole-host chaos (:func:`inject_host_chaos`);
@@ -21,7 +21,7 @@ See ``docs/fleet.md`` (Mesh section) and the ``mesh`` campaign record
 """
 
 from .controller import MeshClock, MeshController, inject_host_chaos
-from .frontend import ROUTING_MODES, Frontend
+from .frontend import Frontend
 from .host import Host, MeshError
 from .ring import HashRing, RingError, stable_hash
 from .rollout import MeshRollout
@@ -34,7 +34,6 @@ __all__ = [
     "MeshController",
     "MeshError",
     "MeshRollout",
-    "ROUTING_MODES",
     "RingError",
     "inject_host_chaos",
     "stable_hash",

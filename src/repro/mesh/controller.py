@@ -1,6 +1,6 @@
 """DynaMesh control plane: N kernels, one fleet, one clock discipline.
 
-:class:`MeshController` shards a fleet over ``policy.shards``
+:class:`MeshController` shards a kvstore fleet over ``policy.shards``
 :class:`~repro.mesh.host.Host` objects — each a whole
 :class:`~repro.kernel.kernel.Kernel` with its own virtual clock — and
 fronts them with a :class:`~repro.mesh.frontend.Frontend`.
@@ -83,11 +83,13 @@ class MeshController:
         image_root: str = "/tmp/criu/mesh",
     ):
         self.app = get_app(app) if isinstance(app, str) else app
+        if self.app.name != "redis":
+            # the frontend routes keyed kvstore traffic over its hash ring
+            raise MeshError(
+                f"the mesh shards the redis kvstore only, not {self.app.name!r}"
+            )
         self.policy = policy
         self.size_per_shard = size_per_shard
-        #: kvstore traffic is keyed, so it goes over the hash ring;
-        #: stateless httpds use plain L7 spread
-        self.routing = "hash" if self.app.name == "redis" else "spread"
         self.hosts = [
             Host(index, self.app, policy, size_per_shard, image_root)
             for index in range(policy.shards)
@@ -117,7 +119,6 @@ class MeshController:
         self.clock.clock_ns = self.clock.clock_ns
         self.frontend = Frontend(
             self.hosts,
-            mode=self.routing,
             ring_replicas=self.policy.ring_replicas,
             host_failover_budget=self.policy.host_failover_budget,
         )
@@ -186,27 +187,19 @@ class MeshController:
             self._clients[(host.index, port)] = client
         return client
 
-    def wanted_request(self, key: str | None = None) -> bool:
-        """One unit of service through the frontend tier.
-
-        Under hash routing the request is a keyed kvstore round-trip
-        (GET against the owning shard's intra-host frontend — a miss is
-        still *service*); under spread it is the app adapter's wanted
-        request.  Never syncs clocks: the data path is parallel.
+    def wanted_request(self, key: str) -> bool:
+        """One unit of service through the frontend tier: a keyed
+        kvstore round-trip (GET against the owning shard's intra-host
+        frontend — a miss is still *service*).  Never syncs clocks: the
+        data path is parallel.
         """
         assert self.frontend is not None
-        if self.routing == "hash":
-            if key is None:
-                raise MeshError("hash routing needs a key= per request")
 
-            def request(host: Host) -> bool:
-                self._client(host, host.frontend_port).get(key)
-                return True
+        def request(host: Host) -> bool:
+            self._client(host, host.frontend_port).get(key)
+            return True
 
-            return self.frontend.dispatch(request, key=key)
-        return self.frontend.dispatch(
-            lambda host: self.app.wanted_request(host.kernel, host.frontend_port)
-        )
+        return self.frontend.dispatch(request, key=key)
 
     def store(self, key: str, value: str) -> bool:
         """Write ``key`` to every live replica on its owning shard.
@@ -219,8 +212,6 @@ class MeshController:
         feature the canonical mesh policy disables).
         """
         assert self.frontend is not None
-        if self.routing != "hash":
-            raise MeshError("store() is only meaningful under hash routing")
 
         def request(host: Host) -> bool:
             wrote = False
@@ -262,8 +253,6 @@ class MeshController:
     def fetch(self, key: str) -> str | None:
         """Read ``key`` from its owning shard (data-locality checks)."""
         assert self.frontend is not None
-        if self.routing != "hash":
-            raise MeshError("fetch() is only meaningful under hash routing")
         box: list[str | None] = [None]
 
         def request(host: Host) -> bool:
@@ -285,7 +274,7 @@ class MeshController:
                 shards[host.name] = host.status()
         return {
             "app": self.app.name,
-            "routing": self.routing,
+            "routing": "hash",
             "shards": self.policy.shards,
             "size_per_shard": self.size_per_shard,
             "clock_ns": self.clock.clock_ns,

@@ -4,14 +4,10 @@ One :class:`Frontend` stands in front of N :class:`~repro.mesh.host.Host`
 shards the way a host's intra-kernel balancer stands in front of its
 instances — and it is literally the same state machine: a
 :class:`~repro.kernel.balancer.MemberPool` over *shard indices* instead
-of backend ports.  Two routing policies:
-
-* ``"spread"`` — plain L7 round-robin over routable shards; right for
-  stateless httpd fleets where any shard can serve any request.
-* ``"hash"`` — consistent-hash keyspace routing (:class:`HashRing`);
-  required for the kvstore fleet, where the data for a key lives on
-  the shard that owns its arc.  A down host's arc fails over to its
-  ring successors, so only that arc remaps.
+of backend ports.  Routing is consistent-hash keyspace routing
+(:class:`HashRing`), because the mesh shards a kvstore fleet: the data
+for a key lives on the shard that owns its arc.  A down host's arc
+fails over to its ring successors, so only that arc remaps.
 
 Every dispatch is accounted into exactly one bucket, and the identity
 
@@ -37,26 +33,18 @@ from ..telemetry import trace
 from .host import Host, MeshError
 from .ring import HashRing
 
-ROUTING_MODES = ("spread", "hash")
-
 
 class Frontend:
-    """Routes requests across mesh hosts; never loses one silently."""
+    """Routes keyed requests across mesh hosts; never loses one silently."""
 
     def __init__(
         self,
         hosts: list[Host],
-        mode: str = "spread",
         ring_replicas: int = 8,
         host_failover_budget: int = 1,
     ):
-        if mode not in ROUTING_MODES:
-            raise MeshError(
-                f"unknown routing mode {mode!r}; use one of {ROUTING_MODES}"
-            )
         if not hosts:
             raise MeshError("a mesh frontend needs at least one host")
-        self.mode = mode
         self.hosts = {host.index: host for host in hosts}
         self.pool = MemberPool(
             label="mesh frontend",
@@ -98,22 +86,15 @@ class Frontend:
     # ------------------------------------------------------------------
     # candidate ordering
 
-    def _candidates(self, key: str | None) -> Iterator[Host]:
-        """Shards to try, in policy order, skipping known-down hosts."""
-        if self.mode == "hash":
-            if key is None:
-                raise MeshError("hash routing needs a key= on every dispatch")
-            for index in self.ring.successors(key):
-                if index not in self.pool.down:
-                    yield self.hosts[index]
-        else:
-            while True:
-                yield self.hosts[self.pool.pick(lambda index: True)]
+    def _candidates(self, key: str) -> Iterator[Host]:
+        """Shards to try, in ring order from ``key``'s owner, skipping
+        known-down hosts."""
+        for index in self.ring.successors(key):
+            if index not in self.pool.down:
+                yield self.hosts[index]
 
     def shard_for(self, key: str) -> Host:
-        """The live shard owning ``key`` (hash mode only)."""
-        if self.mode != "hash":
-            raise MeshError("shard_for() is only meaningful under hash routing")
+        """The live shard owning ``key``."""
         return self.hosts[self.ring.shard_for(key, down=self.pool.down)]
 
     # ------------------------------------------------------------------
@@ -132,6 +113,8 @@ class Frontend:
         hop without marking the host down (a transient partition, not a
         dead machine).
         """
+        if key is None:
+            raise MeshError("hash routing needs a key= on every dispatch")
         self.issued += 1
         hops = 0
         candidates = self._candidates(key)
@@ -221,7 +204,7 @@ class Frontend:
 
     def stats(self) -> dict:
         return {
-            "mode": self.mode,
+            "mode": "hash",
             "issued": self.issued,
             "served": self.served,
             "failed_over": self.failed_over,
@@ -236,5 +219,5 @@ class Frontend:
                 self.hosts[index].name: total
                 for index, total in sorted(self.pool.failovers.items())
             },
-            "ring": self.ring.to_dict() if self.mode == "hash" else None,
+            "ring": self.ring.to_dict(),
         }

@@ -18,6 +18,7 @@ from repro.analysis.dataflow import analyze_image_flow
 from repro.analysis.dataflow.valueset import _FLOW_CACHE
 from repro.apps import stage_lighttpd
 from repro.binfmt import PLT_STUB_SIZE
+from repro.isa.disassembler import disassemble_range
 from repro.kernel import Kernel
 from repro.telemetry import (
     TelemetryHub,
@@ -101,6 +102,38 @@ class TestCfg:
         image = build_minic("func main() { return 0; }", "tb", with_libc=False)
         assert total_basic_blocks(image) == build_cfg(image).block_count
 
+    def test_instruction_maps_hold_every_block_instruction(self, redis_binary):
+        cfg = build_cfg(redis_binary)
+        assert sorted(cfg.instruction_maps) == [
+            vaddr for vaddr, __, __ in redis_binary.code_segments
+        ]
+        for vaddr, end, data in redis_binary.code_segments:
+            decoded = sorted(
+                (insn.address, insn.end)
+                for block in cfg.blocks if vaddr <= block.start < end
+                for insn in disassemble_range(
+                    data, block.start, block.end, base=vaddr
+                )[0]
+            )
+            stored = cfg.instruction_maps[vaddr]
+            assert list(zip(stored.starts, stored.ends)) == decoded
+
+    def test_block_lookups_match_a_scan(self, libc):
+        cfg = build_cfg(libc)
+        probes = sorted({
+            address
+            for block in cfg.blocks
+            for address in (block.start - 1, block.start, block.end - 1,
+                            block.end)
+        })
+        for address in probes:
+            scanned = [b for b in cfg.blocks if b.start <= address < b.end]
+            assert cfg.block_at(address) == (scanned[0] if scanned else None)
+            for end in (address, address + 1, address + 40):
+                assert cfg.blocks_in(address, end) == [
+                    b for b in cfg.blocks if b.start < end and address < b.end
+                ]
+
     def test_plt_stubs_are_blocks(self, redis_binary):
         cfg = build_cfg(redis_binary)
         starts = cfg.block_starts()
@@ -143,7 +176,8 @@ def _lookups(binaries):
     for binary in binaries:
         cached_cfg(binary)
         analyze_image_flow(binary)
-        analyze_image_flow(binary, cached_cfg(binary))
+        cached_cfg(binary)
+        analyze_image_flow(binary)
 
 
 class TestDigestCacheTelemetry:

@@ -114,9 +114,9 @@ class TestDerivedAnalyses:
         )
         solves: list[str] = []
 
-        def counted(image, cfg=None):
+        def counted(image):
             solves.append(image.name)
-            return block_liveness(image, cfg)
+            return block_liveness(image)
 
         monkeypatch.setattr(liveness, "block_liveness", counted)
         blocks = sorted(build_cfg(libc_image()).block_starts())
@@ -128,7 +128,7 @@ class TestDerivedAnalyses:
 
     def test_stored_live_in_matches_a_fresh_solve(self):
         binary = redis_image()
-        fresh = block_liveness(binary, build_cfg(binary))
+        fresh = block_liveness(binary)
         for block in build_cfg(binary).block_starts():
             assert live_in_registers(binary, block) == fresh.live_in_of(block)
         assert live_in_registers(binary, -1) == fresh.live_in_of(-1)

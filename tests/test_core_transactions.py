@@ -273,6 +273,29 @@ class TestPermanentFault:
         survivor = kernel.processes.get(proc.pid)
         assert survivor is None or not survivor.alive
 
+    def test_failed_rollback_leaves_the_pre_disable_images_on_disk(self):
+        kernel, proc, __ = _staged()
+        feature = _profile_set(kernel, proc)
+        dynacut = DynaCut(kernel)
+        before = {
+            block.offset: proc.memory.read_raw(block.offset, block.size)
+            for block in feature.blocks
+        }
+        # the disable's restore and the rollback's restore both fail
+        plan = FaultPlan(seed=9).arm(
+            "restore.memory", "permanent", probability=1.0, times=0
+        )
+        with plan:
+            with pytest.raises(RollbackFailed):
+                dynacut.disable_feature(
+                    proc.pid, feature, policy=TrapPolicy.VERIFY
+                )
+        # whoever restores the image dir next (the fleet supervisor's
+        # recovery) gets the pre-disable tree, not the uncommitted rewrite
+        image = CheckpointImage.load(kernel.fs, dynacut.image_dir).root()
+        for offset, code in before.items():
+            assert image.read_memory(offset, len(code)) == code
+
 
 def _code_pages(proc) -> dict[int, bytes]:
     """Every executable mapping of ``proc``, by start address."""

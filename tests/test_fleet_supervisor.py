@@ -354,6 +354,11 @@ class TestTrapStorm:
         assert sup.record(1).state is HealthState.HEALTHY
         assert controller.alive(victim)
         assert victim.port in controller.pool.in_service()
+        # recovered from its pre-demotion image: the feature stays
+        # removed, as the victim's record says
+        assert victim.customized_features == [controller.app.feature]
+        assert not victim.degraded
+        assert not controller.app.feature_request(controller.kernel, victim.port)
 
     def test_sparse_traps_below_threshold_do_not_demote(self):
         controller, sup = make_supervised(size=2)

@@ -12,6 +12,7 @@ import pytest
 from repro import telemetry
 from repro.faults import FaultPlan
 from repro.fleet import FleetPolicy
+from repro.mesh import controller as controller_module
 from repro.mesh import (
     MeshClock,
     MeshController,
@@ -43,9 +44,19 @@ class TestSpawnAndStatus:
             assert host.frontend_port == mesh.hosts[0].frontend_port
             assert host.routable()
 
-    def test_kvstore_defaults_to_hash_routing(self, tmp_path):
-        mesh = make_mesh(tmp_path)
-        assert mesh.routing == "hash"
+    def test_non_kvstore_app_is_refused_before_any_host(
+        self, tmp_path, monkeypatch
+    ):
+        def no_host(*args, **kwargs):
+            raise AssertionError("a host was built for a refused app")
+
+        monkeypatch.setattr(controller_module, "Host", no_host)
+        policy = FleetPolicy(features=("dav-write",), shards=2)
+        with pytest.raises(MeshError, match="redis kvstore only"):
+            MeshController(
+                "lighttpd", policy, size_per_shard=1,
+                image_root=str(tmp_path / "mesh"),
+            )
 
     def test_status_aggregates_all_shards(self, tmp_path):
         mesh = make_mesh(tmp_path, shards=2)

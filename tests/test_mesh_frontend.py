@@ -42,42 +42,41 @@ class StubHost:
         return True
 
 
-def make_frontend(n=2, mode="spread", budget=1, replicas=8):
+def make_frontend(n=2, budget=1, replicas=8):
     hosts = [StubHost(index) for index in range(n)]
     return hosts, Frontend(
-        hosts, mode=mode, ring_replicas=replicas, host_failover_budget=budget
+        hosts, ring_replicas=replicas, host_failover_budget=budget
     )
 
 
-class TestConstruction:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(MeshError, match="routing mode"):
-            make_frontend(mode="anycast")
+def key(index):
+    """Keys ``key-0`` … ``key-5`` fall to shards 0, 1, 0, 1, 1, 1 of the
+    default 2-shard ring."""
+    return f"key-{index}"
 
+
+class TestConstruction:
     def test_no_hosts_rejected(self):
         with pytest.raises(MeshError, match="at least one host"):
             Frontend([])
 
     def test_hash_dispatch_requires_key(self):
-        __, frontend = make_frontend(mode="hash")
+        __, frontend = make_frontend()
         with pytest.raises(MeshError, match="key"):
             frontend.dispatch(lambda host: True)
 
 
 class TestSpreadRouting:
-    def test_round_robin_balances(self):
-        hosts, frontend = make_frontend(n=2)
-        for __ in range(10):
-            assert frontend.dispatch(lambda host: host.serve())
-        stats = frontend.stats()
-        assert stats["dispatched"] == {"host-0": 5, "host-1": 5}
-        assert stats["issued"] == stats["served"] == 10
-        assert stats["accounted"]
+    """Keys spread over both shards: failover, shedding and rejoin when
+    one shard dies."""
 
     def test_dead_host_fails_over_and_is_marked_down(self):
         hosts, frontend = make_frontend(n=2)
         hosts[0].serving = False
-        results = [frontend.dispatch(lambda host: host.serve()) for __ in range(6)]
+        results = [
+            frontend.dispatch(lambda host: host.serve(), key=key(index))
+            for index in range(6)
+        ]
         assert all(results)
         stats = frontend.stats()
         assert stats["down_hosts"] == [0]
@@ -92,9 +91,9 @@ class TestSpreadRouting:
         hosts, frontend = make_frontend(n=2, budget=3)
         for host in hosts:
             host.serving = False
-        for __ in range(4):
+        for index in range(4):
             with pytest.raises(NoBackendAvailable, match="mesh failover budget"):
-                frontend.dispatch(lambda host: host.serve())
+                frontend.dispatch(lambda host: host.serve(), key=key(index))
         stats = frontend.stats()
         assert stats["shed"] == 4
         assert stats["served"] == stats["failed_over"] == 0
@@ -103,13 +102,13 @@ class TestSpreadRouting:
     def test_recovered_host_rejoins_after_mark_up(self):
         hosts, frontend = make_frontend(n=2)
         hosts[0].serving = False
-        for __ in range(4):
-            frontend.dispatch(lambda host: host.serve())
+        for index in range(4):
+            frontend.dispatch(lambda host: host.serve(), key=key(index))
         assert frontend.down_hosts == [0]
         hosts[0].serving = True
         frontend.mark_host_up(0)
-        for __ in range(4):
-            frontend.dispatch(lambda host: host.serve())
+        for index in range(4):
+            frontend.dispatch(lambda host: host.serve(), key=key(index))
         assert frontend.down_hosts == []
         assert frontend.stats()["dispatched"]["host-0"] >= 1
 
@@ -118,9 +117,9 @@ class TestSpreadRouting:
         hosts[0].serving = False
         shed_before = 0
         outcomes = []
-        for __ in range(4):
+        for index in range(4):
             try:
-                frontend.dispatch(lambda host: host.serve())
+                frontend.dispatch(lambda host: host.serve(), key=key(index))
                 outcomes.append("served")
             except NoBackendAvailable:
                 outcomes.append("shed")
@@ -140,7 +139,7 @@ class TestApplicationErrors:
             raise ValueError("app-level explosion")
 
         with pytest.raises(ValueError):
-            frontend.dispatch(broken)
+            frontend.dispatch(broken, key=key(0))
         stats = frontend.stats()
         assert stats["issued"] == stats["served"] == 1
         assert stats["accounted"]
@@ -148,7 +147,7 @@ class TestApplicationErrors:
 
 class TestHashRouting:
     def test_keyed_requests_land_on_owning_shard(self):
-        hosts, frontend = make_frontend(n=4, mode="hash", replicas=16)
+        hosts, frontend = make_frontend(n=4, replicas=16)
         ring = HashRing(16, shards=[0, 1, 2, 3])
         for index in range(24):
             key = f"key-{index}"
@@ -157,7 +156,7 @@ class TestHashRouting:
             assert landed == [ring.shard_for(key)]
 
     def test_down_host_arc_fails_over_to_ring_successor(self):
-        hosts, frontend = make_frontend(n=3, mode="hash", replicas=16)
+        hosts, frontend = make_frontend(n=3, replicas=16)
         hosts[1].serving = False
         ring = HashRing(16, shards=[0, 1, 2])
         owned_by_1 = [f"k{i}" for i in range(60) if ring.shard_for(f"k{i}") == 1]
@@ -191,7 +190,7 @@ class TestShedAttribution:
     def test_shed_counter_carries_primary_shard_label(self):
         # shed requests keep their per-shard identity: the counter is
         # attributed to the shard that would have served the key
-        hosts, frontend = make_frontend(n=2, mode="hash", budget=0, replicas=8)
+        hosts, frontend = make_frontend(n=2, budget=0, replicas=8)
         ring = HashRing(8, shards=[0, 1])
         key = next(f"k{i}" for i in range(20) if ring.shard_for(f"k{i}") == 0)
         hosts[0].serving = False
@@ -213,7 +212,7 @@ class TestShedAttribution:
         hub = TelemetryHub()
         with recording(hub):
             with pytest.raises(NoBackendAvailable):
-                frontend.dispatch(lambda host: host.serve())
+                frontend.dispatch(lambda host: host.serve(), key=key(0))
         assert hub.registry.counters_by_label("mesh_shed_total", "shard") == {
             "none": 1
         }
@@ -226,8 +225,10 @@ class TestUnreachableFaultSite:
             "mesh.host_unreachable", "transient", on_call=1, times=1
         )
         with plan:
-            for __ in range(4):
-                assert frontend.dispatch(lambda host: host.serve())
+            for index in range(4):
+                assert frontend.dispatch(
+                    lambda host: host.serve(), key=key(index)
+                )
         assert plan.fired == 1
         stats = frontend.stats()
         # the dropped hop failed over but the host was never marked down
